@@ -53,14 +53,14 @@ def _first_profile(mech, z, agent=None, type_idx=None):
     return tuple(parts)
 
 
-def is_ic(mech, f, model=None):
+def is_ic(mech, f):
     """Truth-telling dominance, decided through terminal pairs.
 
     Two truthful terminals reachable under one strategy profile of everyone
     but agent i must compare favourably for every type i could hold at the
     first terminal.
     """
-    model = model or mech.model
+    model = mech.model
     _require_valid(mech, f)
     terms = mech.terminals
     n = model.n_agents
@@ -117,14 +117,14 @@ def _member_on_path(mech, iset, z):
     return None
 
 
-def is_rp(mech, f, model=None, relaxed=False):
+def is_rp(mech, f, relaxed=False):
     """Reaction-proofness: an agent reacting across two same-action sibling
     information sets can never harm another agent's truthful comparison.
 
     ``relaxed`` additionally skips history pairs that some third agent could
     already tell apart strictly earlier.
     """
-    model = model or mech.model
+    model = mech.model
     _require_valid(mech, f)
     for i, k1, k2 in siblings_same_action(mech):
         s1, s2 = mech.infosets[k1], mech.infosets[k2]
@@ -173,12 +173,12 @@ def _all_indifferent(mech, model, j, outcomes):
     return True
 
 
-def is_irp(mech, f, model=None):
+def is_irp(mech, f):
     """Indifference reaction-proofness: whenever a reaction pair of histories
     is reachable under a common outside strategy profile, at least one of the
     two histories already fixes agent j's welfare (full indifference over all
     continuation outcomes, for every type j could hold)."""
-    model = model or mech.model
+    model = mech.model
     _require_valid(mech, f)
     for i, k1, k2 in siblings_same_action(mech):
         s1, s2 = mech.infosets[k1], mech.infosets[k2]
@@ -202,9 +202,9 @@ def is_irp(mech, f, model=None):
     return Verdict(True)
 
 
-def verify_witness(mech, f, w, model=None):
+def verify_witness(mech, f, w):
     """Independently re-check a witness through play/preference primitives."""
-    model = model or mech.model
+    model = mech.model
     if w.kind in ("ic", "rp"):
         if mech.conflict_agents(w.z1, w.z2) - {w.agent, w.reactor if w.reactor is not None else w.agent}:
             return False

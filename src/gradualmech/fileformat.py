@@ -25,6 +25,20 @@ def _fail(msg):
     raise ParseError(msg)
 
 
+def _need(value, kind, what):
+    """``value`` if it is a ``kind`` (list, dict, str, int), else a ParseError."""
+    if not isinstance(value, kind):
+        _fail(f"{what} must be of type {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
+def _names(value, what):
+    """A list of name strings."""
+    for name in _need(value, list, what):
+        _need(name, str, f"{what} entry")
+    return value
+
+
 def serialize_mechanism(mech, f=None):
     """Render a mechanism (and optionally its SCF) as a format document."""
     model = mech.model
@@ -70,26 +84,36 @@ def serialize_mechanism(mech, f=None):
 
 
 def parse_model(doc):
-    agents = doc.get("agents") or _fail("missing 'agents'")
-    types = doc.get("types") or _fail("missing 'types'")
-    outcomes = doc.get("outcomes") or _fail("missing 'outcomes'")
-    prefs_doc = doc.get("preferences") or _fail("missing 'preferences'")
+    agents = _names(doc.get("agents") or _fail("missing 'agents'"), "'agents'")
+    types = _need(doc.get("types") or _fail("missing 'types'"), list, "'types'")
+    outcomes = _names(doc.get("outcomes") or _fail("missing 'outcomes'"), "'outcomes'")
+    prefs_doc = _need(doc.get("preferences") or _fail("missing 'preferences'"),
+                      list, "'preferences'")
     if len(types) != len(agents) or len(prefs_doc) != len(agents):
         _fail("'types' and 'preferences' must list one entry per agent")
+    for i, names in enumerate(types):
+        _names(names, f"agent {agents[i]}: 'types'")
     out_index = {name: k for k, name in enumerate(outcomes)}
     prefs = []
     for i, per_type in enumerate(prefs_doc):
+        _need(per_type, list, f"agent {agents[i]}: 'preferences'")
         if len(per_type) != len(types[i]):
             _fail(f"agent {agents[i]}: one weak order per type required")
         orders = []
         for t, levels in enumerate(per_type):
+            where = f"agent {agents[i]} type {types[i][t]}"
+            if not (isinstance(levels, list)
+                    and all(isinstance(level, list) for level in levels)):
+                _fail(f"{where}: a weak order must be a list of lists of outcome names")
             try:
                 orders.append(WeakOrder(
                     [{out_index[name] for name in level} for level in levels]))
             except KeyError as e:
-                _fail(f"agent {agents[i]} type {types[i][t]}: unknown outcome {e}")
+                _fail(f"{where}: unknown outcome {e}")
+            except TypeError:
+                _fail(f"{where}: outcome names must be strings")
             except ValueError as e:
-                _fail(f"agent {agents[i]} type {types[i][t]}: {e}")
+                _fail(f"{where}: {e}")
         prefs.append(orders)
     try:
         return TypeModel(types, outcomes, prefs, agent_names=agents)
@@ -107,11 +131,11 @@ def parse_scf(doc, model):
     ]
     out_index = {name: k for k, name in enumerate(model.outcome_names)}
     table = {}
-    for row in rows:
-        if len(row) != 2:
+    for row in _need(rows, list, "'scf'"):
+        if not isinstance(row, list) or len(row) != 2:
             _fail(f"scf row {row!r}: want [profile, outcome]")
         profile_names, out_name = row
-        if len(profile_names) != model.n_agents:
+        if not isinstance(profile_names, list) or len(profile_names) != model.n_agents:
             _fail(f"scf profile {profile_names!r}: one type per agent required")
         try:
             profile = tuple(type_index[i][profile_names[i]]
@@ -119,6 +143,8 @@ def parse_scf(doc, model):
             table[profile] = out_index[out_name]
         except KeyError as e:
             _fail(f"scf row {row!r}: unknown name {e}")
+        except TypeError:
+            _fail(f"scf row {row!r}: names must be strings")
     try:
         return ScfTable(model, table)
     except ValueError as e:
@@ -136,6 +162,9 @@ def parse_mechanism(text):
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise ParseError("document nested too deeply") from None
+    _need(doc, dict, "the document")
     if doc.get("format") != FORMAT:
         _fail(f"unsupported format {doc.get('format')!r}, want {FORMAT!r}")
     model = parse_model(doc)
@@ -152,28 +181,33 @@ def parse_mechanism(text):
     outcomes = {}
 
     def walk(node_doc, parent, step):
+        _need(node_doc, dict, "a tree node")
         if "id" not in node_doc:
             _fail("tree node without 'id'")
-        nid = node_doc["id"]
+        nid = _need(node_doc["id"], int, "a node id")
         if nid in nodes:
             _fail(f"duplicate node id {nid}")
         nodes[nid] = (parent, step)
         if "outcome" in node_doc:
             name = node_doc["outcome"]
-            if name not in out_index:
+            if not isinstance(name, str) or name not in out_index:
                 _fail(f"node {nid}: unknown outcome {name!r}")
             outcomes[nid] = out_index[name]
-        for edge in node_doc.get("children", ()):
+        for edge in _need(node_doc.get("children", []), list, "'children'"):
+            _need(edge, dict, "a child")
             step_doc = edge.get("step") or _fail(f"node {nid}: child without 'step'")
             parts = {}
-            for agent_name, type_names in step_doc.items():
+            for agent_name, type_names in _need(step_doc, dict, "a 'step'").items():
                 if agent_name not in agent_index:
                     _fail(f"node {nid}: unknown agent {agent_name!r}")
                 a = agent_index[agent_name]
+                _need(type_names, list, "an action")
                 try:
                     parts[a] = frozenset(type_index[a][t] for t in type_names)
                 except KeyError as e:
                     _fail(f"node {nid}: unknown type {e} for agent {agent_name}")
+                except TypeError:
+                    _fail(f"node {nid}: type names must be strings")
             child = edge.get("node") or _fail(f"node {nid}: child without 'node'")
             walk(child, nid, tuple(sorted(parts.items())))
 
@@ -188,13 +222,13 @@ def parse_mechanism(text):
     out2 = {remap[nid]: x for nid, x in outcomes.items()}
 
     groups = []
-    for entry in doc.get("infosets", ()):
-        agent_name = entry.get("agent")
-        if agent_name not in agent_index:
+    for entry in _need(doc.get("infosets", []), list, "'infosets'"):
+        agent_name = _need(entry, dict, "an information set").get("agent")
+        if not isinstance(agent_name, str) or agent_name not in agent_index:
             _fail(f"information set for unknown agent {agent_name!r}")
         members = []
-        for nid in entry.get("nodes", ()):
-            if nid not in remap:
+        for nid in _need(entry.get("nodes", []), list, "information set 'nodes'"):
+            if not isinstance(nid, int) or nid not in remap:
                 _fail(f"information set references unknown node {nid}")
             members.append(remap[nid])
         groups.append((agent_index[agent_name], members))

@@ -120,7 +120,6 @@ class Mechanism:
         self._truthful = None
         self._conflicts = {}
         self._valid_report = None
-        self._impl_cache = {}
 
     # -- structure helpers ------------------------------------------------
 
@@ -158,13 +157,6 @@ class Mechanism:
 
     def is_terminal(self, v):
         return not self.children[v]
-
-    def depth(self, v):
-        d = 0
-        while self.parent[v] is not None:
-            v = self.parent[v]
-            d += 1
-        return d
 
     def path_nodes(self, v):
         """Nodes from the root to v inclusive."""
@@ -388,8 +380,10 @@ def build_mechanism(model, nodes, infoset_groups, outcomes):
 def validate(mech):
     """Return a list of violation strings; empty iff the mechanism satisfies
     every structural rule: refined disjoint actions, closure of simultaneous
-    moves, per-set uniform menus, perfect recall, root activity, and the
-    terminal partition of the type-profile space.  Memoized per mechanism.
+    moves, per-set uniform menus, perfect recall and root activity.  These
+    local rules imply that the terminal type sets partition the type-profile
+    space, so that partition is not checked separately.  Memoized per
+    mechanism.
     """
     if mech._valid_report is None:
         mech._valid_report = _validate(mech)
@@ -479,34 +473,14 @@ def _validate(mech):
         if len(exps) > 1:
             report.append(f"information set {k}: members violate perfect recall")
 
-    # Terminal information partitions the full profile space.
-    total = sum(mech.theta_profile_count(z) for z in mech.terminals)
-    if total != model.n_profiles():
-        report.append("terminal type sets do not partition the profile space")
-    else:
-        for profile in model.profiles():
-            v = 0
-            ok = True
-            while not mech.is_terminal(v):
-                want = {}
-                for a in mech.acting[v]:
-                    opts = [dict(mech.step[c])[a] for c in mech.children[v]
-                            if a in dict(mech.step[c])]
-                    match = [o for o in set(opts) if profile[a] in o]
-                    if len(match) != 1:
-                        ok = False
-                        break
-                    want[a] = match[0]
-                if not ok:
-                    break
-                nxt = mech.children_by_step(v).get(step_key(make_step(want)))
-                if nxt is None:
-                    ok = False
-                    break
-                v = nxt
-            if not ok:
-                report.append(f"no unique truthful path for profile {profile}")
-                break
+    # No separate check that the terminals partition the profile space: the
+    # local rules above imply it.  At a node that passes them, every acting
+    # agent's actions partition her current set and the children are the
+    # full product of the menus without duplicates, so the children's type
+    # boxes are disjoint and cover the node's box.  By induction from the
+    # root, whose box is the whole profile space, the terminal boxes
+    # partition that space and every profile has exactly one truthful path.
+    # When a local rule fails, its own message diagnoses the input.
     return report
 
 
@@ -518,21 +492,8 @@ def implemented_scf(mech):
 
 def implements(mech, f):
     """True iff every terminal's outcome equals f on its accrued type sets."""
-    key = id(f)
-    cached = mech._impl_cache.get(key)
-    if cached is not None:
-        return cached
-    ok = True
-    for z in mech.terminals:
-        x = mech.outcome[z]
-        for profile in mech.theta_profiles(z):
-            if f[profile] != x:
-                ok = False
-                break
-        if not ok:
-            break
-    mech._impl_cache[key] = ok
-    return ok
+    return all(f[profile] == mech.outcome[z]
+               for z in mech.terminals for profile in mech.theta_profiles(z))
 
 
 def siblings_same_action(mech):

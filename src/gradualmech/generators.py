@@ -470,7 +470,7 @@ def build_rda(priorities, n):
     single feasible option are resolved silently rather than materialized as
     degenerate nodes.
     """
-    model, f = ttc_scf(priorities, n)
+    model = matching_model(n)
     rankings = model.rankings
     sink = _TreeSink(model)
 

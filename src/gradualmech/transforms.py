@@ -510,7 +510,7 @@ def apply_transformation(mech, t):
     raise ValueError(f"not a transformation: {t!r}")
 
 
-def is_incentive_preserving(mech, t, f, model=None):
+def is_incentive_preserving(mech, t, f):
     """Whether illuminating ``mech`` by ``t`` keeps every other agent's
     truthful comparison intact against the newly informed agent's
     conditioning power.
@@ -519,7 +519,7 @@ def is_incentive_preserving(mech, t, f, model=None):
     information tuple from each part), restricted to pairs reachable under
     one strategy profile of the remaining agents.
     """
-    model = model or mech.model
+    model = mech.model
     if t.infoset >= len(mech.infosets) or mech.infosets[t.infoset].agent != t.agent:
         raise MechanismError("illumination check: no such information set")
     iset = mech.infosets[t.infoset]
@@ -612,7 +612,7 @@ def theorem1_verdict(chain):
     return all(s.preserving for s in merges)
 
 
-def reduce_to_direct(mech, f, model=None, check_preserving=True):
+def reduce_to_direct(mech, f, check_preserving=True):
     """Transform a mechanism into the one-shot direct form of its SCF.
 
     Phase 1 splits until every terminal pins a single type profile; phase 2
@@ -621,7 +621,6 @@ def reduce_to_direct(mech, f, model=None, check_preserving=True):
     forward illumination and its incentive-preservation verdict evaluated on
     the post-merge mechanism.
     """
-    model = model or mech.model
     problems = validate(mech)
     if problems:
         raise MechanismError("reduce: invalid input mechanism: " + problems[0])
@@ -650,7 +649,7 @@ def reduce_to_direct(mech, f, model=None, check_preserving=True):
         merged, forward = apply_merge(current, t)
         preserving = None
         if check_preserving:
-            preserving = bool(is_incentive_preserving(merged, forward, f, model))
+            preserving = bool(is_incentive_preserving(merged, forward, f))
         current = merged
         steps.append(ChainStep(t, current.fingerprint(), preserving=preserving))
 

@@ -6,8 +6,36 @@ no shared code paths with the implementations under test.
 
 import itertools
 
-from gradualmech import all_strategies, play
+from gradualmech import all_strategies, make_step, play
+from gradualmech.gameform import step_key
 from gradualmech.generators import _best
+
+
+def partition_walk_oracle(mech):
+    """True iff every type profile has exactly one truthful path: the
+    terminal type sets sum to the profile count and a walk from the root
+    finds, for each profile, one matching action per acting agent and the
+    child with that action profile."""
+    model = mech.model
+    total = sum(mech.theta_profile_count(z) for z in mech.terminals)
+    if total != model.n_profiles():
+        return False
+    for profile in model.profiles():
+        v = 0
+        while not mech.is_terminal(v):
+            want = {}
+            for a in mech.acting[v]:
+                opts = [dict(mech.step[c])[a] for c in mech.children[v]
+                        if a in dict(mech.step[c])]
+                match = [o for o in set(opts) if profile[a] in o]
+                if len(match) != 1:
+                    return False
+                want[a] = match[0]
+            nxt = mech.children_by_step(v).get(step_key(make_step(want)))
+            if nxt is None:
+                return False
+            v = nxt
+    return True
 
 
 def sp_oracle(model, f):

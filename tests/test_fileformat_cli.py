@@ -110,6 +110,37 @@ def test_cli_parse_error_exits_two(tmp_path):
     assert code == 2
 
 
+MALFORMED = {
+    "top-level-list": ((), []),
+    "infosets-int": (("infosets",), 7),
+    "infosets-of-strings": (("infosets",), ["x"]),
+    "types-of-ints": (("types",), [5, 5]),
+    "preferences-int": (("preferences",), 7),
+    "scf-int": (("scf",), 3),
+    "children-int": (("tree", "children"), 5),
+    "step-list": (("tree", "children", 0, "step"), ["L"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_cli_malformed_document_exits_two(case, voting, capsys):
+    """Valid JSON of the wrong shape is bad input (exit 2), not a crash."""
+    model, f, mechs = voting
+    path, value = MALFORMED[case]
+    doc = json.loads(serialize_mechanism(mechs["g3"], f))
+    if path:
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    else:
+        doc = value
+    code, _ = run_cli(["check-ic", "-"], json.dumps(doc))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_cli_validate_reports(tmp_path, voting):
     model, f, mechs = voting
     doc = json.loads(serialize_mechanism(mechs["direct"], f))

@@ -2,10 +2,40 @@ import pytest
 
 import gradualmech as gm
 from gradualmech import MechanismError, build_mechanism, make_step
+from oracles import partition_walk_oracle
 
 
 def tiny_model():
     return gm.voting_model_and_scf()[0]
+
+
+def root_fan(steps):
+    """A root whose children take the given steps, all ending in outcome 1."""
+    nodes = [(None, None)] + [(0, make_step(step)) for step in steps]
+    return build_mechanism(tiny_model(), nodes, [(0, [0]), (1, [0])],
+                           {k: 1 for k in range(1, len(nodes))})
+
+
+ALL = frozenset({0, 1, 2})
+
+
+def overlapping_actions():
+    # agent 0 offers {L,M} and {M,R}: overlap on M
+    return root_fan([{0: {0, 1}, 1: ALL}, {0: {1, 2}, 1: ALL}])
+
+
+def non_partition_actions():
+    # union of agent 0's actions misses R
+    return root_fan([{0: {0}, 1: ALL}, {0: {1}, 1: ALL}])
+
+
+def missing_product_child():
+    # {L},{M,R} for both agents, but only three of the four combinations
+    return root_fan([{0: {0}, 1: {0}}, {0: {0}, 1: {1, 2}}, {0: {1, 2}, 1: {0}}])
+
+
+def duplicate_action_profiles():
+    return root_fan([{0: ALL, 1: ALL}, {0: ALL, 1: ALL}])
 
 
 def test_direct_mechanism_validates(voting):
@@ -22,25 +52,27 @@ def test_all_voting_mechanisms_validate(voting):
 
 
 def test_overlapping_actions_reported_not_crashed():
-    model = tiny_model()
-    # agent 0 offers {L,M} and {M,R}: overlap on M
-    nodes = [(None, None)]
-    for act in (frozenset({0, 1}), frozenset({1, 2})):
-        nodes.append((0, make_step({0: act, 1: frozenset({0, 1, 2})})))
-    outcomes = {1: 1, 2: 1}
-    mech = build_mechanism(model, nodes, [(0, [0]), (1, [0])], outcomes)
-    report = gm.validate(mech)
+    report = gm.validate(overlapping_actions())
     assert any("overlapping actions" in r for r in report)
 
 
 def test_non_partition_actions_reported():
-    model = tiny_model()
-    nodes = [(None, None)]
-    for act in (frozenset({0}), frozenset({1})):  # union misses R
-        nodes.append((0, make_step({0: act, 1: frozenset({0, 1, 2})})))
-    mech = build_mechanism(model, nodes, [(0, [0]), (1, [0])], {1: 1, 2: 1})
-    report = gm.validate(mech)
+    report = gm.validate(non_partition_actions())
     assert any("partition her current set" in r for r in report)
+
+
+@pytest.mark.parametrize("build, rule", [
+    (overlapping_actions, "overlapping actions"),
+    (non_partition_actions, "do not partition her current set"),
+    (missing_product_child, "not the full product"),
+    (duplicate_action_profiles, "duplicate action profiles"),
+])
+def test_broken_partition_is_named_by_a_local_rule(build, rule):
+    """Each local rule the partition argument rests on, broken alone: the
+    profile walk finds no unique truthful path, and validate names the rule."""
+    mech = build()
+    assert not partition_walk_oracle(mech)
+    assert any(rule in r for r in gm.validate(mech))
 
 
 def test_missing_root_agent_reported():
@@ -78,6 +110,14 @@ def test_imperfect_recall_reported(voting):
         groups, g1.outcome)
     report = gm.validate(mech)
     assert report  # menus differ or recall broken, either way diagnosed
+
+
+def test_local_rules_imply_terminal_partition(full_corpus):
+    """validate checks only local rules; the walk it no longer runs agrees
+    on every valid mechanism of the corpus."""
+    for name, mech, model, f in full_corpus:
+        assert gm.validate(mech) == [], name
+        assert partition_walk_oracle(mech), name
 
 
 def test_dangling_parent_is_build_error():
@@ -159,3 +199,20 @@ def test_canonical_equality_is_renumbering_invariant(voting):
     outcomes = {inv[v]: x for v, x in g3.outcome.items()}
     rebuilt = build_mechanism(model, raw, groups, outcomes)
     assert gm.mechanisms_equal(rebuilt, g3)
+
+
+def test_implements_is_not_fooled_by_a_reused_scf_id(voting):
+    """A table that differs from f in one entry is never implemented, even
+    when it is allocated where a just-freed correct table lived."""
+    model, f, mechs = voting
+    g3 = mechs["g3"]
+    profile = min(f.table)
+    wrong = dict(f.table)
+    wrong[profile] = (f[profile] + 1) % model.n_outcomes()
+    stale = 0
+    for _ in range(3000):
+        right = gm.ScfTable(model, f.table)
+        assert gm.implements(g3, right)
+        del right
+        stale += gm.implements(g3, gm.ScfTable(model, wrong))
+    assert stale == 0
