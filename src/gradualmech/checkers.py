@@ -53,27 +53,52 @@ def _first_profile(mech, z, agent=None, type_idx=None):
     return tuple(parts)
 
 
+def _terminal_masks(mech):
+    """Bitmask of every terminal, and of the terminals of each outcome."""
+    every, by_outcome = 0, {}
+    for z in mech.terminals:
+        bit = 1 << z
+        every |= bit
+        x = mech.outcome[z]
+        by_outcome[x] = by_outcome.get(x, 0) | bit
+    return every, by_outcome
+
+
+def _two_or_more(masks):
+    """Bits set in at least two of the masks."""
+    seen = twice = 0
+    for mask in masks:
+        twice |= seen & mask
+        seen |= mask
+    return twice
+
+
 def is_ic(mech, f):
     """Truth-telling dominance, decided through terminal pairs.
 
     Two truthful terminals reachable under one strategy profile of everyone
     but agent i must compare favourably for every type i could hold at the
-    first terminal.
+    first terminal.  A pair qualifies when at most one agent's choices
+    conflict on it; for each first terminal, the later terminals with another
+    outcome that qualify are read off its conflict masks and visited in
+    ascending id order, the order of ``mech.terminals``.
     """
     model = mech.model
     _require_valid(mech, f)
-    terms = mech.terminals
     n = model.n_agents
-    for idx1, z1 in enumerate(terms):
-        for z2 in terms[idx1 + 1:]:
-            conflict = mech.conflict_agents(z1, z2)
-            if len(conflict) > 1:
-                continue
-            agents = range(n) if not conflict else conflict
-            x1, x2 = mech.outcome[z1], mech.outcome[z2]
-            if x1 == x2:
-                continue
-            for i in sorted(agents):
+    every, by_outcome = _terminal_masks(mech)
+    for z1 in mech.terminals:
+        masks = mech.conflict_masks(z1)
+        x1 = mech.outcome[z1]
+        later = (every ^ by_outcome[x1]) >> (z1 + 1) << (z1 + 1)
+        pending = later & ~_two_or_more(masks)
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            z2 = low.bit_length() - 1
+            x2 = mech.outcome[z2]
+            conflict = [i for i in range(n) if masks[i] >> z2 & 1]
+            for i in conflict or range(n):
                 for ti in sorted(mech.theta[z1][i]):
                     if not model.weakly_prefers(i, ti, x1, x2):
                         return Verdict(False, Witness(
@@ -93,57 +118,51 @@ def is_ic(mech, f):
     return Verdict(True)
 
 
-def _third_party_divergence(mech, h1, h2, i, j):
-    """True iff some other agent already distinguishes the two histories
-    strictly before h1/h2: her information-set sequences along the two paths
-    differ, so she, not the pair under test, is the first to learn about the
-    divergence."""
-    for k in range(mech.model.n_agents):
-        if k in (i, j):
-            continue
-        seq1 = tuple(e[0] for e in mech.experience[k][h1])
-        seq2 = tuple(e[0] for e in mech.experience[k][h2])
-        if seq1 != seq2:
-            return True
-    return False
-
-
-def _member_on_path(mech, iset, z):
-    """The member of an information set lying on the path to z, or None."""
-    members = set(iset.nodes)
-    for v in mech.path_nodes(z):
-        if v in members:
-            return v
-    return None
-
-
 def is_rp(mech, f, relaxed=False):
     """Reaction-proofness: an agent reacting across two same-action sibling
     information sets can never harm another agent's truthful comparison.
 
     ``relaxed`` additionally skips history pairs that some third agent could
-    already tell apart strictly earlier.
+    already tell apart strictly earlier: her information-set sequences up to
+    the two members differ, so she, not the pair under test, is the first to
+    learn about the divergence.
+
+    The second terminals are visited in the tree order of
+    ``terminals_under``, not in id order, so each one's bit is tested in
+    turn rather than walking the set bits of the qualifying ones.
     """
     model = mech.model
     _require_valid(mech, f)
+    n = model.n_agents
+    _, by_outcome = _terminal_masks(mech)
     for i, k1, k2 in siblings_same_action(mech):
         s1, s2 = mech.infosets[k1], mech.infosets[k2]
-        t1 = [z for v in s1.nodes for z in mech.terminals_under(v)]
-        t2 = [z for v in s2.nodes for z in mech.terminals_under(v)]
-        for z1 in t1:
-            for z2 in t2:
-                conflict = mech.conflict_agents(z1, z2) - {i}
-                if len(conflict) > 1:
+        t1 = [(h, z) for h in s1.nodes for z in mech.terminals_under(h)]
+        t2 = [(h, z) for h in s2.nodes for z in mech.terminals_under(h)]
+        in_t2 = 0
+        for _, z2 in t2:
+            in_t2 |= 1 << z2
+        others = [j for j in range(n) if j != i]
+        if relaxed:
+            seqs = {h: [tuple(e[0] for e in mech.experience[k][h]) for k in others]
+                    for h in s1.nodes + s2.nodes}
+            divergent = {(h1, h2): frozenset(k for k, a, b in zip(others, seqs[h1], seqs[h2])
+                                             if a != b)
+                         for h1 in s1.nodes for h2 in s2.nodes}
+        for h1, z1 in t1:
+            masks = mech.conflict_masks(z1)
+            x1 = mech.outcome[z1]
+            qualify = (in_t2 & ~by_outcome[x1]
+                       & ~_two_or_more(masks[j] for j in others))
+            if not qualify:
+                continue
+            for h2, z2 in t2:
+                if not qualify >> z2 & 1:
                     continue
-                if relaxed:
-                    h1 = _member_on_path(mech, s1, z1)
-                    h2 = _member_on_path(mech, s2, z2)
-                x1, x2 = mech.outcome[z1], mech.outcome[z2]
-                if x1 == x2:
-                    continue
-                js = conflict if conflict else set(range(model.n_agents)) - {i}
-                for j in sorted(js):
-                    if relaxed and _third_party_divergence(mech, h1, h2, i, j):
+                x2 = mech.outcome[z2]
+                conflict = [j for j in others if masks[j] >> z2 & 1]
+                for j in conflict or others:
+                    if relaxed and divergent[h1, h2] - {j}:
                         continue
                     for tj in sorted(mech.theta[z1][j]):
                         if not model.weakly_prefers(j, tj, x1, x2):

@@ -17,11 +17,10 @@ from . import transforms as tr
 from .checkers import is_ic, is_irp, is_rp
 from .dot import export_dot
 from .fileformat import ParseError, load_mechanism, serialize_mechanism
-from .gameform import MechanismError, validate
+from .gameform import MechanismError, implemented_scf, validate
 from .generators import (all_priority_structures, build_gstar, build_rda,
                          direct_mechanism, random_transformed_mechanism,
-                         second_price_scf, serial_dictatorship_pair, ttc_scf,
-                         voting_examples)
+                         serial_dictatorship_pair, ttc_scf, voting_examples)
 from .prefs import is_strategy_proof
 
 
@@ -239,8 +238,8 @@ def cmd_gen(args):
         else:
             raise ParseError("--which must be good or bad")
     elif kind == "auction":
-        model, f = second_price_scf(args.n, args.m)
         out = build_gstar(args.n, args.m)
+        f = implemented_scf(out)
     elif kind == "ttc":
         if args.priorities:
             try:

@@ -107,18 +107,12 @@ class Mechanism:
                 else:
                     exp[v] = exp[p]
 
-        # Choice maps for consistency tests: per agent per node, infoset -> action.
-        self.choices = [dict() for _ in range(model.n_agents)]
-        for i in range(model.n_agents):
-            ch = self.choices[i]
-            for v in order:
-                ch[v] = dict(self.experience[i][v])
-
         self._children_by_step = None
         self._terminals_under = None
         self._outcomes_under = None
         self._truthful = None
-        self._conflicts = {}
+        self._other_action = None
+        self._conflict_masks = [None] * n
         self._valid_report = None
 
     # -- structure helpers ------------------------------------------------
@@ -230,12 +224,6 @@ class Mechanism:
             out.update(itertools.product(*(self.theta[v][j] for j in others)))
         return out
 
-    def theta_profile_count(self, v):
-        out = 1
-        for s in self.theta[v]:
-            out *= len(s)
-        return out
-
     def theta_profiles(self, v):
         return itertools.product(*(sorted(s) for s in self.theta[v]))
 
@@ -253,29 +241,54 @@ class Mechanism:
             self._truthful = table
         return self._truthful
 
+    def _other_action_masks(self):
+        """{(k, a): bitmask of the nodes whose path passes through information
+        set k with an action other than a}, read off the experience chains."""
+        if self._other_action is None:
+            below = [0] * self.n_nodes()
+            for v in reversed(self._bfs_order()):
+                mask = 1 << v
+                for c in self.children[v]:
+                    mask |= below[c]
+                below[v] = mask
+            # An entry is appended to a chain at one node and carried to
+            # every node below it.
+            through = {}
+            for exp in self.experience:
+                for v, chain in exp.items():
+                    if v and len(chain) > len(exp[self.parent[v]]):
+                        entry = chain[-1]
+                        through[entry] = through.get(entry, 0) | below[v]
+            by_set = {}
+            for (k, _), mask in through.items():
+                by_set[k] = by_set.get(k, 0) | mask
+            self._other_action = {(k, a): by_set[k] ^ mask
+                                  for (k, a), mask in through.items()}
+        return self._other_action
+
+    def conflict_masks(self, u):
+        """One bitmask per agent: bit v of entry i is set iff agent i's
+        recorded choices on the paths to u and v disagree on a shared
+        information set.  Perfect recall puts each set at most once in a
+        chain, so this is the OR, over u's chain, of the nodes that pass the
+        same set with another action.  Memoized per node."""
+        masks = self._conflict_masks[u]
+        if masks is None:
+            other = self._other_action_masks()
+            out = []
+            for exp in self.experience:
+                mask = 0
+                for entry in exp[u]:
+                    mask |= other[entry]
+                out.append(mask)
+            masks = self._conflict_masks[u] = tuple(out)
+        return masks
+
     def conflict_agents(self, u, v):
         """Agents whose recorded choices on the paths to u and v disagree on
-        a shared information set.  Cached per node pair."""
-        if u > v:
-            u, v = v, u
-        key = (u, v)
-        cached = self._conflicts.get(key)
-        if cached is not None:
-            return cached
-        out = []
-        for i in range(self.model.n_agents):
-            a = self.choices[i][u]
-            b = self.choices[i][v]
-            if len(b) < len(a):
-                a, b = b, a
-            for k, act in a.items():
-                other = b.get(k)
-                if other is not None and other != act:
-                    out.append(i)
-                    break
-        out = frozenset(out)
-        self._conflicts[key] = out
-        return out
+        a shared information set: bit v of u's conflict masks."""
+        return frozenset(i for i, mask in enumerate(self.conflict_masks(u))
+                         if mask >> v & 1)
 
     # -- identity ------------------------------------------------------------
 

@@ -106,7 +106,7 @@ def consistent_with_partial(mech, z, partial):
     """True iff terminal z is reachable under the partial profile
     ``{agent: {infoset: action}}`` for some completion."""
     for agent, strat in partial.items():
-        for k, action in mech.choices[agent][z].items():
+        for k, action in mech.experience[agent][z]:
             if strat[k] != action:
                 return False
     return True

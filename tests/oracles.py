@@ -5,9 +5,11 @@ no shared code paths with the implementations under test.
 """
 
 import itertools
+import math
 
 from gradualmech import all_strategies, make_step, play
-from gradualmech.gameform import step_key
+from gradualmech.checkers import Verdict, Witness, _all_indifferent, _first_profile
+from gradualmech.gameform import siblings_same_action, step_key
 from gradualmech.generators import _best
 
 
@@ -17,7 +19,7 @@ def partition_walk_oracle(mech):
     finds, for each profile, one matching action per acting agent and the
     child with that action profile."""
     model = mech.model
-    total = sum(mech.theta_profile_count(z) for z in mech.terminals)
+    total = sum(math.prod(len(s) for s in mech.theta[z]) for z in mech.terminals)
     if total != model.n_profiles():
         return False
     for profile in model.profiles():
@@ -36,6 +38,163 @@ def partition_walk_oracle(mech):
                 return False
             v = nxt
     return True
+
+
+def conflict_agents_oracle(mech, u, v):
+    """Agents whose recorded choices on the paths to u and v disagree on a
+    shared information set, by scanning the two choice dicts."""
+    out = []
+    for i in range(mech.model.n_agents):
+        a = dict(mech.experience[i][u])
+        b = dict(mech.experience[i][v])
+        if len(b) < len(a):
+            a, b = b, a
+        for k, act in a.items():
+            other = b.get(k)
+            if other is not None and other != act:
+                out.append(i)
+                break
+    return frozenset(out)
+
+
+def _pair_conflicts(mech):
+    """``conflict_agents_oracle`` behind a cache keyed on the node pair."""
+    cache = {}
+
+    def conflict(u, v):
+        key = (min(u, v), max(u, v))
+        if key not in cache:
+            cache[key] = conflict_agents_oracle(mech, *key)
+        return cache[key]
+    return conflict
+
+
+def is_ic_oracle(mech, f):
+    """``is_ic`` as a scan of every terminal pair in id order, with the
+    conflict test done pair by pair."""
+    model = mech.model
+    conflict_agents = _pair_conflicts(mech)
+    terms = mech.terminals
+    n = model.n_agents
+    for idx1, z1 in enumerate(terms):
+        for z2 in terms[idx1 + 1:]:
+            conflict = conflict_agents(z1, z2)
+            if len(conflict) > 1:
+                continue
+            agents = range(n) if not conflict else conflict
+            x1, x2 = mech.outcome[z1], mech.outcome[z2]
+            if x1 == x2:
+                continue
+            for i in sorted(agents):
+                for ti in sorted(mech.theta[z1][i]):
+                    if not model.weakly_prefers(i, ti, x1, x2):
+                        return Verdict(False, Witness(
+                            "ic", i, None, z1, z2,
+                            _first_profile(mech, z1, i, ti),
+                            _first_profile(mech, z2),
+                            x1, x2,
+                            detail="truthful outcome not weakly preferred"))
+                for ti in sorted(mech.theta[z2][i]):
+                    if not model.weakly_prefers(i, ti, x2, x1):
+                        return Verdict(False, Witness(
+                            "ic", i, None, z2, z1,
+                            _first_profile(mech, z2, i, ti),
+                            _first_profile(mech, z1),
+                            x2, x1,
+                            detail="truthful outcome not weakly preferred"))
+    return Verdict(True)
+
+
+def _third_party_divergence(mech, h1, h2, i, j):
+    """True iff some agent other than i and j has information-set sequences
+    that differ along the paths to h1 and h2."""
+    for k in range(mech.model.n_agents):
+        if k in (i, j):
+            continue
+        seq1 = tuple(e[0] for e in mech.experience[k][h1])
+        seq2 = tuple(e[0] for e in mech.experience[k][h2])
+        if seq1 != seq2:
+            return True
+    return False
+
+
+def _member_on_path(mech, iset, z):
+    """The member of an information set lying on the path to z, or None."""
+    members = set(iset.nodes)
+    for v in mech.path_nodes(z):
+        if v in members:
+            return v
+    return None
+
+
+def is_rp_oracle(mech, f, relaxed=False):
+    """``is_rp`` as a scan of every terminal pair of each sibling pair, with
+    the conflict test done pair by pair and the members found by walking
+    each terminal's path."""
+    model = mech.model
+    conflict_agents = _pair_conflicts(mech)
+    for i, k1, k2 in siblings_same_action(mech):
+        s1, s2 = mech.infosets[k1], mech.infosets[k2]
+        t1 = [z for v in s1.nodes for z in mech.terminals_under(v)]
+        t2 = [z for v in s2.nodes for z in mech.terminals_under(v)]
+        for z1 in t1:
+            for z2 in t2:
+                conflict = conflict_agents(z1, z2) - {i}
+                if len(conflict) > 1:
+                    continue
+                if relaxed:
+                    h1 = _member_on_path(mech, s1, z1)
+                    h2 = _member_on_path(mech, s2, z2)
+                x1, x2 = mech.outcome[z1], mech.outcome[z2]
+                if x1 == x2:
+                    continue
+                js = conflict if conflict else set(range(model.n_agents)) - {i}
+                for j in sorted(js):
+                    if relaxed and _third_party_divergence(mech, h1, h2, i, j):
+                        continue
+                    for tj in sorted(mech.theta[z1][j]):
+                        if not model.weakly_prefers(j, tj, x1, x2):
+                            return Verdict(False, Witness(
+                                "rp", j, i, z1, z2,
+                                _first_profile(mech, z1, j, tj),
+                                _first_profile(mech, z2),
+                                x1, x2, infosets=(k1, k2),
+                                detail="reaction across sibling information sets"))
+                    for tj in sorted(mech.theta[z2][j]):
+                        if not model.weakly_prefers(j, tj, x2, x1):
+                            return Verdict(False, Witness(
+                                "rp", j, i, z2, z1,
+                                _first_profile(mech, z2, j, tj),
+                                _first_profile(mech, z1),
+                                x2, x1, infosets=(k2, k1),
+                                detail="reaction across sibling information sets"))
+    return Verdict(True)
+
+
+def is_irp_oracle(mech, f):
+    """``is_irp`` with the conflict test done pair by pair."""
+    model = mech.model
+    conflict_agents = _pair_conflicts(mech)
+    for i, k1, k2 in siblings_same_action(mech):
+        s1, s2 = mech.infosets[k1], mech.infosets[k2]
+        for h1 in s1.nodes:
+            for h2 in s2.nodes:
+                conflict = conflict_agents(h1, h2) - {i}
+                if len(conflict) > 1:
+                    continue
+                js = conflict if conflict else set(range(model.n_agents)) - {i}
+                out1 = mech.outcomes_under(h1)
+                out2 = mech.outcomes_under(h2)
+                for j in sorted(js):
+                    if _all_indifferent(mech, model, j, out1):
+                        continue
+                    if _all_indifferent(mech, model, j, out2):
+                        continue
+                    return Verdict(False, Witness(
+                        "irp", j, i, h1, h2, None, None, None, None,
+                        infosets=(k1, k2),
+                        detail="neither history settles the reacting-on agent"))
+    return Verdict(True)
 
 
 def sp_oracle(model, f):
@@ -60,7 +219,7 @@ def strategy_profiles(mech, agents):
 def terminal_consistent(mech, z, partial):
     """Does some completion of the partial profile reach z?"""
     for agent, strat in partial.items():
-        for k, action in mech.choices[agent][z].items():
+        for k, action in mech.experience[agent][z]:
             if strat[k] != action:
                 return False
     return True

@@ -268,3 +268,10 @@ def test_console_script_runs():
                             capture_output=True, text=True)
     assert result.returncode == 0
     assert '"format": "gm/1"' in result.stdout
+
+
+def test_cli_gen_auction_document():
+    code, out = run_cli(["gen", "auction", "--n", "3", "--m", "3"])
+    assert code == 0
+    _, f = gm.second_price_scf(3, 3)
+    assert out == serialize_mechanism(gm.build_gstar(3, 3), f) + "\n"

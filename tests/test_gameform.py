@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 import gradualmech as gm
@@ -174,7 +176,7 @@ def test_siblings_in_gstar_3_2(gstar_instances):
 
 def test_terminal_partition_property(full_corpus):
     for name, mech, model, f in full_corpus[:40]:
-        total = sum(mech.theta_profile_count(z) for z in mech.terminals)
+        total = sum(math.prod(len(s) for s in mech.theta[z]) for z in mech.terminals)
         assert total == model.n_profiles(), name
         seen = set()
         for z in mech.terminals:
