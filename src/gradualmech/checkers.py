@@ -183,7 +183,7 @@ def is_rp(mech, f, relaxed=False):
     return Verdict(True)
 
 
-def _all_indifferent(mech, model, j, outcomes):
+def _all_indifferent(model, j, outcomes):
     for tj in model.all_types(j):
         order = model.order(j, tj)
         levels = {order.level(x) for x in outcomes}
@@ -196,23 +196,26 @@ def is_irp(mech, f):
     """Indifference reaction-proofness: whenever a reaction pair of histories
     is reachable under a common outside strategy profile, at least one of the
     two histories already fixes agent j's welfare (full indifference over all
-    continuation outcomes, for every type j could hold)."""
+    continuation outcomes, for every type j could hold).  The agents other
+    than i that conflict on a pair are read off the first history's conflict
+    masks."""
     model = mech.model
     _require_valid(mech, f)
     for i, k1, k2 in siblings_same_action(mech):
         s1, s2 = mech.infosets[k1], mech.infosets[k2]
+        others = [j for j in range(model.n_agents) if j != i]
         for h1 in s1.nodes:
+            masks = mech.conflict_masks(h1)
+            skip = _two_or_more(masks[j] for j in others)
+            out1 = mech.outcomes_under(h1)
             for h2 in s2.nodes:
-                conflict = mech.conflict_agents(h1, h2) - {i}
-                if len(conflict) > 1:
+                if skip >> h2 & 1:
                     continue
-                js = conflict if conflict else set(range(model.n_agents)) - {i}
-                out1 = mech.outcomes_under(h1)
                 out2 = mech.outcomes_under(h2)
-                for j in sorted(js):
-                    if _all_indifferent(mech, model, j, out1):
+                for j in [j for j in others if masks[j] >> h2 & 1] or others:
+                    if _all_indifferent(model, j, out1):
                         continue
-                    if _all_indifferent(mech, model, j, out2):
+                    if _all_indifferent(model, j, out2):
                         continue
                     return Verdict(False, Witness(
                         "irp", j, i, h1, h2, None, None, None, None,
@@ -238,8 +241,8 @@ def verify_witness(mech, f, w):
     if w.kind == "irp":
         if mech.conflict_agents(w.z1, w.z2) - {w.agent, w.reactor}:
             return False
-        return (not _all_indifferent(mech, model, w.agent, mech.outcomes_under(w.z1))
-                and not _all_indifferent(mech, model, w.agent, mech.outcomes_under(w.z2)))
+        return (not _all_indifferent(model, w.agent, mech.outcomes_under(w.z1))
+                and not _all_indifferent(model, w.agent, mech.outcomes_under(w.z2)))
     if w.kind == "ill":
         if mech.conflict_agents(w.z1, w.z2) - {w.agent, w.reactor}:
             return False

@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 when the checked property holds (or the command succeeded),
-1 when a checked property fails (the witness is printed), 2 for usage,
-parse, or validation errors.  Mechanisms travel between commands as format
-documents on files or standard streams, so generators pipe into checkers.
+1 when a checked property fails (the witness is printed), 2 for usage or
+parse errors and for invalid mechanisms.  ``validate`` exits 1 when it
+reports violations, since the report is its witness.  Mechanisms travel
+between commands as format documents on files or standard streams, so
+generators pipe into checkers.
 """
 
 from __future__ import annotations

@@ -63,20 +63,6 @@ class Mechanism:
         self.terminals = tuple(v for v in range(n) if not self.children[v])
         self.renumbering = renumbering
 
-        # Last reported set per (node, agent); full type set until first action.
-        full = [model.full_type_set(i) for i in range(model.n_agents)]
-        theta = [None] * n
-        theta[0] = tuple(full)
-        order = self._bfs_order()
-        for v in order:
-            if v == 0:
-                continue
-            row = list(theta[self.parent[v]])
-            for agent, action in self.step[v]:
-                row[agent] = action
-            theta[v] = tuple(row)
-        self.theta = tuple(theta)
-
         # Acting agents per node, read off the children steps.
         self.acting = tuple(
             tuple(sorted({a for c in self.children[v] for (a, _) in self.step[c]}))
@@ -92,20 +78,26 @@ class Mechanism:
             for v in iset.nodes:
                 self.node_iset[(iset.agent, v)] = k
 
-        # Own-experience chains: ((infoset index, action), ...) strictly before v.
-        self.experience = [dict() for _ in range(model.n_agents)]
-        for i in range(model.n_agents):
-            exp = self.experience[i]
-            exp[0] = ()
-            for v in order:
-                if v == 0:
-                    continue
-                p = self.parent[v]
-                step_map = dict(self.step[v])
-                if i in step_map and (i, p) in self.node_iset:
-                    exp[v] = exp[p] + ((self.node_iset[(i, p)], step_map[i]),)
-                else:
-                    exp[v] = exp[p]
+        # Last reported set per (node, agent), the full type set until the
+        # agent's first action, and own-experience chains ((information set,
+        # action), ...) strictly before each node.  build_mechanism numbers
+        # nodes breadth-first, so every parent precedes its children and one
+        # pass in id order sees each parent's entries before its children's.
+        theta = [tuple(model.full_type_set(i) for i in range(model.n_agents))]
+        self.experience = [{0: ()} for _ in range(model.n_agents)]
+        for v in range(1, n):
+            p = self.parent[v]
+            row = list(theta[p])
+            for exp in self.experience:
+                exp[v] = exp[p]
+            for agent, action in self.step[v]:
+                row[agent] = action
+                k = self.node_iset.get((agent, p))
+                if k is not None:
+                    exp = self.experience[agent]
+                    exp[v] = exp[p] + ((k, action),)
+            theta.append(tuple(row))
+        self.theta = tuple(theta)
 
         self._children_by_step = None
         self._terminals_under = None
@@ -117,34 +109,12 @@ class Mechanism:
 
     # -- structure helpers ------------------------------------------------
 
-    def _bfs_order(self):
-        order = []
-        seen = [False] * len(self.parent)
-        queue = deque([0])
-        seen[0] = True
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for c in self.children[v]:
-                if not seen[c]:
-                    seen[c] = True
-                    queue.append(c)
-        return order
-
     def _menu(self, agent, nodes):
-        menus = set()
-        for v in nodes:
-            acts = frozenset(dict(self.step[c]).get(agent)
-                             for c in self.children[v]
-                             if agent in dict(self.step[c]))
-            acts = frozenset(a for a in acts if a is not None)
-            menus.add(acts)
-        if len(menus) == 1:
-            return next(iter(menus))
-        # Disagreeing menus are reported by validate(); keep the first node's.
-        v = min(nodes)
+        # validate() reports members whose menus differ; the first stands
+        # for the set.
         return frozenset(a for a in (dict(self.step[c]).get(agent)
-                                     for c in self.children[v]) if a is not None)
+                                     for c in self.children[min(nodes)])
+                         if a is not None)
 
     def n_nodes(self):
         return len(self.parent)
@@ -172,7 +142,7 @@ class Mechanism:
         if self._terminals_under is None:
             n = self.n_nodes()
             under = [None] * n
-            for u in reversed(self._bfs_order()):
+            for u in reversed(range(n)):
                 if not self.children[u]:
                     under[u] = (u,)
                 else:
@@ -245,8 +215,9 @@ class Mechanism:
         """{(k, a): bitmask of the nodes whose path passes through information
         set k with an action other than a}, read off the experience chains."""
         if self._other_action is None:
-            below = [0] * self.n_nodes()
-            for v in reversed(self._bfs_order()):
+            n = self.n_nodes()
+            below = [0] * n
+            for v in reversed(range(n)):
                 mask = 1 << v
                 for c in self.children[v]:
                     mask |= below[c]

@@ -11,7 +11,8 @@ from fractions import Fraction
 
 from .gameform import MechanismError, build_mechanism, make_step
 from .prefs import ScfTable, TypeModel, WeakOrder
-from .transforms import Illuminate, apply_illuminate
+from .transforms import (Illuminate, apply_illuminate, apply_transformation,
+                         find_opportunities, unsplit_outcome_constant)
 
 
 class _TreeSink:
@@ -280,19 +281,13 @@ def second_price_scf(n, m):
         price = sorted(values, reverse=True)[1]
         table_raw[profile] = outcome_id(winners, price)
 
-    def payoff(entry, bidder, value):
-        winners, price = entry
-        if bidder not in winners:
-            return Fraction(0)
-        return Fraction(1, len(winners)) * (value - price)
-
     prefs = []
     for i in range(n):
         per_type = []
         for t in range(m):
             by_ev = {}
             for o_idx, entry in enumerate(lotteries):
-                by_ev.setdefault(payoff(entry, i, t + 1), []).append(o_idx)
+                by_ev.setdefault(_lottery_payoff(entry, i, t + 1), []).append(o_idx)
             levels = [by_ev[ev] for ev in sorted(by_ev, reverse=True)]
             per_type.append(WeakOrder(levels))
         prefs.append(per_type)
@@ -306,7 +301,11 @@ def second_price_scf(n, m):
 
 def auction_payoff(model, outcome_id, bidder, value):
     """Exact expected payoff of a lottery outcome for a bidder with a value."""
-    winners, price = model.lotteries[outcome_id]
+    return _lottery_payoff(model.lotteries[outcome_id], bidder, value)
+
+
+def _lottery_payoff(lottery, bidder, value):
+    winners, price = lottery
     if bidder not in winners:
         return Fraction(0)
     return Fraction(1, len(winners)) * (value - price)
@@ -645,7 +644,6 @@ def random_transformed_mechanism(rng, steps=None):
     once available, forward splits and coalesces.  Returns
     (mechanism, f, model, tag, applied).
     """
-    from . import transforms as tr
     model, f, tag = random_sp_scf(rng)
     mech = direct_mechanism(model, f)
     n_steps = steps if steps is not None else rng.randrange(1, 7)
@@ -656,23 +654,16 @@ def random_transformed_mechanism(rng, steps=None):
         rng.shuffle(order)
         done = False
         for kind in order:
-            ops = tr.find_opportunities(mech, kind)
+            ops = find_opportunities(mech, kind)
             if kind == "unsplit":
-                ops = [t for t in ops if _unsplit_keeps_scf(mech, t, f)]
+                ops = [t for t in ops if unsplit_outcome_constant(mech, t, f)]
             if not ops:
                 continue
             t = ops[rng.randrange(len(ops))]
-            mech = tr.apply_transformation(mech, t)
+            mech = apply_transformation(mech, t)
             applied.append(t)
             done = True
             break
         if not done:
             break
     return mech, f, model, tag, applied
-
-
-def _unsplit_keeps_scf(mech, t, f):
-    """Forgetting a refinement keeps the implemented SCF only when f is
-    constant on each collapsed terminal."""
-    from .transforms import unsplit_outcome_constant
-    return unsplit_outcome_constant(mech, t, f)

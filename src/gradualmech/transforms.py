@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .checkers import Verdict, Witness
+from .checkers import Verdict, Witness, _two_or_more
 from .gameform import (MechanismError, build_mechanism, implements, is_static,
                        make_step, mechanisms_equal, validate)
 
@@ -459,21 +459,8 @@ def iter_opportunities(mech, kind):
             for part1, part2 in _binary_partitions(iset.nodes):
                 yield Illuminate(iset.agent, k, part1, part2)
     elif kind == "merge":
-        for i in range(mech.model.n_agents):
-            ks = mech.agent_infosets(i)
-            for x in range(len(ks)):
-                for y in range(x + 1, len(ks)):
-                    ka, kb = ks[x], ks[y]
-                    if mech.infosets[ka].actions != mech.infosets[kb].actions:
-                        continue
-                    if mech.theta_infoset(ka) != mech.theta_infoset(kb):
-                        continue
-                    cand = Merge(i, ka, kb)
-                    try:
-                        apply_merge(mech, cand)
-                    except MechanismError:
-                        continue
-                    yield cand
+        for cand, _, _ in _applicable_merges(mech):
+            yield cand
     elif kind == "unsplit":
         for k, iset in enumerate(mech.infosets):
             cand = Unsplit(iset.agent, k)
@@ -488,6 +475,27 @@ def iter_opportunities(mech, kind):
                     yield Uncoalesce(iset.agent, k, combo)
     else:
         raise ValueError(f"unknown transformation kind {kind!r}")
+
+
+def _applicable_merges(mech):
+    """Each applicable merge, canonical (agent, set index) order, with the
+    ``(merged, forward)`` result of the ``apply_merge`` call that found it
+    applicable."""
+    for i in range(mech.model.n_agents):
+        ks = mech.agent_infosets(i)
+        for x in range(len(ks)):
+            for y in range(x + 1, len(ks)):
+                ka, kb = ks[x], ks[y]
+                if mech.infosets[ka].actions != mech.infosets[kb].actions:
+                    continue
+                if mech.theta_infoset(ka) != mech.theta_infoset(kb):
+                    continue
+                cand = Merge(i, ka, kb)
+                try:
+                    merged, forward = apply_merge(mech, cand)
+                except MechanismError:
+                    continue
+                yield cand, merged, forward
 
 
 def find_opportunities(mech, kind):
@@ -556,16 +564,17 @@ def is_incentive_preserving(mech, t, f):
                     prof1 = full(ti1, rest1)
                     z1 = table[prof1]
                     x1 = f[prof1]
+                    masks = mech.conflict_masks(z1)
+                    skip = _two_or_more(masks[j] for j in others)
                     for rest2 in side_b:
                         prof2 = full(ti2, rest2)
                         z2 = table[prof2]
-                        outside = mech.conflict_agents(z1, z2) - {i}
-                        if len(outside) > 1:
+                        if skip >> z2 & 1:
                             continue
                         x2 = f[prof2]
                         if x1 == x2:
                             continue
-                        js = sorted(outside) if outside else others
+                        js = [j for j in others if masks[j] >> z2 & 1] or others
                         for j in js:
                             if not model.weakly_prefers(j, prof1[j], x1, x2):
                                 return Verdict(False, Witness(
@@ -642,11 +651,11 @@ def reduce_to_direct(mech, f, check_preserving=True):
             current = apply_coalesce(current, t)
             steps.append(ChainStep(t, current.fingerprint()))
             continue
-        t = next(iter_opportunities(current, "merge"), None)
-        if t is None:
+        probe = next(_applicable_merges(current), None)
+        if probe is None:
             raise MechanismError(
                 "reduce: non-static mechanism with no coalesce or merge opportunity")
-        merged, forward = apply_merge(current, t)
+        t, merged, forward = probe
         preserving = None
         if check_preserving:
             preserving = bool(is_incentive_preserving(merged, forward, f))

@@ -24,19 +24,7 @@ def rda3_subset():
     return picked
 
 
-@pytest.fixture(scope="session")
-def voting():
-    model, f, mechs = gm.voting_examples()
-    return model, f, mechs
-
-
-@pytest.fixture(scope="session")
-def sd_pair():
-    return gm.serial_dictatorship_pair()
-
-
-@pytest.fixture(scope="session")
-def gstar_instances():
+def make_gstar_instances():
     out = {}
     for (n, m) in [(2, 2), (2, 3), (3, 2), (3, 3)]:
         model, f = gm.second_price_scf(n, m)
@@ -44,8 +32,7 @@ def gstar_instances():
     return out
 
 
-@pytest.fixture(scope="session")
-def rda_instances():
+def make_rda_instances():
     out = []
     for pr in gm.all_priority_structures(2):
         model, f = gm.ttc_scf(pr, 2)
@@ -56,8 +43,7 @@ def rda_instances():
     return out
 
 
-@pytest.fixture(scope="session")
-def random_corpus():
+def make_random_corpus():
     rng = random.Random(CORPUS_SEED)
     out = []
     for k in range(N_RANDOM):
@@ -66,8 +52,7 @@ def random_corpus():
     return out
 
 
-@pytest.fixture(scope="session")
-def full_corpus(voting, sd_pair, gstar_instances, rda_instances, random_corpus):
+def make_full_corpus(voting, sd_pair, gstar_instances, rda_instances, random_corpus):
     """The acceptance corpus: named (mechanism, model, f) triples."""
     model_v, f_v, mechs = voting
     out = [(f"voting-{k}", m, model_v, f_v) for k, m in mechs.items()]
@@ -84,3 +69,43 @@ def full_corpus(voting, sd_pair, gstar_instances, rda_instances, random_corpus):
     out += rda_instances
     out += random_corpus
     return out
+
+
+def build_full_corpus():
+    """``full_corpus`` outside pytest, for the tests' script modes."""
+    return make_full_corpus(gm.voting_examples(), gm.serial_dictatorship_pair(),
+                            make_gstar_instances(), make_rda_instances(),
+                            make_random_corpus())
+
+
+@pytest.fixture(scope="session")
+def voting():
+    model, f, mechs = gm.voting_examples()
+    return model, f, mechs
+
+
+@pytest.fixture(scope="session")
+def sd_pair():
+    return gm.serial_dictatorship_pair()
+
+
+@pytest.fixture(scope="session")
+def gstar_instances():
+    return make_gstar_instances()
+
+
+@pytest.fixture(scope="session")
+def rda_instances():
+    return make_rda_instances()
+
+
+@pytest.fixture(scope="session")
+def random_corpus():
+    return make_random_corpus()
+
+
+@pytest.fixture(scope="session")
+def full_corpus(voting, sd_pair, gstar_instances, rda_instances, random_corpus):
+    """The acceptance corpus: named (mechanism, model, f) triples."""
+    return make_full_corpus(voting, sd_pair, gstar_instances, rda_instances,
+                            random_corpus)

@@ -6,10 +6,15 @@ no shared code paths with the implementations under test.
 
 import itertools
 import math
+from collections import deque
 
 from gradualmech import all_strategies, make_step, play
 from gradualmech.checkers import Verdict, Witness, _all_indifferent, _first_profile
-from gradualmech.gameform import siblings_same_action, step_key
+from gradualmech.gameform import (MechanismError, implements, is_static,
+                                  siblings_same_action, step_key, validate)
+from gradualmech.transforms import (ChainStep, ReductionChain, apply_coalesce,
+                                    apply_merge, apply_split,
+                                    is_incentive_preserving, iter_opportunities)
 from gradualmech.generators import _best
 
 
@@ -38,6 +43,64 @@ def partition_walk_oracle(mech):
                 return False
             v = nxt
     return True
+
+
+def mechanism_tables_oracle(mech):
+    """A mechanism's per-node tables computed without assuming that ids are
+    breadth-first: ``theta`` along an explicit breadth-first walk, one
+    experience pass per agent along the same walk, and each information
+    set's menu from all of its members (the first member's when they
+    differ).  Returns (theta, experience, menus)."""
+    model = mech.model
+    n = mech.n_nodes()
+    order = []
+    seen = [False] * n
+    queue = deque([0])
+    seen[0] = True
+    while queue:
+        v = queue.popleft()
+        order.append(v)
+        for c in mech.children[v]:
+            if not seen[c]:
+                seen[c] = True
+                queue.append(c)
+
+    theta = [None] * n
+    theta[0] = tuple(model.full_type_set(i) for i in range(model.n_agents))
+    for v in order[1:]:
+        row = list(theta[mech.parent[v]])
+        for agent, action in mech.step[v]:
+            row[agent] = action
+        theta[v] = tuple(row)
+
+    experience = [dict() for _ in range(model.n_agents)]
+    for i in range(model.n_agents):
+        exp = experience[i]
+        exp[0] = ()
+        for v in order[1:]:
+            p = mech.parent[v]
+            step_map = dict(mech.step[v])
+            if i in step_map and (i, p) in mech.node_iset:
+                exp[v] = exp[p] + ((mech.node_iset[(i, p)], step_map[i]),)
+            else:
+                exp[v] = exp[p]
+
+    menus = []
+    for iset in mech.infosets:
+        found = set()
+        for v in iset.nodes:
+            acts = frozenset(dict(mech.step[c]).get(iset.agent)
+                             for c in mech.children[v]
+                             if iset.agent in dict(mech.step[c]))
+            found.add(frozenset(a for a in acts if a is not None))
+        if len(found) == 1:
+            menus.append(next(iter(found)))
+        else:
+            v = min(iset.nodes)
+            menus.append(frozenset(a for a in (dict(mech.step[c]).get(iset.agent)
+                                               for c in mech.children[v])
+                                   if a is not None))
+    return tuple(theta), experience, menus
 
 
 def conflict_agents_oracle(mech, u, v):
@@ -186,15 +249,113 @@ def is_irp_oracle(mech, f):
                 out1 = mech.outcomes_under(h1)
                 out2 = mech.outcomes_under(h2)
                 for j in sorted(js):
-                    if _all_indifferent(mech, model, j, out1):
+                    if _all_indifferent(model, j, out1):
                         continue
-                    if _all_indifferent(mech, model, j, out2):
+                    if _all_indifferent(model, j, out2):
                         continue
                     return Verdict(False, Witness(
                         "irp", j, i, h1, h2, None, None, None, None,
                         infosets=(k1, k2),
                         detail="neither history settles the reacting-on agent"))
     return Verdict(True)
+
+
+def is_incentive_preserving_oracle(mech, t, f):
+    """``is_incentive_preserving`` with the conflict test done pair by
+    pair."""
+    model = mech.model
+    if t.infoset >= len(mech.infosets) or mech.infosets[t.infoset].agent != t.agent:
+        raise MechanismError("illumination check: no such information set")
+    iset = mech.infosets[t.infoset]
+    p1, p2 = set(t.part1), set(t.part2)
+    if not p1 or not p2 or (p1 & p2) or (p1 | p2) != set(iset.nodes):
+        raise MechanismError("illumination parts must partition the information set")
+    i = t.agent
+    n = model.n_agents
+    others = [j for j in range(n) if j != i]
+    theta_i = sorted(mech.theta_infoset(t.infoset))
+
+    def acquired(nodes):
+        seen = set()
+        for v in sorted(nodes):
+            seen.update(itertools.product(*(sorted(mech.theta[v][j]) for j in others)))
+        return sorted(seen)
+
+    minus1 = acquired(p1)
+    minus2 = acquired(p2)
+    table = mech.truthful_table()
+
+    def full(ti, rest):
+        prof = list(rest)
+        prof.insert(i, ti)
+        return tuple(prof)
+
+    for side_a, side_b in ((minus1, minus2), (minus2, minus1)):
+        for ti1 in theta_i:
+            for ti2 in theta_i:
+                for rest1 in side_a:
+                    prof1 = full(ti1, rest1)
+                    z1 = table[prof1]
+                    x1 = f[prof1]
+                    for rest2 in side_b:
+                        prof2 = full(ti2, rest2)
+                        z2 = table[prof2]
+                        outside = conflict_agents_oracle(mech, z1, z2) - {i}
+                        if len(outside) > 1:
+                            continue
+                        x2 = f[prof2]
+                        if x1 == x2:
+                            continue
+                        js = sorted(outside) if outside else others
+                        for j in js:
+                            if not model.weakly_prefers(j, prof1[j], x1, x2):
+                                return Verdict(False, Witness(
+                                    "ill", j, i, z1, z2, prof1, prof2, x1, x2,
+                                    infosets=(t.infoset,),
+                                    detail="illumination lets the informed agent harm this comparison"))
+    return Verdict(True)
+
+
+def reduce_chain_oracle(mech, f):
+    """``reduce_to_direct`` with each merge found by ``iter_opportunities``
+    and then applied a second time.  Returns the chain and, per merge step,
+    the merged mechanism with its forward illumination."""
+    problems = validate(mech)
+    if problems:
+        raise MechanismError("reduce: invalid input mechanism: " + problems[0])
+    if not implements(mech, f):
+        raise MechanismError("reduce: mechanism does not implement the given SCF")
+
+    steps = []
+    illuminations = []
+    current = mech
+    while True:
+        t = next(iter_opportunities(current, "split"), None)
+        if t is None:
+            break
+        current = apply_split(current, t)
+        steps.append(ChainStep(t, current.fingerprint()))
+
+    while not is_static(current):
+        t = next(iter_opportunities(current, "coalesce"), None)
+        if t is not None:
+            current = apply_coalesce(current, t)
+            steps.append(ChainStep(t, current.fingerprint()))
+            continue
+        t = next(iter_opportunities(current, "merge"), None)
+        if t is None:
+            raise MechanismError(
+                "reduce: non-static mechanism with no coalesce or merge opportunity")
+        merged, forward = apply_merge(current, t)
+        preserving = bool(is_incentive_preserving(merged, forward, f))
+        illuminations.append((merged, forward))
+        current = merged
+        steps.append(ChainStep(t, current.fingerprint(), preserving=preserving))
+
+    final_problems = validate(current)
+    if final_problems:
+        raise MechanismError("reduce: final mechanism invalid: " + final_problems[0])
+    return ReductionChain(mech.fingerprint(), steps, current), illuminations
 
 
 def sp_oracle(model, f):

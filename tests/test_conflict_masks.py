@@ -1,16 +1,17 @@
 """The per-node conflict masks and the mask-driven pair scans against the
 pair-by-pair dict scans they replace (``tests/oracles.py``).
 
-Run as a script to compare all four checks on the first 40 illuminations of
-each auction instead of the sample the suite uses:
+Run as a script to compare all four checks, and the incentive-preservation
+test, on the first 40 illuminations of each auction instead of the sample
+the suite uses:
 ``PYTHONPATH=src python tests/test_conflict_masks.py``.
 """
 
 import pytest
 
 import gradualmech as gm
-from oracles import (conflict_agents_oracle, is_ic_oracle, is_irp_oracle,
-                     is_rp_oracle)
+from oracles import (conflict_agents_oracle, is_ic_oracle,
+                     is_incentive_preserving_oracle, is_irp_oracle, is_rp_oracle)
 
 CHECKS = (
     ("ic", gm.is_ic, is_ic_oracle),
@@ -46,11 +47,16 @@ def test_checks_match_the_pair_scans_on_the_corpus(full_corpus):
             assert check(mech, f) == oracle(mech, f), (name, label)
 
 
-def illuminations(n, m, indices):
+def samples(n, m, indices):
+    """(j, auction, its j-th illumination, f) for the listed j."""
     g = gm.build_gstar(n, m)
     _, f = gm.second_price_scf(n, m)
     ts = gm.find_opportunities(g, "illuminate")[:40]
-    return [(j, gm.apply_illuminate(g, ts[j]), f) for j in indices if j < len(ts)]
+    return [(j, g, ts[j], f) for j in indices if j < len(ts)]
+
+
+def illuminations(n, m, indices):
+    return [(j, gm.apply_illuminate(g, t), f) for j, g, t, f in samples(n, m, indices)]
 
 
 @pytest.mark.parametrize("n,m", AUCTIONS)
@@ -62,11 +68,22 @@ def test_checks_match_the_pair_scans_on_illuminations(n, m):
             assert verdict.holds or gm.verify_witness(mech, f, verdict.witness)
 
 
+@pytest.mark.parametrize("n,m", AUCTIONS)
+def test_incentive_preservation_matches_the_pair_scan(n, m):
+    for j, g, t, f in samples(n, m, SAMPLE[(n, m)]):
+        assert (gm.is_incentive_preserving(g, t, f)
+                == is_incentive_preserving_oracle(g, t, f)), (n, m, j)
+
+
 if __name__ == "__main__":
     compared = 0
     for n, m in AUCTIONS:
-        for j, mech, f in illuminations(n, m, range(40)):
+        for j, g, t, f in samples(n, m, range(40)):
+            mech = gm.apply_illuminate(g, t)
             for label, check, oracle in CHECKS:
                 assert check(mech, f) == oracle(mech, f), (n, m, j, label)
                 compared += 1
+            assert (gm.is_incentive_preserving(g, t, f)
+                    == is_incentive_preserving_oracle(g, t, f)), (n, m, j)
+            compared += 1
     print(f"{compared} checks agree")
