@@ -11,6 +11,7 @@ generators pipe into checkers.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -20,17 +21,20 @@ from .checkers import is_ic, is_irp, is_rp
 from .dot import export_dot
 from .fileformat import ParseError, load_mechanism, serialize_mechanism
 from .gameform import MechanismError, implemented_scf, validate
-from .generators import (all_priority_structures, build_gstar, build_rda,
-                         direct_mechanism, random_transformed_mechanism,
-                         serial_dictatorship_pair, ttc_scf, voting_examples)
+from .generators import (build_gstar, build_rda, direct_mechanism,
+                         random_transformed_mechanism, serial_dictatorship_pair,
+                         voting_examples)
 from .prefs import is_strategy_proof
 
 
 def _read(path):
-    if path == "-":
-        return sys.stdin.read()
-    with open(path) as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})")
 
 
 def _emit(text, out):
@@ -102,7 +106,10 @@ def _illumination_from_args(mech, model, args):
     k = args.infoset
     if not (0 <= k < len(mech.infosets)) or mech.infosets[k].agent != agent:
         raise ParseError(f"agent {args.agent} has no information set {k}")
-    part1 = tuple(int(x) for x in args.part.split(","))
+    try:
+        part1 = tuple(int(x) for x in args.part.split(","))
+    except ValueError:
+        raise ParseError(f"--part wants comma-separated node ids, not {args.part!r}")
     part2 = tuple(v for v in mech.infosets[k].nodes if v not in part1)
     return tr.Illuminate(agent, k, part1, part2)
 
@@ -147,10 +154,26 @@ def cmd_check_ill(args):
     return _verdict_exit(model, verdict, "incentive-preserving illumination")
 
 
+# The options each transformation kind reads; ``transform`` refuses a kind
+# whose options are missing before it loads the document.
+TRANSFORM_OPTIONS = {
+    "split": ("agent", "infoset", "action", "part"),
+    "coalesce": ("agent", "infoset", "action", "target"),
+    "illuminate": ("agent", "infoset", "part"),
+    "merge": ("agent", "infoset", "target"),
+    "unsplit": ("agent", "infoset"),
+    "uncoalesce": ("agent", "infoset", "action"),
+}
+
+
 def cmd_transform(args):
-    mech, model, f = _load(args.file, require_scf=False)
-    agent = _agent_index(args.agent, model) if args.agent is not None else None
     kind = args.kind
+    missing = [f"--{opt}" for opt in TRANSFORM_OPTIONS[kind]
+               if getattr(args, opt) is None]
+    if missing:
+        raise ParseError(f"--kind {kind} needs {', '.join(missing)}")
+    mech, model, f = _load(args.file, require_scf=False)
+    agent = _agent_index(args.agent, model)
     if kind == "split":
         action = _parse_action(args.action, model, agent)
         part1 = _parse_action(args.part, model, agent)
@@ -167,8 +190,6 @@ def cmd_transform(args):
     elif kind == "uncoalesce":
         actions = [_parse_action(s, model, agent) for s in args.action.split("|")]
         t = tr.Uncoalesce(agent, args.infoset, tuple(actions))
-    else:
-        raise ParseError(f"unknown transformation kind {kind}")
     out = tr.apply_transformation(mech, t)
     _emit(serialize_mechanism(out, f), args.output)
     return 0
@@ -221,6 +242,26 @@ def cmd_export_dot(args):
     return 0
 
 
+def _priorities(spec, n):
+    """Item orders from ``--priorities``: exactly n of them, each a
+    permutation of the agents 0..n-1; every item ranks 0..n-1 by default."""
+    if n < 1:
+        raise ParseError("--n must be at least 1")
+    agents = list(range(n))
+    if spec is None:
+        return (tuple(agents),) * n
+    try:
+        priorities = tuple(tuple(int(x) for x in item.split(","))
+                           for item in spec.split(";"))
+    except ValueError:
+        priorities = ()
+    if len(priorities) != n or any(sorted(order) != agents for order in priorities):
+        raise ParseError(f"--priorities wants {n} item orders separated by ';', "
+                         f"each a permutation of 0..{n - 1} like "
+                         f"'{','.join(map(str, agents))}'")
+    return priorities
+
+
 def cmd_gen(args):
     kind = args.what
     if kind == "direct":
@@ -240,20 +281,14 @@ def cmd_gen(args):
         else:
             raise ParseError("--which must be good or bad")
     elif kind == "auction":
-        out = build_gstar(args.n, args.m)
+        try:
+            out = build_gstar(args.n, args.m)
+        except ValueError as e:
+            raise ParseError(str(e))
         f = implemented_scf(out)
     elif kind == "ttc":
-        if args.priorities:
-            try:
-                priorities = tuple(
-                    tuple(int(x) for x in item.split(","))
-                    for item in args.priorities.split(";"))
-            except ValueError:
-                raise ParseError("--priorities wants item orders like '0,1,2;1,2,0;2,0,1'")
-        else:
-            priorities = all_priority_structures(args.n)[0]
-        model, f = ttc_scf(priorities, args.n)
-        out = build_rda(priorities, args.n)
+        out = build_rda(_priorities(args.priorities, args.n), args.n)
+        f = implemented_scf(out)
     elif kind == "random":
         rng = random.Random(args.seed)
         out, f, model, _tag, _applied = random_transformed_mechanism(
@@ -264,7 +299,17 @@ def cmd_gen(args):
     return 0
 
 
+@functools.cache
 def make_parser():
+    """The argument parser, built on the first call and shared after.
+
+    Reuse is safe: the parser holds configuration only, ``parse_args``
+    returns a fresh ``Namespace`` on every call, and argparse looks up
+    ``sys.stdout`` and ``sys.stderr`` when it prints, not when it is built.
+    The ``run`` lambdas below look up ``is_ic``, ``is_rp`` and ``is_irp`` by
+    global name when they are called, so rebinding those names (as a tracer
+    does) still reaches them; keep it that way.
+    """
     p = argparse.ArgumentParser(
         prog="gradualmech",
         description="Verify and transform gradual mechanisms.")
@@ -306,8 +351,7 @@ def make_parser():
     sp = sub.add_parser("transform", help="apply one transformation")
     add_file(sp)
     sp.add_argument("--kind", required=True,
-                    choices=["split", "coalesce", "illuminate", "merge",
-                             "unsplit", "uncoalesce"])
+                    choices=list(TRANSFORM_OPTIONS))
     sp.add_argument("--agent")
     sp.add_argument("--infoset", type=int)
     sp.add_argument("--target", type=int)
@@ -352,10 +396,7 @@ def main(argv=None):
         return 2 if e.code not in (0, None) else 0
     try:
         return args.run(args)
-    except (ParseError, MechanismError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (ParseError, MechanismError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -8,8 +8,9 @@ import itertools
 import math
 from collections import deque
 
-from gradualmech import all_strategies, make_step, play
+from gradualmech import all_strategies, build_rda, make_step, play, ttc_scf
 from gradualmech.checkers import Verdict, Witness, _all_indifferent, _first_profile
+from gradualmech.fileformat import serialize_mechanism
 from gradualmech.gameform import (MechanismError, implements, is_static,
                                   siblings_same_action, step_key, validate)
 from gradualmech.transforms import (ChainStep, ReductionChain, apply_coalesce,
@@ -457,6 +458,13 @@ def unconditional_deviation_ic(mech, f, model=None):
                                                 mech.outcome[z2]):
                         return False
     return True
+
+
+def gen_ttc_oracle(priorities, n):
+    """The ``gen ttc`` document built with a separately computed
+    trading-cycles table, as the command did before it read the table off
+    the tree."""
+    return serialize_mechanism(build_rda(priorities, n), ttc_scf(priorities, n)[1])
 
 
 def ttc_all_cycles(priorities, n, model, profile):

@@ -1,6 +1,6 @@
-"""The CLI's exit-code contract under mutated fixture documents: 0 when the
-property holds, 1 when it fails with a witness, 2 for bad input, and never a
-traceback."""
+"""The CLI's exit-code contract under mutated fixture documents and drawn
+argument lists: 0 when the property holds, 1 when it fails with a witness, 2
+for bad input, and never a traceback."""
 
 import io
 import json
@@ -43,16 +43,22 @@ def _paths(doc, prefix=()):
 PATHS = {name: list(_paths(json.loads(text))) for name, text in DOCS.items()}
 
 
-def run(verb, text):
+def run_argv(argv, text):
+    """Exit code, stdout and stderr of one ``main`` call reading ``text``."""
     old_stdin = sys.stdin
     sys.stdin = io.StringIO(text)
     out, err = io.StringIO(), io.StringIO()
     try:
         with redirect_stdout(out), redirect_stderr(err):
-            code = main([verb, "-"])
+            code = main(argv)
     finally:
         sys.stdin = old_stdin
-    return code, out.getvalue() + err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def run(verb, text):
+    code, out, err = run_argv([verb, "-"], text)
+    return code, out + err
 
 
 def _draw_target(data, skip_root):
@@ -118,3 +124,63 @@ def test_truncated_document_exits_two(data):
     code, out = run(verb, text[:cut])
     assert code == 2
     assert "Traceback" not in out
+
+
+# Argument lists drawn per verb from small pools of good and bad values:
+# names of both documents' agents and types, ids in and out of range, values
+# that are not integers, malformed priority lists and sizes below the
+# generators' minimum.  Flags take no value.
+TTC2_TEXT = run_argv(["gen", "ttc", "--n", "2", "--priorities", "0,1;1,0"], "")[1]
+ARGV_DOCS = (DOCS["voting_g3.json"], TTC2_TEXT)
+FLAGS = ("--relaxed", "--json")
+VALUES = {
+    "--agent": ("voter1", "voter2", "agent0", "agent1", "0", "1", "5", "-1", "x", ""),
+    "--infoset": ("0", "1", "2", "3", "-1", "99", "x"),
+    "--part": ("1", "3", "1,3", "0,1", "99", "L", "ab", "x", ""),
+    "--action": ("L", "L,R", "M,R", "L|M,R", "ab,ba", "ab|ba", "x", ""),
+    "--target": ("0", "2", "3", "-1", "99", "x"),
+    "--kind": ("split", "coalesce", "illuminate", "merge", "unsplit",
+               "uncoalesce", "bogus"),
+    "--which": ("g1", "g3", "direct", "good", "bad", "x"),
+    "--n": ("-1", "0", "1", "2", "3", "x"),
+    "--m": ("0", "1", "2", "3"),
+    "--priorities": ("0,1;1,0", "0,1,2;1,2,0;2,0,1", "0,1;1,0;0,1", "0,1",
+                     "0,5;1,0", "0,0;1,1", "", "a"),
+    "--seed": ("0", "7", "x"),
+    "--steps": ("-1", "0", "1", "3"),
+}
+VERB_OPTIONS = {
+    "validate": (),
+    "check-ic": (),
+    "check-rp": ("--relaxed",),
+    "check-irp": (),
+    "check-sp": (),
+    "check-ill": ("--agent", "--infoset", "--part"),
+    "transform": ("--kind", "--agent", "--infoset", "--target", "--action", "--part"),
+    "reduce": ("--json",),
+    "export-dot": (),
+    "gen": ("--which", "--n", "--m", "--priorities", "--seed", "--steps"),
+}
+GEN_KINDS = ("direct", "voting", "sd", "auction", "ttc", "random", "bogus")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_drawn_argv_keeps_the_exit_codes(data):
+    verb = data.draw(st.sampled_from(sorted(VERB_OPTIONS)))
+    argv = [verb]
+    if verb == "gen":
+        argv.append(data.draw(st.sampled_from(GEN_KINDS)))
+    argv.append("-")
+    # Options of the verb, and now and then one it does not take.
+    pool = VERB_OPTIONS[verb] + ("--json", "--part")
+    for opt in data.draw(st.lists(st.sampled_from(pool), unique=True, max_size=5)):
+        argv.append(opt)
+        if opt not in FLAGS:
+            argv.append(data.draw(st.sampled_from(VALUES[opt])))
+    text = data.draw(st.sampled_from(ARGV_DOCS))
+    code, out, err = run_argv(argv, text)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err, argv
+    if code == 2:
+        assert "error:" in err, argv

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -275,3 +276,70 @@ def test_cli_gen_auction_document():
     assert code == 0
     _, f = gm.second_price_scf(3, 3)
     assert out == serialize_mechanism(gm.build_gstar(3, 3), f) + "\n"
+
+
+G3_TEXT = (Path(__file__).parent / "fixtures" / "voting_g3.json").read_text()
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    """Many ``main`` calls in one process share one parser and still act
+    like fresh processes."""
+    from gradualmech.cli import make_parser
+    assert make_parser() is make_parser()
+    code1, out1 = run_cli(["check-rp", "--relaxed", "-"], G3_TEXT)
+    code2, out2 = run_cli(["check-rp", "-"], G3_TEXT)
+    assert code1 == code2 == 0
+    assert "(relaxed)" in out1 and "(relaxed)" not in out2
+    first = run_cli(["check-ic", "-"], G3_TEXT)
+    assert run_cli(["check-ic"])[0] == 2
+    assert "error:" in capsys.readouterr().err
+    assert run_cli(["check-ic", "-"], G3_TEXT) == first
+    help1, help2 = run_cli(["--help"]), run_cli(["--help"])
+    assert help1 == help2 and help1[0] == 0 and "usage:" in help1[1]
+
+
+# Bad arguments and unreadable inputs: each exits 2 with an error line.
+# "{dir}" and "{binary}" stand for a directory and a non-UTF-8 file.
+BAD_ARGS = {
+    "ttc-too-few-orders": ["gen", "ttc", "--n", "3", "--priorities", "0,1;1,0"],
+    "ttc-agent-out-of-range": ["gen", "ttc", "--n", "2", "--priorities", "0,5;1,0"],
+    "ttc-not-a-permutation": ["gen", "ttc", "--n", "2", "--priorities", "0,0;1,1"],
+    "ttc-no-agents": ["gen", "ttc", "--n", "0"],
+    "auction-no-bidders": ["gen", "auction", "--n", "0"],
+    "auction-no-values": ["gen", "auction", "--m", "0"],
+    "check-ill-part-not-int": ["check-ill", "-", "--agent", "voter2",
+                               "--infoset", "2", "--part", "x"],
+    "check-ill-part-empty": ["check-ill", "-", "--agent", "voter2",
+                             "--infoset", "2", "--part", ""],
+    "illuminate-part-not-int": ["transform", "-", "--kind", "illuminate",
+                                "--agent", "voter2", "--infoset", "2",
+                                "--part", "x"],
+    "split-without-agent": ["transform", "-", "--kind", "split", "--infoset",
+                            "2", "--action", "L,R", "--part", "L"],
+    "split-without-action": ["transform", "-", "--kind", "split", "--agent",
+                             "voter2", "--infoset", "2", "--part", "L"],
+    "coalesce-without-target": ["transform", "-", "--kind", "coalesce",
+                                "--agent", "voter2", "--infoset", "2",
+                                "--action", "L"],
+    "illuminate-without-part": ["transform", "-", "--kind", "illuminate",
+                                "--agent", "voter2", "--infoset", "2"],
+    "merge-without-target": ["transform", "-", "--kind", "merge", "--agent",
+                             "voter2", "--infoset", "2"],
+    "unsplit-without-infoset": ["transform", "-", "--kind", "unsplit",
+                                "--agent", "voter2"],
+    "uncoalesce-without-action": ["transform", "-", "--kind", "uncoalesce",
+                                  "--agent", "voter2", "--infoset", "2"],
+    "read-directory": ["check-ic", "{dir}"],
+    "read-non-utf8": ["check-ic", "{binary}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGS))
+def test_cli_bad_arguments_exit_two(case, tmp_path, capsys):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    argv = [a.format(dir=tmp_path, binary=binary) for a in BAD_ARGS[case]]
+    code, out = run_cli(argv, G3_TEXT)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err

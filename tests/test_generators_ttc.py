@@ -1,8 +1,13 @@
+import io
+from contextlib import redirect_stdout
+
 import pytest
 
 import gradualmech as gm
+from gradualmech.cli import main
 
-from oracles import sd_assignment, ttc_all_cycles
+from conftest import rda3_subset
+from oracles import gen_ttc_oracle, sd_assignment, ttc_all_cycles
 
 
 def test_ttc_identity_when_all_top_own():
@@ -134,3 +139,31 @@ def test_rda_four_agents_pooling_bites_and_stays_ic():
     assert gm.validate(rda) == []
     assert gm.implemented_scf(rda) == f
     assert gm.is_ic(rda, f).holds
+
+
+def check_gen_ttc(pr, n):
+    """``gen ttc`` takes its table from the tree it builds; the document is
+    the one built with the separately computed trading-cycles table."""
+    spec = ";".join(",".join(map(str, order)) for order in pr)
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(["gen", "ttc", "--n", str(n), "--priorities", spec])
+    assert code == 0, (n, pr)
+    assert buf.getvalue() == gen_ttc_oracle(pr, n) + "\n", (n, pr)
+
+
+def test_gen_ttc_document_matches_the_oracle():
+    """Every two-agent structure and the documented three-agent subset; run
+    as a script to cover all 216 three-agent structures:
+    ``PYTHONPATH=src python tests/test_generators_ttc.py``."""
+    for pr in gm.all_priority_structures(2):
+        check_gen_ttc(pr, 2)
+    for pr in rda3_subset():
+        check_gen_ttc(pr, 3)
+
+
+if __name__ == "__main__":
+    structures = gm.all_priority_structures(2) + gm.all_priority_structures(3)
+    for pr in structures:
+        check_gen_ttc(pr, len(pr))
+    print(f"{len(structures)} gen ttc documents agree")
