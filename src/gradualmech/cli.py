@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import random
 import sys
@@ -262,8 +263,34 @@ def _priorities(spec, n):
     return priorities
 
 
+# ``gen ttc`` and ``gen auction`` refuse models with more type profiles than
+# the four-agent trading model's (4!)^4; ``gen ttc --n 4`` writes 25.6 MB.
+GEN_MAX_PROFILES = 331_776
+
+
+def _too_many_profiles(kind, n, m):
+    """True iff the ``gen`` model has more than GEN_MAX_PROFILES type
+    profiles: (n!)^n for ``ttc``, m^n for ``auction``.  Every factor is at
+    least 2 and the product stops once it passes the limit, so a huge size
+    costs nothing.  ``build_gstar`` refuses m < 2 itself."""
+    if kind == "ttc":
+        factors = (k for _ in range(n) for k in range(2, n + 1))
+    else:
+        factors = itertools.repeat(m, n if m >= 2 else 0)
+    total = 1
+    for k in factors:
+        total *= k
+        if total > GEN_MAX_PROFILES:
+            return True
+    return False
+
+
 def cmd_gen(args):
     kind = args.what
+    if kind in ("ttc", "auction") and _too_many_profiles(kind, args.n, args.m):
+        count = "(n!)^n" if kind == "ttc" else "m^n"
+        raise ParseError(f"gen {kind}: {count} type profiles exceed the limit "
+                         f"of {GEN_MAX_PROFILES}")
     if kind == "direct":
         mech, model, f = _load(args.file)
         out = direct_mechanism(model, f)

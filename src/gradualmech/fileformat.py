@@ -3,8 +3,8 @@
 A document carries the agents, their type names, the outcome names, one weak
 order per type, the SCF as an explicit profile table, the history tree as
 nested nodes whose steps name type subsets per agent, and the information
-sets as node-id lists.  Parsing and serialization round-trip up to node
-renumbering.
+sets as node-id lists.  Parsing and serialization round-trip up to the
+numbering of nodes.
 """
 
 from __future__ import annotations
@@ -121,15 +121,12 @@ def parse_model(doc):
         _fail(str(e))
 
 
-def parse_scf(doc, model):
+def parse_scf(doc, model, type_index, out_index):
+    """The document's SCF table, or None; ``type_index`` maps each agent's
+    type names to ids and ``out_index`` the outcome names."""
     rows = doc.get("scf")
     if rows is None:
         return None
-    type_index = [
-        {name: k for k, name in enumerate(model.type_names[i])}
-        for i in range(model.n_agents)
-    ]
-    out_index = {name: k for k, name in enumerate(model.outcome_names)}
     table = {}
     for row in _need(rows, list, "'scf'"):
         if not isinstance(row, list) or len(row) != 2:
@@ -168,14 +165,13 @@ def parse_mechanism(text):
     if doc.get("format") != FORMAT:
         _fail(f"unsupported format {doc.get('format')!r}, want {FORMAT!r}")
     model = parse_model(doc)
-    f = parse_scf(doc, model)
-
     agent_index = {name: i for i, name in enumerate(model.agent_names)}
     type_index = [
         {name: k for k, name in enumerate(model.type_names[i])}
         for i in range(model.n_agents)
     ]
     out_index = {name: k for k, name in enumerate(model.outcome_names)}
+    f = parse_scf(doc, model, type_index, out_index)
 
     nodes = {}
     outcomes = {}

@@ -22,7 +22,8 @@ class MechanismError(Exception):
 
 
 def step_key(step):
-    """Sortable canonical key of an action profile ((agent, action), ...)."""
+    """Sortable key of an action profile ((agent, action), ...), for ordering;
+    a built mechanism's steps are canonical and serve as their own keys."""
     return tuple((agent, tuple(sorted(action))) for agent, action in step)
 
 
@@ -46,9 +47,11 @@ class InfoSet:
 
 
 class Mechanism:
-    """Immutable game form over a TypeModel.  Use ``build_mechanism``."""
+    """Immutable game form over a TypeModel.  Use ``build_mechanism``; a new
+    partition of a built mechanism's information sets may reuse its parent,
+    step and outcome tables, since canonical ids depend on the tree alone."""
 
-    def __init__(self, model, parent, step, outcome, infoset_groups, renumbering=None):
+    def __init__(self, model, parent, step, outcome, infoset_groups):
         self.model = model
         self.parent = tuple(parent)
         self.step = tuple(step)
@@ -61,7 +64,6 @@ class Mechanism:
                 self.children[p].append(v)
         self.children = tuple(tuple(c) for c in self.children)
         self.terminals = tuple(v for v in range(n) if not self.children[v])
-        self.renumbering = renumbering
 
         # Acting agents per node, read off the children steps.
         self.acting = tuple(
@@ -69,10 +71,10 @@ class Mechanism:
             for v in range(n)
         )
 
-        self.infosets = tuple(
-            InfoSet(agent, nodes, self._menu(agent, nodes))
-            for agent, nodes in infoset_groups
-        )
+        self.infosets = tuple(sorted(
+            (InfoSet(agent, nodes, self._menu(agent, nodes))
+             for agent, nodes in infoset_groups),
+            key=lambda s: (s.agent, s.nodes[0])))
         self.node_iset = {}
         for k, iset in enumerate(self.infosets):
             for v in iset.nodes:
@@ -133,7 +135,7 @@ class Mechanism:
     def children_by_step(self, v):
         if self._children_by_step is None:
             self._children_by_step = [
-                {step_key(self.step[c]): c for c in self.children[v2]}
+                {self.step[c]: c for c in self.children[v2]}
                 for v2 in range(self.n_nodes())
             ]
         return self._children_by_step[v]
@@ -317,7 +319,7 @@ def build_mechanism(model, nodes, infoset_groups, outcomes):
                 raise MechanismError(f"node {k}: bad action for agent {agent}")
         children[p].append(k)
 
-    # Canonical renumbering: breadth-first, children sorted by step key.
+    # Canonical ids: breadth-first, children sorted by step key.
     old_order = []
     queue = deque(roots)
     seen = {roots[0]}
@@ -356,9 +358,8 @@ def build_mechanism(model, nodes, infoset_groups, outcomes):
                 raise MechanismError(f"information set references unknown node {v}")
             ms.append(old2new[v])
         if ms:
-            groups.append((agent, tuple(sorted(ms))))
-    groups.sort(key=lambda g: (g[0], g[1][0]))
-    return Mechanism(model, parent, step, outcome, groups, renumbering=old2new)
+            groups.append((agent, ms))
+    return Mechanism(model, parent, step, outcome, groups)
 
 
 def validate(mech):
@@ -408,7 +409,7 @@ def _validate(mech):
         expected = 1
         for a in acting:
             expected *= len(menus[a])
-        combos = {step_key(mech.step[c]) for c in mech.children[v]}
+        combos = {mech.step[c] for c in mech.children[v]}
         if len(mech.children[v]) != len(combos):
             report.append(f"node {v}: duplicate action profiles")
         if len(combos) != expected:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 
-from .gameform import MechanismError, make_step, step_key
+from .gameform import MechanismError, make_step
 
 
 def unconditional_strategy(mech, agent, type_idx):
@@ -60,7 +60,7 @@ def play(mech, strategies):
             if k is None:
                 raise MechanismError(f"node {v}: agent {a} has no information set")
             parts[a] = strategies[a][k]
-        nxt = mech.children_by_step(v).get(step_key(make_step(parts)))
+        nxt = mech.children_by_step(v).get(make_step(parts))
         if nxt is None:
             raise MechanismError(f"node {v}: strategy profile selects a missing child")
         v = nxt

@@ -9,8 +9,8 @@ import itertools
 from dataclasses import dataclass
 
 from .checkers import Verdict, Witness, _two_or_more
-from .gameform import (MechanismError, build_mechanism, implements, is_static,
-                       make_step, mechanisms_equal, validate)
+from .gameform import (Mechanism, MechanismError, build_mechanism, implements,
+                       is_static, make_step, validate)
 
 
 @dataclass(frozen=True)
@@ -209,7 +209,7 @@ def apply_coalesce(mech, t):
 def apply_illuminate(mech, t):
     """Illumination: the tree is unchanged; the information set splits in two
     and every successor set of the same agent splits by which part precedes
-    each node."""
+    each node.  The result keeps the input's tree and node ids."""
     if t.infoset >= len(mech.infosets) or mech.infosets[t.infoset].agent != t.agent:
         raise MechanismError("illuminate: no such information set for that agent")
     iset = mech.infosets[t.infoset]
@@ -243,7 +243,7 @@ def apply_illuminate(mech, t):
             groups.append((i, side1))
         if side2:
             groups.append((i, side2))
-    return build_mechanism(mech.model, _raw_nodes(mech), groups, mech.outcome)
+    return Mechanism(mech.model, mech.parent, mech.step, mech.outcome, groups)
 
 
 def apply_merge(mech, t):
@@ -251,8 +251,8 @@ def apply_merge(mech, t):
     the successor partitions they induced), then checks that illuminating the
     result reproduces the original mechanism.
 
-    Returns ``(merged, forward)`` where ``forward`` is the Illuminate record,
-    in the merged mechanism's numbering, whose application round-trips.
+    Returns ``(merged, forward)`` where ``forward`` is the Illuminate record
+    whose application round-trips.  Both keep the input's tree and node ids.
     """
     if (t.first >= len(mech.infosets) or t.second >= len(mech.infosets)
             or t.first == t.second):
@@ -271,8 +271,7 @@ def apply_merge(mech, t):
 
     def chain_sig(k):
         v = mech.infosets[k].nodes[0]
-        return tuple((new_class[kk], tuple(sorted(act)))
-                     for kk, act in mech.experience[i][v])
+        return tuple((new_class[kk], act) for kk, act in mech.experience[i][v])
 
     for k in by_depth:
         v = mech.infosets[k].nodes[0]
@@ -280,8 +279,7 @@ def apply_merge(mech, t):
         if k in merged_ids:
             new_class[k] = ("merged", min(merged_ids))
         elif past & merged_ids:
-            new_class[k] = ("sig", chain_sig(k),
-                            tuple(sorted(tuple(sorted(x)) for x in mech.infosets[k].actions)))
+            new_class[k] = ("sig", chain_sig(k), mech.infosets[k].actions)
         else:
             new_class[k] = ("keep", k)
 
@@ -291,22 +289,19 @@ def apply_merge(mech, t):
     groups = [(s.agent, list(s.nodes)) for s in mech.infosets if s.agent != i]
     for _, members in sorted(unions.items(), key=lambda kv: min(kv[1])):
         groups.append((i, members))
-    merged = build_mechanism(mech.model, _raw_nodes(mech), groups, mech.outcome)
+    merged = Mechanism(mech.model, mech.parent, mech.step, mech.outcome, groups)
     problems = validate(merged)
     if problems:
         raise MechanismError("merge: result is not a valid mechanism: " + problems[0])
 
-    renum = merged.renumbering  # old node id -> new node id
-    new_nodes1 = tuple(sorted(renum[v] for v in a.nodes))
-    new_nodes2 = tuple(sorted(renum[v] for v in b.nodes))
-    union_nodes = tuple(sorted(new_nodes1 + new_nodes2))
-    target_k = next((k for k, s in enumerate(merged.infosets)
-                     if s.agent == i and s.nodes == union_nodes), None)
-    if target_k is None:
-        raise MechanismError("merge: the united set did not survive canonicalization")
-    forward = Illuminate(i, target_k, new_nodes1, new_nodes2)
+    # The united set is exactly a | b on unchanged ids; validate ruled out
+    # overlapping sets, so it is the one holding a's first node.
+    forward = Illuminate(i, merged.node_iset[(i, a.nodes[0])], a.nodes, b.nodes)
     again = apply_illuminate(merged, forward)
-    if not mechanisms_equal(again, mech):
+    # mech, merged and again share one tree, so they are equal iff their
+    # information sets are.
+    if ([(s.agent, s.nodes) for s in again.infosets]
+            != [(s.agent, s.nodes) for s in mech.infosets]):
         raise MechanismError("merge: illuminating the result does not reproduce the original")
     return merged, forward
 
@@ -394,7 +389,7 @@ def apply_uncoalesce(mech, t):
     chosen_set = set(chosen)
     members = set(iset.nodes)
 
-    nodes = [(mech.parent[v], mech.step[v]) for v in range(mech.n_nodes())]
+    nodes = _raw_nodes(mech)
     outcomes = dict(mech.outcome)
     new_infoset = []
     for v in sorted(members):
@@ -414,7 +409,7 @@ def apply_uncoalesce(mech, t):
             for c in cs:
                 act = dict(mech.step[c])[i]
                 nodes[c] = (mid, make_step({i: act}))
-    groups = [(s.agent, list(s.nodes)) for s in mech.infosets]
+    groups = _raw_groups(mech)
     groups.append((i, new_infoset))
     return build_mechanism(mech.model, nodes, groups, outcomes)
 
@@ -621,7 +616,7 @@ def theorem1_verdict(chain):
     return all(s.preserving for s in merges)
 
 
-def reduce_to_direct(mech, f, check_preserving=True):
+def reduce_to_direct(mech, f):
     """Transform a mechanism into the one-shot direct form of its SCF.
 
     Phase 1 splits until every terminal pins a single type profile; phase 2
@@ -656,9 +651,7 @@ def reduce_to_direct(mech, f, check_preserving=True):
             raise MechanismError(
                 "reduce: non-static mechanism with no coalesce or merge opportunity")
         t, merged, forward = probe
-        preserving = None
-        if check_preserving:
-            preserving = bool(is_incentive_preserving(merged, forward, f))
+        preserving = bool(is_incentive_preserving(merged, forward, f))
         current = merged
         steps.append(ChainStep(t, current.fingerprint(), preserving=preserving))
 

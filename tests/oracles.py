@@ -9,10 +9,10 @@ import math
 from collections import deque
 
 from gradualmech import all_strategies, build_rda, make_step, play, ttc_scf
-from gradualmech.checkers import Verdict, Witness, _all_indifferent, _first_profile
+from gradualmech.checkers import Verdict, Witness, _first_profile
 from gradualmech.fileformat import serialize_mechanism
-from gradualmech.gameform import (MechanismError, implements, is_static,
-                                  siblings_same_action, step_key, validate)
+from gradualmech.gameform import (MechanismError, build_mechanism, implements,
+                                  is_static, siblings_same_action, validate)
 from gradualmech.transforms import (ChainStep, ReductionChain, apply_coalesce,
                                     apply_merge, apply_split,
                                     is_incentive_preserving, iter_opportunities)
@@ -39,11 +39,24 @@ def partition_walk_oracle(mech):
                 if len(match) != 1:
                     return False
                 want[a] = match[0]
-            nxt = mech.children_by_step(v).get(step_key(make_step(want)))
+            nxt = mech.children_by_step(v).get(make_step(want))
             if nxt is None:
                 return False
             v = nxt
     return True
+
+
+def rebuild_oracle(mech):
+    """``mech`` built afresh from its raw nodes, information-set groups and
+    outcomes, as illumination and merge built their results before they
+    kept their input's tree.  Node ids and groups go in reversed, so the
+    rebuild's numbering and order come from canonicalization alone."""
+    last = mech.n_nodes() - 1
+    nodes = [(None if mech.parent[v] is None else last - mech.parent[v], mech.step[v])
+             for v in reversed(range(last + 1))]
+    groups = [(s.agent, [last - v for v in s.nodes]) for s in reversed(mech.infosets)]
+    outcomes = {last - v: x for v, x in mech.outcome.items()}
+    return build_mechanism(mech.model, nodes, groups, outcomes)
 
 
 def mechanism_tables_oracle(mech):
@@ -235,6 +248,13 @@ def is_rp_oracle(mech, f, relaxed=False):
     return Verdict(True)
 
 
+def _indifferent_oracle(model, j, outcomes):
+    """True iff every type of agent j weakly prefers each of ``outcomes`` to
+    each other one."""
+    return all(model.weakly_prefers(j, tj, x, y)
+               for tj in model.all_types(j) for x in outcomes for y in outcomes)
+
+
 def is_irp_oracle(mech, f):
     """``is_irp`` with the conflict test done pair by pair."""
     model = mech.model
@@ -250,9 +270,9 @@ def is_irp_oracle(mech, f):
                 out1 = mech.outcomes_under(h1)
                 out2 = mech.outcomes_under(h2)
                 for j in sorted(js):
-                    if _all_indifferent(model, j, out1):
+                    if _indifferent_oracle(model, j, out1):
                         continue
-                    if _all_indifferent(model, j, out2):
+                    if _indifferent_oracle(model, j, out2):
                         continue
                     return Verdict(False, Witness(
                         "irp", j, i, h1, h2, None, None, None, None,

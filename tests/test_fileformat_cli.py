@@ -278,6 +278,39 @@ def test_cli_gen_auction_document():
     assert out == serialize_mechanism(gm.build_gstar(3, 3), f) + "\n"
 
 
+def test_gen_size_check_stops_early():
+    """The pure size check: (n!)^n and m^n against GEN_MAX_PROFILES, where
+    huge sizes return at once."""
+    from gradualmech.cli import GEN_MAX_PROFILES, _too_many_profiles
+    assert GEN_MAX_PROFILES >= 24 ** 4
+    assert not _too_many_profiles("ttc", 4, 2)
+    assert _too_many_profiles("ttc", 5, 2)
+    assert _too_many_profiles("ttc", 10 ** 18, 2)
+    assert not _too_many_profiles("ttc", 0, 2)
+    assert not _too_many_profiles("auction", 4, 24)
+    assert _too_many_profiles("auction", 4, 25)
+    assert _too_many_profiles("auction", 10 ** 18, 3)
+    assert _too_many_profiles("auction", 2, 10 ** 18)
+    assert not _too_many_profiles("auction", 10 ** 18, 1)
+    assert not _too_many_profiles("auction", 10 ** 18, -3)
+
+
+@pytest.mark.parametrize("argv", [["gen", "ttc", "--n", "5"],
+                                  ["gen", "auction", "--n", "4", "--m", "25"]])
+def test_gen_refuses_models_over_the_size_limit(argv, monkeypatch, capsys):
+    """Too large a ``gen`` model exits 2 before any generator runs."""
+    import gradualmech.cli as cli
+
+    def unreachable(*args):
+        raise AssertionError("the generator must not be reached")
+    monkeypatch.setattr(cli, "build_rda", unreachable)
+    monkeypatch.setattr(cli, "build_gstar", unreachable)
+    monkeypatch.setattr(cli, "_priorities", unreachable)
+    assert run_cli(argv) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "type profiles exceed" in err
+
+
 G3_TEXT = (Path(__file__).parent / "fixtures" / "voting_g3.json").read_text()
 
 
