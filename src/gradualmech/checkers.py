@@ -73,6 +73,27 @@ def _two_or_more(masks):
     return twice
 
 
+def _first_harmed(mech, kind, agents, reactor, z1, z2, infosets, detail):
+    """Witness for the first of ``agents`` with a type at z1 that does not
+    weakly prefer z1's outcome to z2's, else at z2 with the roles swapped;
+    types go in ascending order.  It runs once per qualifying terminal pair,
+    so the two directions are spelled out rather than looped over."""
+    model = mech.model
+    x1, x2 = mech.outcome[z1], mech.outcome[z2]
+    for agent in agents:
+        for t in sorted(mech.theta[z1][agent]):
+            if not model.weakly_prefers(agent, t, x1, x2):
+                return Witness(kind, agent, reactor, z1, z2,
+                               _first_profile(mech, z1, agent, t), _first_profile(mech, z2),
+                               x1, x2, infosets=infosets, detail=detail)
+        for t in sorted(mech.theta[z2][agent]):
+            if not model.weakly_prefers(agent, t, x2, x1):
+                return Witness(kind, agent, reactor, z2, z1,
+                               _first_profile(mech, z2, agent, t), _first_profile(mech, z1),
+                               x2, x1, infosets=infosets[::-1], detail=detail)
+    return None
+
+
 def is_ic(mech, f):
     """Truth-telling dominance, decided through terminal pairs.
 
@@ -83,9 +104,8 @@ def is_ic(mech, f):
     outcome that qualify are read off its conflict masks and visited in
     ascending id order, the order of ``mech.terminals``.
     """
-    model = mech.model
     _require_valid(mech, f)
-    n = model.n_agents
+    n = mech.model.n_agents
     every, by_outcome = _terminal_masks(mech)
     for z1 in mech.terminals:
         masks = mech.conflict_masks(z1)
@@ -96,25 +116,11 @@ def is_ic(mech, f):
             low = pending & -pending
             pending ^= low
             z2 = low.bit_length() - 1
-            x2 = mech.outcome[z2]
             conflict = [i for i in range(n) if masks[i] >> z2 & 1]
-            for i in conflict or range(n):
-                for ti in sorted(mech.theta[z1][i]):
-                    if not model.weakly_prefers(i, ti, x1, x2):
-                        return Verdict(False, Witness(
-                            "ic", i, None, z1, z2,
-                            _first_profile(mech, z1, i, ti),
-                            _first_profile(mech, z2),
-                            x1, x2,
-                            detail="truthful outcome not weakly preferred"))
-                for ti in sorted(mech.theta[z2][i]):
-                    if not model.weakly_prefers(i, ti, x2, x1):
-                        return Verdict(False, Witness(
-                            "ic", i, None, z2, z1,
-                            _first_profile(mech, z2, i, ti),
-                            _first_profile(mech, z1),
-                            x2, x1,
-                            detail="truthful outcome not weakly preferred"))
+            w = _first_harmed(mech, "ic", conflict or range(n), None, z1, z2, (),
+                              "truthful outcome not weakly preferred")
+            if w:
+                return Verdict(False, w)
     return Verdict(True)
 
 
@@ -131,12 +137,12 @@ def is_rp(mech, f, relaxed=False):
     ``terminals_under``, not in id order, so each one's bit is tested in
     turn rather than walking the set bits of the qualifying ones.
     """
-    model = mech.model
     _require_valid(mech, f)
-    n = model.n_agents
+    n = mech.model.n_agents
     _, by_outcome = _terminal_masks(mech)
     for i, k1, k2 in siblings_same_action(mech):
         s1, s2 = mech.infosets[k1], mech.infosets[k2]
+        ks = (k1, k2)
         t1 = [(h, z) for h in s1.nodes for z in mech.terminals_under(h)]
         t2 = [(h, z) for h in s2.nodes for z in mech.terminals_under(h)]
         in_t2 = 0
@@ -159,27 +165,13 @@ def is_rp(mech, f, relaxed=False):
             for h2, z2 in t2:
                 if not qualify >> z2 & 1:
                     continue
-                x2 = mech.outcome[z2]
-                conflict = [j for j in others if masks[j] >> z2 & 1]
-                for j in conflict or others:
-                    if relaxed and divergent[h1, h2] - {j}:
-                        continue
-                    for tj in sorted(mech.theta[z1][j]):
-                        if not model.weakly_prefers(j, tj, x1, x2):
-                            return Verdict(False, Witness(
-                                "rp", j, i, z1, z2,
-                                _first_profile(mech, z1, j, tj),
-                                _first_profile(mech, z2),
-                                x1, x2, infosets=(k1, k2),
-                                detail="reaction across sibling information sets"))
-                    for tj in sorted(mech.theta[z2][j]):
-                        if not model.weakly_prefers(j, tj, x2, x1):
-                            return Verdict(False, Witness(
-                                "rp", j, i, z2, z1,
-                                _first_profile(mech, z2, j, tj),
-                                _first_profile(mech, z1),
-                                x2, x1, infosets=(k2, k1),
-                                detail="reaction across sibling information sets"))
+                js = [j for j in others if masks[j] >> z2 & 1] or others
+                if relaxed:
+                    js = [j for j in js if not divergent[h1, h2] - {j}]
+                w = _first_harmed(mech, "rp", js, i, z1, z2, ks,
+                                  "reaction across sibling information sets")
+                if w:
+                    return Verdict(False, w)
     return Verdict(True)
 
 

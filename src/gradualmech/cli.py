@@ -48,11 +48,6 @@ def _emit(text, out):
             sys.stdout.write("\n")
 
 
-def _load(path, require_scf=True):
-    mech, model, f = load_mechanism(_read(path), require_scf=require_scf)
-    return mech, model, f
-
-
 def _describe_witness(model, w):
     lines = [f"violation kind: {w.kind}"]
     lines.append(f"harmed agent: {model.agent_names[w.agent]}")
@@ -128,14 +123,14 @@ def cmd_validate(args):
 
 
 def cmd_check(args, checker, label):
-    mech, model, f = _load(args.file)
+    mech, model, f = load_mechanism(_read(args.file), require_scf=True)
     if label == "reaction-proof" and args.relaxed:
         return _verdict_exit(model, checker(mech, f, relaxed=True), label + " (relaxed)")
     return _verdict_exit(model, checker(mech, f), label)
 
 
 def cmd_check_sp(args):
-    _, model, f = _load(args.file)
+    _, model, f = load_mechanism(_read(args.file), require_scf=True)
     ok, witness = is_strategy_proof(model, f)
     if ok:
         print("strategy-proof: holds")
@@ -149,7 +144,7 @@ def cmd_check_sp(args):
 
 
 def cmd_check_ill(args):
-    mech, model, f = _load(args.file)
+    mech, model, f = load_mechanism(_read(args.file), require_scf=True)
     ill = _illumination_from_args(mech, model, args)
     verdict = tr.is_incentive_preserving(mech, ill, f)
     return _verdict_exit(model, verdict, "incentive-preserving illumination")
@@ -173,7 +168,7 @@ def cmd_transform(args):
                if getattr(args, opt) is None]
     if missing:
         raise ParseError(f"--kind {kind} needs {', '.join(missing)}")
-    mech, model, f = _load(args.file, require_scf=False)
+    mech, model, f = load_mechanism(_read(args.file))
     agent = _agent_index(args.agent, model)
     if kind == "split":
         action = _parse_action(args.action, model, agent)
@@ -215,7 +210,7 @@ def _transform_doc(t, preserving=None, fingerprint=None):
 
 
 def cmd_reduce(args):
-    mech, model, f = _load(args.file)
+    mech, model, f = load_mechanism(_read(args.file), require_scf=True)
     chain = tr.reduce_to_direct(mech, f)
     verdict = tr.theorem1_verdict(chain)
     if args.json:
@@ -238,7 +233,7 @@ def cmd_reduce(args):
 
 
 def cmd_export_dot(args):
-    mech, model, _ = _load(args.file, require_scf=False)
+    mech, model, _ = load_mechanism(_read(args.file))
     _emit(export_dot(mech), args.output)
     return 0
 
@@ -292,7 +287,7 @@ def cmd_gen(args):
         raise ParseError(f"gen {kind}: {count} type profiles exceed the limit "
                          f"of {GEN_MAX_PROFILES}")
     if kind == "direct":
-        mech, model, f = _load(args.file)
+        mech, model, f = load_mechanism(_read(args.file), require_scf=True)
         out = direct_mechanism(model, f)
     elif kind == "voting":
         model, f, mechs = voting_examples()

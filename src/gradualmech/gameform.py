@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from collections import deque
 
 from .prefs import ScfTable
@@ -37,19 +38,28 @@ class InfoSet:
 
     __slots__ = ("agent", "nodes", "actions")
 
-    def __init__(self, agent, nodes, actions):
+    def __init__(self, agent, nodes, menus):
         self.agent = agent
         self.nodes = tuple(sorted(nodes))
-        self.actions = tuple(sorted(actions, key=lambda a: tuple(sorted(a))))
+        # validate() reports members whose menus differ; the first stands
+        # for the set.
+        self.actions = menus[self.nodes[0]].get(agent, ())
 
     def __repr__(self):
         return f"InfoSet(agent={self.agent}, nodes={list(self.nodes)})"
 
 
 class Mechanism:
-    """Immutable game form over a TypeModel.  Use ``build_mechanism``; a new
-    partition of a built mechanism's information sets may reuse its parent,
-    step and outcome tables, since canonical ids depend on the tree alone."""
+    """Immutable game form over a TypeModel.  Use ``build_mechanism``.
+
+    The tree tables depend on the history tree alone: ``parent``, ``step``,
+    ``outcome``, ``children``, ``terminals``, ``theta``, ``menus``,
+    ``acting``, and in ``_tree`` the lazily built ones and the tree-rule
+    report, each built by whichever mechanism on the tree asks first.  The
+    partition tables depend on the information sets too: ``infosets``,
+    ``node_iset``, ``experience`` and the conflict maps.  ``regroup`` shares
+    the first and builds only the second.
+    """
 
     def __init__(self, model, parent, step, outcome, infoset_groups):
         self.model = model
@@ -57,66 +67,86 @@ class Mechanism:
         self.step = tuple(step)
         self.outcome = dict(outcome)
         n = len(self.parent)
-        self.children = [[] for _ in range(n)]
+        children = [[] for _ in range(n)]
         for v in range(n):
             p = self.parent[v]
             if p is not None:
-                self.children[p].append(v)
-        self.children = tuple(tuple(c) for c in self.children)
-        self.terminals = tuple(v for v in range(n) if not self.children[v])
+                children[p].append(v)
+        self.children = tuple(tuple(c) for c in children)
+        self.terminals = tuple(v for v in range(n) if not children[v])
 
-        # Acting agents per node, read off the children steps.
-        self.acting = tuple(
-            tuple(sorted({a for c in self.children[v] for (a, _) in self.step[c]}))
-            for v in range(n)
-        )
+        # Last reported set per (node, agent), the full type set until the
+        # agent's first action.  build_mechanism numbers nodes breadth-first,
+        # so every parent precedes its children and one pass in id order sees
+        # each parent's row before its children's.
+        theta = [tuple(model.full_type_set(i) for i in range(model.n_agents))]
+        for v in range(1, n):
+            row = list(theta[self.parent[v]])
+            for agent, action in self.step[v]:
+                row[agent] = action
+            theta.append(tuple(row))
+        self.theta = tuple(theta)
 
+        # Each node's menu, {acting agent: her distinct actions}, with the
+        # actions in the order step_key sorts them: the children's own order
+        # wherever they form the full product.  The children's (agent,
+        # action) pairs determine the menu, so nodes with equal pairs share
+        # one menu and one ``acting`` tuple; terminals share an empty one.
+        rows, shared = [], {None: ({}, ())}
+        for kids in children:
+            pairs = frozenset([p for c in kids for p in self.step[c]]) if kids else None
+            row = shared.get(pairs)
+            if row is None:
+                menu = {}
+                for agent, action in pairs:
+                    menu.setdefault(agent, []).append(action)
+                menu = {a: tuple(sorted(acts, key=sorted))
+                        for a, acts in sorted(menu.items())}
+                row = shared[pairs] = (menu, tuple(menu))
+            rows.append(row)
+        self.menus = tuple(menu for menu, _ in rows)
+        self.acting = tuple(agents for _, agents in rows)
+
+        self._tree = {}
+        self._partition(infoset_groups)
+
+    def regroup(self, infoset_groups):
+        """The mechanism on this tree whose information sets are
+        ``infoset_groups``, (agent, [node ids]) pairs: it shares every tree
+        table, lazily built ones included, and builds only the others."""
+        other = object.__new__(Mechanism)
+        other.__dict__.update(self.__dict__)
+        other._partition(infoset_groups)
+        return other
+
+    def _partition(self, infoset_groups):
+        """Build, or rebuild for a regrouping, every partition table."""
         self.infosets = tuple(sorted(
-            (InfoSet(agent, nodes, self._menu(agent, nodes))
-             for agent, nodes in infoset_groups),
+            (InfoSet(agent, nodes, self.menus) for agent, nodes in infoset_groups),
             key=lambda s: (s.agent, s.nodes[0])))
         self.node_iset = {}
         for k, iset in enumerate(self.infosets):
             for v in iset.nodes:
                 self.node_iset[(iset.agent, v)] = k
 
-        # Last reported set per (node, agent), the full type set until the
-        # agent's first action, and own-experience chains ((information set,
-        # action), ...) strictly before each node.  build_mechanism numbers
-        # nodes breadth-first, so every parent precedes its children and one
-        # pass in id order sees each parent's entries before its children's.
-        theta = [tuple(model.full_type_set(i) for i in range(model.n_agents))]
-        self.experience = [{0: ()} for _ in range(model.n_agents)]
-        for v in range(1, n):
+        # Own-experience chains ((information set, action), ...) strictly
+        # before each node, built in id order as theta is.
+        self.experience = [{0: ()} for _ in range(self.model.n_agents)]
+        for v in range(1, len(self.parent)):
             p = self.parent[v]
-            row = list(theta[p])
             for exp in self.experience:
                 exp[v] = exp[p]
             for agent, action in self.step[v]:
-                row[agent] = action
                 k = self.node_iset.get((agent, p))
                 if k is not None:
                     exp = self.experience[agent]
                     exp[v] = exp[p] + ((k, action),)
-            theta.append(tuple(row))
-        self.theta = tuple(theta)
 
-        self._children_by_step = None
-        self._terminals_under = None
-        self._outcomes_under = None
-        self._truthful = None
         self._other_action = None
-        self._conflict_masks = [None] * n
+        self._conflict_masks = [None] * len(self.parent)
         self._valid_report = None
 
     # -- structure helpers ------------------------------------------------
-
-    def _menu(self, agent, nodes):
-        # validate() reports members whose menus differ; the first stands
-        # for the set.
-        return frozenset(a for a in (dict(self.step[c]).get(agent)
-                                     for c in self.children[min(nodes)])
-                         if a is not None)
 
     def n_nodes(self):
         return len(self.parent)
@@ -133,15 +163,15 @@ class Mechanism:
         return out[::-1]
 
     def children_by_step(self, v):
-        if self._children_by_step is None:
-            self._children_by_step = [
-                {self.step[c]: c for c in self.children[v2]}
-                for v2 in range(self.n_nodes())
-            ]
-        return self._children_by_step[v]
+        table = self._tree.get("children_by_step")
+        if table is None:
+            table = self._tree["children_by_step"] = [
+                {self.step[c]: c for c in kids} for kids in self.children]
+        return table[v]
 
     def terminals_under(self, v):
-        if self._terminals_under is None:
+        under = self._tree.get("terminals_under")
+        if under is None:
             n = self.n_nodes()
             under = [None] * n
             for u in reversed(range(n)):
@@ -152,16 +182,17 @@ class Mechanism:
                     for c in self.children[u]:
                         acc.extend(under[c])
                     under[u] = tuple(acc)
-            self._terminals_under = under
-        return self._terminals_under[v]
+            self._tree["terminals_under"] = under
+        return under[v]
 
     def outcomes_under(self, v):
-        if self._outcomes_under is None:
-            self._outcomes_under = [
+        table = self._tree.get("outcomes_under")
+        if table is None:
+            table = self._tree["outcomes_under"] = [
                 frozenset(self.outcome[z] for z in self.terminals_under(u))
                 for u in range(self.n_nodes())
             ]
-        return self._outcomes_under[v]
+        return table[v]
 
     # -- information-set structure ----------------------------------------
 
@@ -177,9 +208,6 @@ class Mechanism:
         if not exp:
             return None, None
         return exp[-1]
-
-    def theta_of(self, v, agent):
-        return self.theta[v][agent]
 
     def theta_infoset(self, k):
         iset = self.infosets[k]
@@ -205,25 +233,30 @@ class Mechanism:
         return self.truthful_table()[profile]
 
     def truthful_table(self):
-        if self._truthful is None:
+        table = self._tree.get("truthful")
+        if table is None:
             table = {}
             for z in self.terminals:
                 for profile in self.theta_profiles(z):
                     table[profile] = z
-            self._truthful = table
-        return self._truthful
+            self._tree["truthful"] = table
+        return table
 
     def _other_action_masks(self):
         """{(k, a): bitmask of the nodes whose path passes through information
         set k with an action other than a}, read off the experience chains."""
         if self._other_action is None:
-            n = self.n_nodes()
-            below = [0] * n
-            for v in reversed(range(n)):
-                mask = 1 << v
-                for c in self.children[v]:
-                    mask |= below[c]
-                below[v] = mask
+            # Each node's subtree as a bitmask, a tree table.
+            below = self._tree.get("below")
+            if below is None:
+                n = self.n_nodes()
+                below = [0] * n
+                for v in reversed(range(n)):
+                    mask = 1 << v
+                    for c in self.children[v]:
+                        mask |= below[c]
+                    below[v] = mask
+                self._tree["below"] = below
             # An entry is appended to a chain at one node and carried to
             # every node below it.
             through = {}
@@ -364,22 +397,23 @@ def build_mechanism(model, nodes, infoset_groups, outcomes):
 
 def validate(mech):
     """Return a list of violation strings; empty iff the mechanism satisfies
-    every structural rule: refined disjoint actions, closure of simultaneous
-    moves, per-set uniform menus, perfect recall and root activity.  These
-    local rules imply that the terminal type sets partition the type-profile
-    space, so that partition is not checked separately.  Memoized per
-    mechanism.
-    """
+    every structural rule.  The tree rules (outcomes at the terminals,
+    closure of simultaneous moves, refined disjoint actions, root activity)
+    run once per tree, their report shared by every regrouping; the
+    partition rules (exact cover of decision nodes, uniform menus, perfect
+    recall) once per mechanism.  Together they imply that the terminal type
+    sets partition the type-profile space, which is not checked separately."""
     if mech._valid_report is None:
-        mech._valid_report = _validate(mech)
+        tree = mech._tree.get("report")
+        if tree is None:
+            tree = mech._tree["report"] = _tree_rules(mech)
+        mech._valid_report = tree + _partition_rules(mech)
     return mech._valid_report
 
 
-def _validate(mech):
-    model = mech.model
+def _tree_rules(mech):
     report = []
     n = mech.n_nodes()
-
     for v in range(n):
         if mech.is_terminal(v):
             if v not in mech.outcome:
@@ -387,85 +421,61 @@ def _validate(mech):
         elif v in mech.outcome:
             report.append(f"non-terminal node {v} carries an outcome")
 
-    # Simultaneous-move closure and action refinement.
+    # Simultaneous-move closure and action refinement, read off the menus.
+    # Every child has at least one acting agent, since build_mechanism
+    # refuses empty action profiles, so no node has an empty menu.
     for v in range(n):
         if mech.is_terminal(v):
             continue
-        agent_sets = {tuple(sorted(a for a, _ in mech.step[c])) for c in mech.children[v]}
-        if len(agent_sets) != 1:
+        menu, kids = mech.menus[v], mech.children[v]
+        if any(len(mech.step[c]) != len(menu) for c in kids):
             report.append(f"node {v}: children disagree on the acting agents")
             continue
-        acting = next(iter(agent_sets))
-        if not acting:
-            report.append(f"node {v}: children with empty action profiles")
-            continue
-        menus = {}
-        for a in acting:
-            menus[a] = []
-        for c in mech.children[v]:
-            for a, action in mech.step[c]:
-                if action not in menus[a]:
-                    menus[a].append(action)
-        expected = 1
-        for a in acting:
-            expected *= len(menus[a])
-        combos = {mech.step[c] for c in mech.children[v]}
-        if len(mech.children[v]) != len(combos):
+        combos = {mech.step[c] for c in kids}
+        if len(kids) != len(combos):
             report.append(f"node {v}: duplicate action profiles")
-        if len(combos) != expected:
+        if len(combos) != math.prod(len(acts) for acts in menu.values()):
             report.append(f"node {v}: children are not the full product of available actions")
-        for a in acting:
-            pool = mech.theta_of(v, a)
-            union = set()
-            total = 0
-            for action in menus[a]:
-                union |= action
-                total += len(action)
-            if total != len(union):
+        for a, acts in menu.items():
+            union = frozenset().union(*acts)
+            if sum(map(len, acts)) != len(union):
                 report.append(f"node {v}: agent {a} has overlapping actions")
-            if union != pool:
+            if union != mech.theta[v][a]:
                 report.append(
                     f"node {v}: agent {a} actions do not partition her current set")
 
-    if not mech.is_terminal(0):
-        root_acting = {a for c in mech.children[0] for a, _ in mech.step[c]}
-        if root_acting != set(range(model.n_agents)):
-            report.append("root: every agent must be active at the initial history")
-
-    # Information sets: exact partition of each agent's decision nodes.
-    for i in range(model.n_agents):
-        decision_nodes = {v for v in range(n)
-                          if not mech.is_terminal(v) and i in mech.acting[v]}
-        covered = []
-        for k in mech.agent_infosets(i):
-            covered.extend(mech.infosets[k].nodes)
-        if len(covered) != len(set(covered)):
-            report.append(f"agent {i}: information sets overlap")
-        if set(covered) != decision_nodes:
-            report.append(f"agent {i}: information sets do not cover exactly her decision nodes")
-
-    # Uniform menus and perfect recall within each information set.
-    for k, iset in enumerate(mech.infosets):
-        menus = set()
-        for v in iset.nodes:
-            acts = frozenset(dict(mech.step[c])[iset.agent]
-                             for c in mech.children[v]
-                             if iset.agent in dict(mech.step[c]))
-            menus.add(acts)
-        if len(menus) > 1:
-            report.append(f"information set {k}: nodes offer different action menus")
-        exps = {mech.experience[iset.agent][v] for v in iset.nodes}
-        if len(exps) > 1:
-            report.append(f"information set {k}: members violate perfect recall")
+    if not mech.is_terminal(0) and mech.acting[0] != tuple(range(mech.model.n_agents)):
+        report.append("root: every agent must be active at the initial history")
 
     # No separate check that the terminals partition the profile space: the
-    # local rules above imply it.  At a node that passes them, every acting
+    # tree rules above imply it.  At a node that passes them, every acting
     # agent's actions partition her current set and the children are the
     # full product of the menus without duplicates, so the children's type
     # boxes are disjoint and cover the node's box.  By induction from the
     # root, whose box is the whole profile space, the terminal boxes
     # partition that space and every profile has exactly one truthful path.
     # When a local rule fails, its own message diagnoses the input.
+    return report
+
+
+def _partition_rules(mech):
+    report = []
+    # Information sets: exact partition of each agent's decision nodes.
+    for i in range(mech.model.n_agents):
+        covered = [v for s in mech.infosets if s.agent == i for v in s.nodes]
+        if len(covered) != len(set(covered)):
+            report.append(f"agent {i}: information sets overlap")
+        if set(covered) != {v for v, menu in enumerate(mech.menus) if i in menu}:
+            report.append(f"agent {i}: information sets do not cover exactly her decision nodes")
+
+    # Uniform menus and perfect recall within each information set.
+    for k, iset in enumerate(mech.infosets):
+        if len({mech.menus[v].get(iset.agent) for v in iset.nodes}) > 1:
+            report.append(f"information set {k}: nodes offer different action menus")
+        exps = {mech.experience[iset.agent][v] for v in iset.nodes}
+        if len(exps) > 1:
+            report.append(f"information set {k}: members violate perfect recall")
+
     return report
 
 

@@ -9,8 +9,8 @@ import itertools
 from dataclasses import dataclass
 
 from .checkers import Verdict, Witness, _two_or_more
-from .gameform import (Mechanism, MechanismError, build_mechanism, implements,
-                       is_static, make_step, validate)
+from .gameform import (MechanismError, build_mechanism, implements, is_static,
+                       make_step, validate)
 
 
 @dataclass(frozen=True)
@@ -206,16 +206,21 @@ def apply_coalesce(mech, t):
     return build_mechanism(mech.model, nodes, groups, outcomes)
 
 
+def _illumination_parts(mech, t, what):
+    """The parts of ``t`` as sets, checked to split the agent's set in two."""
+    if t.infoset >= len(mech.infosets) or mech.infosets[t.infoset].agent != t.agent:
+        raise MechanismError(f"{what}: no such information set for that agent")
+    p1, p2 = set(t.part1), set(t.part2)
+    if not p1 or not p2 or (p1 & p2) or (p1 | p2) != set(mech.infosets[t.infoset].nodes):
+        raise MechanismError(f"{what}: parts must be a two-way partition of the set")
+    return p1, p2
+
+
 def apply_illuminate(mech, t):
     """Illumination: the tree is unchanged; the information set splits in two
     and every successor set of the same agent splits by which part precedes
-    each node.  The result keeps the input's tree and node ids."""
-    if t.infoset >= len(mech.infosets) or mech.infosets[t.infoset].agent != t.agent:
-        raise MechanismError("illuminate: no such information set for that agent")
-    iset = mech.infosets[t.infoset]
-    p1, p2 = set(t.part1), set(t.part2)
-    if not p1 or not p2 or (p1 & p2) or (p1 | p2) != set(iset.nodes):
-        raise MechanismError("illuminate: parts must be a two-way partition of the set")
+    each node.  The result is a regrouping of the input's tree."""
+    p1, p2 = _illumination_parts(mech, t, "illuminate")
     i = t.agent
 
     def part_of(v):
@@ -243,7 +248,7 @@ def apply_illuminate(mech, t):
             groups.append((i, side1))
         if side2:
             groups.append((i, side2))
-    return Mechanism(mech.model, mech.parent, mech.step, mech.outcome, groups)
+    return mech.regroup(groups)
 
 
 def apply_merge(mech, t):
@@ -252,7 +257,8 @@ def apply_merge(mech, t):
     result reproduces the original mechanism.
 
     Returns ``(merged, forward)`` where ``forward`` is the Illuminate record
-    whose application round-trips.  Both keep the input's tree and node ids.
+    whose application round-trips.  ``merged`` is a regrouping of the
+    input's tree, so both keep its node ids.
     """
     if (t.first >= len(mech.infosets) or t.second >= len(mech.infosets)
             or t.first == t.second):
@@ -289,7 +295,8 @@ def apply_merge(mech, t):
     groups = [(s.agent, list(s.nodes)) for s in mech.infosets if s.agent != i]
     for _, members in sorted(unions.items(), key=lambda kv: min(kv[1])):
         groups.append((i, members))
-    merged = Mechanism(mech.model, mech.parent, mech.step, mech.outcome, groups)
+    merged = mech.regroup(groups)
+    # Only the partition rules run here: the tree-rule report is the input's.
     problems = validate(merged)
     if problems:
         raise MechanismError("merge: result is not a valid mechanism: " + problems[0])
@@ -523,12 +530,7 @@ def is_incentive_preserving(mech, t, f):
     one strategy profile of the remaining agents.
     """
     model = mech.model
-    if t.infoset >= len(mech.infosets) or mech.infosets[t.infoset].agent != t.agent:
-        raise MechanismError("illumination check: no such information set")
-    iset = mech.infosets[t.infoset]
-    p1, p2 = set(t.part1), set(t.part2)
-    if not p1 or not p2 or (p1 & p2) or (p1 | p2) != set(iset.nodes):
-        raise MechanismError("illumination parts must partition the information set")
+    p1, p2 = _illumination_parts(mech, t, "illumination check")
     i = t.agent
     n = model.n_agents
     others = [j for j in range(n) if j != i]

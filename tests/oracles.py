@@ -46,6 +46,104 @@ def partition_walk_oracle(mech):
     return True
 
 
+def validate_oracle(mech):
+    """``validate`` as one pass over every rule, with each node's acting
+    agents and menus derived where a rule needs them, as it was before the
+    rules split into tree rules, shared by every regrouping of a tree, and
+    partition rules read off the per-node menu table."""
+    model = mech.model
+    report = []
+    n = mech.n_nodes()
+
+    for v in range(n):
+        if mech.is_terminal(v):
+            if v not in mech.outcome:
+                report.append(f"terminal node {v} has no outcome")
+        elif v in mech.outcome:
+            report.append(f"non-terminal node {v} carries an outcome")
+
+    # Simultaneous-move closure and action refinement.
+    for v in range(n):
+        if mech.is_terminal(v):
+            continue
+        agent_sets = {tuple(sorted(a for a, _ in mech.step[c])) for c in mech.children[v]}
+        if len(agent_sets) != 1:
+            report.append(f"node {v}: children disagree on the acting agents")
+            continue
+        acting = next(iter(agent_sets))
+        if not acting:
+            report.append(f"node {v}: children with empty action profiles")
+            continue
+        menus = {}
+        for a in acting:
+            menus[a] = []
+        for c in mech.children[v]:
+            for a, action in mech.step[c]:
+                if action not in menus[a]:
+                    menus[a].append(action)
+        expected = 1
+        for a in acting:
+            expected *= len(menus[a])
+        combos = {mech.step[c] for c in mech.children[v]}
+        if len(mech.children[v]) != len(combos):
+            report.append(f"node {v}: duplicate action profiles")
+        if len(combos) != expected:
+            report.append(f"node {v}: children are not the full product of available actions")
+        for a in acting:
+            pool = mech.theta[v][a]
+            union = set()
+            total = 0
+            for action in menus[a]:
+                union |= action
+                total += len(action)
+            if total != len(union):
+                report.append(f"node {v}: agent {a} has overlapping actions")
+            if union != pool:
+                report.append(
+                    f"node {v}: agent {a} actions do not partition her current set")
+
+    if not mech.is_terminal(0):
+        root_acting = {a for c in mech.children[0] for a, _ in mech.step[c]}
+        if root_acting != set(range(model.n_agents)):
+            report.append("root: every agent must be active at the initial history")
+
+    # Information sets: exact partition of each agent's decision nodes.
+    for i in range(model.n_agents):
+        decision_nodes = {v for v in range(n)
+                          if not mech.is_terminal(v) and i in mech.acting[v]}
+        covered = []
+        for k in mech.agent_infosets(i):
+            covered.extend(mech.infosets[k].nodes)
+        if len(covered) != len(set(covered)):
+            report.append(f"agent {i}: information sets overlap")
+        if set(covered) != decision_nodes:
+            report.append(f"agent {i}: information sets do not cover exactly her decision nodes")
+
+    # Uniform menus and perfect recall within each information set.
+    for k, iset in enumerate(mech.infosets):
+        menus = set()
+        for v in iset.nodes:
+            acts = frozenset(dict(mech.step[c])[iset.agent]
+                             for c in mech.children[v]
+                             if iset.agent in dict(mech.step[c]))
+            menus.add(acts)
+        if len(menus) > 1:
+            report.append(f"information set {k}: nodes offer different action menus")
+        exps = {mech.experience[iset.agent][v] for v in iset.nodes}
+        if len(exps) > 1:
+            report.append(f"information set {k}: members violate perfect recall")
+
+    # No separate check that the terminals partition the profile space: the
+    # local rules above imply it.  At a node that passes them, every acting
+    # agent's actions partition her current set and the children are the
+    # full product of the menus without duplicates, so the children's type
+    # boxes are disjoint and cover the node's box.  By induction from the
+    # root, whose box is the whole profile space, the terminal boxes
+    # partition that space and every profile has exactly one truthful path.
+    # When a local rule fails, its own message diagnoses the input.
+    return report
+
+
 def rebuild_oracle(mech):
     """``mech`` built afresh from its raw nodes, information-set groups and
     outcomes, as illumination and merge built their results before they
@@ -115,6 +213,21 @@ def mechanism_tables_oracle(mech):
                                                for c in mech.children[v])
                                    if a is not None))
     return tuple(theta), experience, menus
+
+
+def node_menus_oracle(mech):
+    """Each node's {acting agent: her distinct actions}, found by scanning
+    the children's steps, with the actions sorted by their sorted type
+    tuples."""
+    out = []
+    for v in range(mech.n_nodes()):
+        found = {}
+        for c in mech.children[v]:
+            for agent, action in mech.step[c]:
+                found.setdefault(agent, set()).add(action)
+        out.append({a: tuple(sorted(acts, key=lambda x: tuple(sorted(x))))
+                    for a, acts in sorted(found.items())})
+    return out
 
 
 def conflict_agents_oracle(mech, u, v):

@@ -1,7 +1,8 @@
 """Illumination and merge keep their input's tree and node ids instead of
 rebuilding it.  Every result must equal what ``build_mechanism`` makes of its
 raw nodes and groups (``rebuild_oracle``): the same canonical form and
-fingerprint, and tables equal to ``mechanism_tables_oracle``.
+fingerprint, tables equal to ``mechanism_tables_oracle``, and a ``validate``
+report equal to the single-pass ``validate_oracle``.
 
 The suite checks at most ``ILLUMINATIONS_PER_ENTRY`` illuminations of each
 ``full_corpus`` entry, each applicable merge with its forward illumination,
@@ -14,7 +15,7 @@ import itertools
 
 import gradualmech as gm
 from gradualmech.transforms import _applicable_merges
-from oracles import mechanism_tables_oracle, rebuild_oracle
+from oracles import mechanism_tables_oracle, rebuild_oracle, validate_oracle
 
 ILLUMINATIONS_PER_ENTRY = 8
 
@@ -29,6 +30,7 @@ def check_rebuild(name, mech):
     assert mech.theta == theta == again.theta, name
     assert mech.experience == experience == again.experience, name
     assert [frozenset(s.actions) for s in mech.infosets] == menus, name
+    assert gm.validate(mech) == validate_oracle(mech) == gm.validate(again), name
 
 
 def check_illuminations(name, mech, cap):

@@ -4,7 +4,7 @@ import pytest
 
 import gradualmech as gm
 from gradualmech import MechanismError, build_mechanism, make_step
-from oracles import partition_walk_oracle
+from oracles import partition_walk_oracle, validate_oracle
 
 
 def tiny_model():
@@ -38,6 +38,23 @@ def missing_product_child():
 
 def duplicate_action_profiles():
     return root_fan([{0: ALL, 1: ALL}, {0: ALL, 1: ALL}])
+
+
+def disagreeing_acting_agents():
+    # both voters move at one child, voter 1 alone at the other
+    return root_fan([{0: ALL, 1: ALL}, {0: {0}}])
+
+
+def unsorted_partial_product():
+    # voter 2's actions first appear out of sorted order; two combinations
+    # are missing
+    return root_fan([{0: {0}, 1: {1, 2}}, {0: {1, 2}, 1: {0}}])
+
+
+def misplaced_outcomes():
+    # the root carries an outcome and one terminal has none
+    nodes = [(None, None), (0, make_step({0: ALL, 1: ALL}))]
+    return build_mechanism(tiny_model(), nodes, [(0, [0]), (1, [0])], {0: 1})
 
 
 def test_direct_mechanism_validates(voting):
@@ -77,6 +94,22 @@ def test_broken_partition_is_named_by_a_local_rule(build, rule):
     assert any(rule in r for r in gm.validate(mech))
 
 
+@pytest.mark.parametrize("build", [
+    overlapping_actions, non_partition_actions, missing_product_child,
+    duplicate_action_profiles, disagreeing_acting_agents,
+    unsorted_partial_product, misplaced_outcomes,
+])
+def test_broken_trees_match_the_single_pass_oracle(build):
+    """The tree rules read off the menu table report what the single-pass
+    rules did, in the same order, on the same tree and on a regrouping of
+    it."""
+    mech = build()
+    report = gm.validate(mech)
+    assert report and report == validate_oracle(mech)
+    again = mech.regroup([(s.agent, s.nodes) for s in reversed(mech.infosets)])
+    assert gm.validate(again) == report
+
+
 def test_missing_root_agent_reported():
     model = tiny_model()
     nodes = [(None, None)]
@@ -85,6 +118,7 @@ def test_missing_root_agent_reported():
     mech = build_mechanism(model, nodes, [(0, [0])], {1: 1, 2: 1, 3: 1})
     report = gm.validate(mech)
     assert any("active at the initial history" in r for r in report)
+    assert report == validate_oracle(mech)
 
 
 def test_imperfect_recall_reported(voting):
@@ -112,13 +146,14 @@ def test_imperfect_recall_reported(voting):
         groups, g1.outcome)
     report = gm.validate(mech)
     assert report  # menus differ or recall broken, either way diagnosed
+    assert report == validate_oracle(mech)
 
 
 def test_local_rules_imply_terminal_partition(full_corpus):
     """validate checks only local rules; the walk it no longer runs agrees
     on every valid mechanism of the corpus."""
     for name, mech, model, f in full_corpus:
-        assert gm.validate(mech) == [], name
+        assert gm.validate(mech) == validate_oracle(mech) == [], name
         assert partition_walk_oracle(mech), name
 
 
@@ -133,13 +168,13 @@ def test_theta_at_root_and_after_actions(voting):
     model, f, mechs = voting
     g3 = mechs["g3"]
     full = frozenset({0, 1, 2})
-    assert g3.theta_of(0, 0) == full
-    assert g3.theta_of(0, 1) == full
+    assert g3.theta[0][0] == full
+    assert g3.theta[0][1] == full
     # voter 2's node after voter 1 reports M: voter 1's set is {M}
     after_m = next(v for v in range(g3.n_nodes())
                    if g3.parent[v] == 0 and dict(g3.step[v])[0] == frozenset({1}))
-    assert g3.theta_of(after_m, 0) == frozenset({1})
-    assert g3.theta_of(after_m, 1) == full
+    assert g3.theta[after_m][0] == frozenset({1})
+    assert g3.theta[after_m][1] == full
 
 
 def test_theta_minus_of_pooled_auction_set(gstar_instances):
