@@ -53,31 +53,86 @@ def _first_profile(mech, z, agent=None, type_idx=None):
     return tuple(parts)
 
 
-def _terminal_masks(mech):
-    """Bitmask of every terminal, and of the terminals of each outcome."""
-    every, by_outcome = 0, {}
-    for z in mech.terminals:
-        bit = 1 << z
-        every |= bit
-        x = mech.outcome[z]
-        by_outcome[x] = by_outcome.get(x, 0) | bit
-    return every, by_outcome
-
-
-def _two_or_more(masks):
-    """Bits set in at least two of the masks."""
+def _coverage(masks):
+    """Bits set in at least one of the masks, and in at least two."""
     seen = twice = 0
     for mask in masks:
         twice |= seen & mask
         seen |= mask
-    return twice
+    return seen, twice
+
+
+class _Harm:
+    """The partners that harm an agent's truthful comparison with a first
+    terminal, as bitmasks over terminal ids.
+
+    A pair (z1, z2) with outcomes x1 != x2 harms agent j when one of j's
+    types at z1 ranks x2 strictly above x1, or one of j's types at z2 ranks
+    x2 strictly below x1.  For each type t of j, two tables indexed by the
+    level k of x1 in t's weak order hold those partners: ``above[k]``, the
+    terminals whose outcome t ranks above level k, and ``below[k]``, the
+    terminals holding t whose outcome t ranks below it.  So the partners of
+    z1 are an OR of one ``above`` entry per type j may hold at z1 and one
+    ``below`` entry per type, memoized per (j, x1, j's type mask at z1), and
+    the tables cost one pass over the terminals per agent and type, however
+    many pairs a scan admits.
+    """
+
+    def __init__(self, mech):
+        self.mech = mech
+        self.types = mech.type_masks()
+        # Bitmask of every terminal, and of the terminals of each outcome.
+        self.every, self.by_outcome = 0, {}
+        for z in mech.terminals:
+            self.every |= 1 << z
+            x = mech.outcome[z]
+            self.by_outcome[x] = self.by_outcome.get(x, 0) | 1 << z
+        self._tables = {}
+        self._partners = {}
+
+    def _agent_tables(self, j):
+        """Per type t of agent j: (t's levels, above, below)."""
+        tables = self._tables.get(j)
+        if tables is None:
+            tables = self._tables[j] = []
+            mech = self.mech
+            held_by = [(mech.outcome[z], self.types[z][j], 1 << z) for z in mech.terminals]
+            for t in mech.model.all_types(j):
+                levels = mech.model.levels(j, t)
+                size = max(levels) + 1
+                at, held = [0] * size, [0] * size
+                for x, mask in self.by_outcome.items():
+                    at[levels[x]] |= mask
+                for x, types, bit in held_by:
+                    if types >> t & 1:
+                        held[levels[x]] |= bit
+                above, below = [0] * size, [0] * size
+                for k in range(1, size):
+                    above[k] = above[k - 1] | at[k - 1]
+                    below[-1 - k] = below[-k] | held[-k]
+                tables.append((levels, above, below))
+        return tables
+
+    def partners(self, j, z1):
+        x1 = self.mech.outcome[z1]
+        types = self.types[z1][j]
+        out = self._partners.get((j, x1, types))
+        if out is None:
+            out = 0
+            for t, (levels, above, below) in enumerate(self._agent_tables(j)):
+                k = levels[x1]
+                out |= below[k]
+                if types >> t & 1:
+                    out |= above[k]
+            self._partners[j, x1, types] = out
+        return out
 
 
 def _first_harmed(mech, kind, agents, reactor, z1, z2, infosets, detail):
     """Witness for the first of ``agents`` with a type at z1 that does not
     weakly prefer z1's outcome to z2's, else at z2 with the roles swapped;
-    types go in ascending order.  It runs once per qualifying terminal pair,
-    so the two directions are spelled out rather than looped over."""
+    types go in ascending order.  The scans find the first harmful pair with
+    masks and run this once, on that pair, to name the agent and type."""
     model = mech.model
     x1, x2 = mech.outcome[z1], mech.outcome[z2]
     for agent in agents:
@@ -91,7 +146,7 @@ def _first_harmed(mech, kind, agents, reactor, z1, z2, infosets, detail):
                 return Witness(kind, agent, reactor, z2, z1,
                                _first_profile(mech, z2, agent, t), _first_profile(mech, z1),
                                x2, x1, infosets=infosets[::-1], detail=detail)
-    return None
+    raise AssertionError("the pair harms none of the agents")
 
 
 def is_ic(mech, f):
@@ -100,27 +155,36 @@ def is_ic(mech, f):
     Two truthful terminals reachable under one strategy profile of everyone
     but agent i must compare favourably for every type i could hold at the
     first terminal.  A pair qualifies when at most one agent's choices
-    conflict on it; for each first terminal, the later terminals with another
-    outcome that qualify are read off its conflict masks and visited in
-    ascending id order, the order of ``mech.terminals``.
+    conflict on it, and then checks that agent, or every agent when none
+    conflicts.  For each first terminal, the later terminals with another
+    outcome that qualify are read off its conflict masks, and those that
+    harm a checked agent off the preference tables of ``_Harm``.  The
+    canonical order visits the pairs in ascending id order of the second
+    terminal, the order of ``mech.terminals``, so the lowest set bit of the
+    harmful partners is the first harmful pair; ``_first_harmed`` names its
+    witness.
     """
     _require_valid(mech, f)
     n = mech.model.n_agents
-    every, by_outcome = _terminal_masks(mech)
+    harm = _Harm(mech)
     for z1 in mech.terminals:
         masks = mech.conflict_masks(z1)
         x1 = mech.outcome[z1]
-        later = (every ^ by_outcome[x1]) >> (z1 + 1) << (z1 + 1)
-        pending = later & ~_two_or_more(masks)
-        while pending:
-            low = pending & -pending
-            pending ^= low
-            z2 = low.bit_length() - 1
+        later = (harm.every ^ harm.by_outcome[x1]) >> (z1 + 1) << (z1 + 1)
+        once, twice = _coverage(masks)
+        pending = later & ~twice
+        free = pending & ~once
+        harmful = 0
+        for j in range(n):
+            checked = masks[j] & pending | free
+            if checked:
+                harmful |= checked & harm.partners(j, z1)
+        if harmful:
+            z2 = (harmful & -harmful).bit_length() - 1
             conflict = [i for i in range(n) if masks[i] >> z2 & 1]
-            w = _first_harmed(mech, "ic", conflict or range(n), None, z1, z2, (),
-                              "truthful outcome not weakly preferred")
-            if w:
-                return Verdict(False, w)
+            return Verdict(False, _first_harmed(
+                mech, "ic", conflict or range(n), None, z1, z2, (),
+                "truthful outcome not weakly preferred"))
     return Verdict(True)
 
 
@@ -131,47 +195,61 @@ def is_rp(mech, f, relaxed=False):
     ``relaxed`` additionally skips history pairs that some third agent could
     already tell apart strictly earlier: her information-set sequences up to
     the two members differ, so she, not the pair under test, is the first to
-    learn about the divergence.
+    learn about the divergence.  An agent j is then checked only on the
+    members h2 whose divergence from h1 is at most j's own.
 
-    The second terminals are visited in the tree order of
-    ``terminals_under``, not in id order, so each one's bit is tested in
-    turn rather than walking the set bits of the qualifying ones.
+    The harmful second terminals of each first one are one mask, built as in
+    ``is_ic``.  The canonical order visits them in the tree order of
+    ``terminals_under`` over the second set's members, not in id order, so
+    the witness comes from the first member whose terminals meet the mask
+    and the first of its terminals in that order.
     """
     _require_valid(mech, f)
     n = mech.model.n_agents
-    _, by_outcome = _terminal_masks(mech)
+    harm = _Harm(mech)
+    below = mech.subtree_masks()
     for i, k1, k2 in siblings_same_action(mech):
         s1, s2 = mech.infosets[k1], mech.infosets[k2]
         ks = (k1, k2)
-        t1 = [(h, z) for h in s1.nodes for z in mech.terminals_under(h)]
-        t2 = [(h, z) for h in s2.nodes for z in mech.terminals_under(h)]
+        under2 = {h: below[h] & harm.every for h in s2.nodes}
         in_t2 = 0
-        for _, z2 in t2:
-            in_t2 |= 1 << z2
+        for mask in under2.values():
+            in_t2 |= mask
         others = [j for j in range(n) if j != i]
+        allowed = [in_t2] * len(others)
         if relaxed:
             seqs = {h: [tuple(e[0] for e in mech.experience[k][h]) for k in others]
                     for h in s1.nodes + s2.nodes}
-            divergent = {(h1, h2): frozenset(k for k, a, b in zip(others, seqs[h1], seqs[h2])
-                                             if a != b)
-                         for h1 in s1.nodes for h2 in s2.nodes}
-        for h1, z1 in t1:
-            masks = mech.conflict_masks(z1)
-            x1 = mech.outcome[z1]
-            qualify = (in_t2 & ~by_outcome[x1]
-                       & ~_two_or_more(masks[j] for j in others))
-            if not qualify:
-                continue
-            for h2, z2 in t2:
-                if not qualify >> z2 & 1:
+        for h1 in s1.nodes:
+            if relaxed:
+                divergent = {h2: {k for k, a, b in zip(others, seqs[h1], seqs[h2]) if a != b}
+                             for h2 in s2.nodes}
+                allowed = [0] * len(others)
+                for h2, div in divergent.items():
+                    for idx, j in enumerate(others):
+                        if not div - {j}:
+                            allowed[idx] |= under2[h2]
+            for z1 in mech.terminals_under(h1):
+                masks = mech.conflict_masks(z1)
+                outside = [masks[j] for j in others]
+                once, twice = _coverage(outside)
+                qualify = in_t2 & ~harm.by_outcome[mech.outcome[z1]] & ~twice
+                free = qualify & ~once
+                harmful = 0
+                for j, mask, ok in zip(others, outside, allowed):
+                    checked = (mask & qualify | free) & ok
+                    if checked:
+                        harmful |= checked & harm.partners(j, z1)
+                if not harmful:
                     continue
+                h2 = next(h for h in s2.nodes if under2[h] & harmful)
+                z2 = next(z for z in mech.terminals_under(h2) if harmful >> z & 1)
                 js = [j for j in others if masks[j] >> z2 & 1] or others
                 if relaxed:
-                    js = [j for j in js if not divergent[h1, h2] - {j}]
-                w = _first_harmed(mech, "rp", js, i, z1, z2, ks,
-                                  "reaction across sibling information sets")
-                if w:
-                    return Verdict(False, w)
+                    js = [j for j in js if not divergent[h2] - {j}]
+                return Verdict(False, _first_harmed(
+                    mech, "rp", js, i, z1, z2, ks,
+                    "reaction across sibling information sets"))
     return Verdict(True)
 
 
@@ -184,35 +262,71 @@ def _all_indifferent(model, j, outcomes):
     return True
 
 
+def _ranked_apart(model, j, outcomes):
+    """Whether some type of agent j ranks two of the outcomes apart, read
+    off the memoized level rows."""
+    for t in model.all_types(j):
+        levels = model.levels(j, t)
+        if len({levels[x] for x in outcomes}) > 1:
+            return True
+    return False
+
+
 def is_irp(mech, f):
     """Indifference reaction-proofness: whenever a reaction pair of histories
     is reachable under a common outside strategy profile, at least one of the
     two histories already fixes agent j's welfare (full indifference over all
-    continuation outcomes, for every type j could hold).  The agents other
-    than i that conflict on a pair are read off the first history's conflict
-    masks."""
+    continuation outcomes, for every type j could hold).
+
+    A node is unsettled for j when some type of j ranks two of its
+    continuation outcomes apart; the verdict is read off the level rows once
+    per agent and distinct outcome set, for the nodes the sibling pairs
+    reach.
+    The agents other than i that conflict on a pair are read off the first
+    history's conflict masks, so the second histories that fail with h1 are
+    one mask.  The canonical order visits h2 in ascending id order, the order
+    of the sorted members, so its lowest set bit is the first failing pair.
+    """
     model = mech.model
     _require_valid(mech, f)
+    n = model.n_agents
+    verdicts = {}
+    unsettled = [0] * n   # per agent, over the nodes marked for it so far
+    marked = [0] * n
     for i, k1, k2 in siblings_same_action(mech):
         s1, s2 = mech.infosets[k1], mech.infosets[k2]
-        others = [j for j in range(model.n_agents) if j != i]
+        members2 = sum(1 << h for h in s2.nodes)
+        others = [j for j in range(n) if j != i]
+        for j in others:
+            for h in s1.nodes + s2.nodes:
+                if marked[j] >> h & 1:
+                    continue
+                marked[j] |= 1 << h
+                out = mech.outcomes_under(h)
+                apart = verdicts.get((j, out))
+                if apart is None:
+                    apart = verdicts[j, out] = _ranked_apart(model, j, out)
+                if apart:
+                    unsettled[j] |= 1 << h
         for h1 in s1.nodes:
             masks = mech.conflict_masks(h1)
-            skip = _two_or_more(masks[j] for j in others)
-            out1 = mech.outcomes_under(h1)
-            for h2 in s2.nodes:
-                if skip >> h2 & 1:
-                    continue
-                out2 = mech.outcomes_under(h2)
-                for j in [j for j in others if masks[j] >> h2 & 1] or others:
-                    if _all_indifferent(model, j, out1):
-                        continue
-                    if _all_indifferent(model, j, out2):
-                        continue
-                    return Verdict(False, Witness(
-                        "irp", j, i, h1, h2, None, None, None, None,
-                        infosets=(k1, k2),
-                        detail="neither history settles the reacting-on agent"))
+            once, twice = _coverage(masks[j] for j in others)
+            pending = members2 & ~twice
+            free = pending & ~once
+            failing = 0
+            for j in others:
+                if unsettled[j] >> h1 & 1:
+                    failing |= (masks[j] & pending | free) & unsettled[j]
+            if not failing:
+                continue
+            h2 = (failing & -failing).bit_length() - 1
+            js = [j for j in others if masks[j] >> h2 & 1] or others
+            j = next(j for j in js
+                     if unsettled[j] >> h1 & 1 and unsettled[j] >> h2 & 1)
+            return Verdict(False, Witness(
+                "irp", j, i, h1, h2, None, None, None, None,
+                infosets=(k1, k2),
+                detail="neither history settles the reacting-on agent"))
     return Verdict(True)
 
 

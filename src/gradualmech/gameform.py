@@ -185,6 +185,33 @@ class Mechanism:
             self._tree["terminals_under"] = under
         return under[v]
 
+    def subtree_masks(self):
+        """Per node, its subtree, itself included, as a bitmask of node ids."""
+        below = self._tree.get("below")
+        if below is None:
+            n = self.n_nodes()
+            below = [0] * n
+            for v in reversed(range(n)):
+                mask = 1 << v
+                for c in self.children[v]:
+                    mask |= below[c]
+                below[v] = mask
+            self._tree["below"] = below
+        return below
+
+    def type_masks(self):
+        """Per node, its row of theta as one bitmask of type ids per agent."""
+        table = self._tree.get("type_masks")
+        if table is None:
+            mask_of = {}
+            for row in self.theta:
+                for types in row:
+                    if types not in mask_of:
+                        mask_of[types] = sum(1 << t for t in types)
+            table = self._tree["type_masks"] = [
+                tuple(mask_of[types] for types in row) for row in self.theta]
+        return table
+
     def outcomes_under(self, v):
         table = self._tree.get("outcomes_under")
         if table is None:
@@ -246,19 +273,9 @@ class Mechanism:
         """{(k, a): bitmask of the nodes whose path passes through information
         set k with an action other than a}, read off the experience chains."""
         if self._other_action is None:
-            # Each node's subtree as a bitmask, a tree table.
-            below = self._tree.get("below")
-            if below is None:
-                n = self.n_nodes()
-                below = [0] * n
-                for v in reversed(range(n)):
-                    mask = 1 << v
-                    for c in self.children[v]:
-                        mask |= below[c]
-                    below[v] = mask
-                self._tree["below"] = below
             # An entry is appended to a chain at one node and carried to
             # every node below it.
+            below = self.subtree_masks()
             through = {}
             for exp in self.experience:
                 for v, chain in exp.items():

@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .checkers import Verdict, Witness, _two_or_more
+from .checkers import Verdict, Witness, _coverage
 from .gameform import (MechanismError, build_mechanism, implements, is_static,
                        make_step, validate)
 
@@ -186,7 +186,13 @@ def apply_coalesce(mech, t):
             else:
                 copy_general(c, new, mech.step[c])
 
-    copy_general(0, None, None)
+    try:
+        copy_general(0, None, None)
+    finally:
+        # The walks refer to themselves through their closure cells; emptying
+        # the cells breaks those cycles, so the input is freed by reference
+        # counting rather than left to the cycle collector.
+        del add, plain_copy, rewrite, copy_general
 
     # Pull every surviving information set back through the history mapping.
     child_agents = [set() for _ in nodes]
@@ -562,7 +568,7 @@ def is_incentive_preserving(mech, t, f):
                     z1 = table[prof1]
                     x1 = f[prof1]
                     masks = mech.conflict_masks(z1)
-                    skip = _two_or_more(masks[j] for j in others)
+                    _, skip = _coverage(masks[j] for j in others)
                     for rest2 in side_b:
                         prof2 = full(ti2, rest2)
                         z2 = table[prof2]
@@ -573,7 +579,8 @@ def is_incentive_preserving(mech, t, f):
                             continue
                         js = [j for j in others if masks[j] >> z2 & 1] or others
                         for j in js:
-                            if not model.weakly_prefers(j, prof1[j], x1, x2):
+                            levels = model.levels(j, prof1[j])
+                            if levels[x2] < levels[x1]:
                                 return Verdict(False, Witness(
                                     "ill", j, i, z1, z2, prof1, prof2, x1, x2,
                                     infosets=(t.infoset,),

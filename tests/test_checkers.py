@@ -127,3 +127,33 @@ def test_every_false_verdict_reverifies(random_corpus):
         if checked >= 12:
             break
     assert checked >= 1
+
+
+def test_passing_scans_read_preferences_by_model_size(monkeypatch):
+    """Passing IC, RP and IRP scans read each weak order once, through the
+    model's memoized level rows: their level lookups are bounded by types ×
+    outcomes summed over the agents, however many terminal pairs they admit,
+    and none of them compares a pair with ``weakly_prefers``."""
+    calls = {"level": 0, "weakly_prefers": 0}
+
+    def counted(cls, name):
+        inner = getattr(cls, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(gm.WeakOrder, "level")
+    counted(gm.TypeModel, "weakly_prefers")
+    _, f = gm.second_price_scf(4, 4)
+    checks = (gm.is_ic, gm.is_rp, lambda m, f: gm.is_rp(m, f, relaxed=True), gm.is_irp)
+    for check in checks:
+        mech = gm.build_gstar(4, 4)   # a fresh model, so no memo carries over
+        model = mech.model
+        bound = sum(map(model.n_types, range(model.n_agents))) * model.n_outcomes()
+        for name in calls:
+            calls[name] = 0
+        assert check(mech, f).holds
+        assert calls["weakly_prefers"] == 0
+        assert 0 < calls["level"] <= bound

@@ -7,6 +7,8 @@ the suite uses:
 ``PYTHONPATH=src python tests/test_conflict_masks.py``.
 """
 
+import itertools
+
 import pytest
 
 import gradualmech as gm
@@ -73,6 +75,79 @@ def test_incentive_preservation_matches_the_pair_scan(n, m):
     for j, g, t, f in samples(n, m, SAMPLE[(n, m)]):
         assert (gm.is_incentive_preserving(g, t, f)
                 == is_incentive_preserving_oracle(g, t, f)), (n, m, j)
+
+
+def harmful_partners(mech, i, k1, k2, z1, relaxed):
+    """The second terminals under set k2 that harm a checked agent's
+    comparison with z1, in the tree order of ``terminals_under``, found pair
+    by pair as ``is_rp_oracle`` does."""
+    model = mech.model
+    h1 = next(h for h in mech.infosets[k1].nodes if z1 in mech.terminals_under(h))
+    others = [j for j in range(model.n_agents) if j != i]
+    out = []
+    for h2 in mech.infosets[k2].nodes:
+        divergent = {k for k in others
+                     if [e[0] for e in mech.experience[k][h1]]
+                     != [e[0] for e in mech.experience[k][h2]]}
+        for z2 in mech.terminals_under(h2):
+            conflict = mech.conflict_agents(z1, z2) - {i}
+            x1, x2 = mech.outcome[z1], mech.outcome[z2]
+            if len(conflict) > 1 or x1 == x2:
+                continue
+            js = sorted(conflict) or others
+            if relaxed:
+                js = [j for j in js if not divergent - {j}]
+            if any(not model.weakly_prefers(j, t, x1, x2)
+                   for j in js for t in mech.theta[z1][j]) or any(
+                    not model.weakly_prefers(j, t, x2, x1)
+                    for j in js for t in mech.theta[z2][j]):
+                out.append(z2)
+    return out
+
+
+@pytest.mark.parametrize("relaxed", [False, True])
+def test_rp_witness_is_first_in_tree_order_not_lowest_id(random_corpus, relaxed):
+    """On this mechanism the RP scan's first terminal has two harmful
+    partners, and the one first in tree order has the higher id: the witness
+    must name it, as the pair-by-pair scan does."""
+    name, mech, _, f = next(e for e in random_corpus if e[0] == "random-65-median2")
+    verdict = gm.is_rp(mech, f, relaxed=relaxed)
+    assert verdict == is_rp_oracle(mech, f, relaxed=relaxed)
+    w = verdict.witness
+    assert gm.verify_witness(mech, f, w)
+    assert (w.infosets, w.z1, w.z2) == ((1, 2), 14, 13)
+    partners = harmful_partners(mech, w.reactor, *w.infosets, w.z1, relaxed)
+    assert partners == [13, 7]
+
+
+def relabelled_voting():
+    """Each voting mechanism and each of its illuminations, with its
+    outcomes permuted, and the SCF it then implements.  The voter of ideal M
+    is indifferent between the flanks L and R."""
+    model, _, mechs = gm.voting_examples()
+    bases = []
+    for name, mech in mechs.items():
+        bases.append((name, mech))
+        for j, t in enumerate(gm.find_opportunities(mech, "illuminate")):
+            bases.append((f"{name}/ill{j}", gm.apply_illuminate(mech, t)))
+    for name, mech in bases:
+        for perm in itertools.permutations(range(3)):
+            outcomes = {z: perm[x] for z, x in mech.outcome.items()}
+            nodes = [(mech.parent[v], mech.step[v]) for v in range(mech.n_nodes())]
+            groups = [(s.agent, s.nodes) for s in mech.infosets]
+            out = gm.build_mechanism(model, nodes, groups, outcomes)
+            yield f"{name}{perm}", out, gm.implemented_scf(out)
+
+
+def test_checks_match_the_pair_scans_under_indifference_ties():
+    failing = 0
+    for name, mech, f in relabelled_voting():
+        for label, check, oracle in CHECKS:
+            verdict = check(mech, f)
+            assert verdict == oracle(mech, f), (name, label)
+            assert verdict.holds or gm.verify_witness(mech, f, verdict.witness)
+            failing += not verdict.holds
+    assert failing > 0
 
 
 if __name__ == "__main__":

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -118,6 +120,25 @@ def test_coalesce_degenerate_root_step(voting):
     after = gm.apply_coalesce(g4, c)
     assert len(after.infosets) == len(g4.infosets) - 1
     assert gm.is_static(after)
+
+
+@pytest.mark.parametrize("name", ["g1", "g4"])
+def test_coalesce_frees_its_input_by_reference_counting(name):
+    """With the cycle collector off, a coalesced input is freed as soon as
+    its last reference goes: the rewrite leaves no reference cycle behind."""
+    mech = gm.voting_examples()[2][name]
+    t = next(gm.iter_opportunities(mech, "coalesce"))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ref = weakref.ref(mech)
+        result = gm.apply_coalesce(mech, t)
+        del mech
+        assert ref() is None
+        assert gm.validate(result) == []
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_coalesce_rejects_informative_target(voting):
