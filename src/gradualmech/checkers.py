@@ -68,62 +68,66 @@ class _Harm:
 
     A pair (z1, z2) with outcomes x1 != x2 harms agent j when one of j's
     types at z1 ranks x2 strictly above x1, or one of j's types at z2 ranks
-    x2 strictly below x1.  For each type t of j, two tables indexed by the
-    level k of x1 in t's weak order hold those partners: ``above[k]``, the
-    terminals whose outcome t ranks above level k, and ``below[k]``, the
-    terminals holding t whose outcome t ranks below it.  So the partners of
-    z1 are an OR of one ``above`` entry per type j may hold at z1 and one
-    ``below`` entry per type, memoized per (j, x1, j's type mask at z1), and
-    the tables cost one pass over the terminals per agent and type, however
-    many pairs a scan admits.
+    x2 strictly below x1.  Per agent j, type t and outcome x1, ``_ranks``
+    holds the terminals whose outcome t ranks above x1 and those it ranks
+    below x1, read off t's level table once.  The partners of z1 are then
+    an OR of the first over j's types at z1 and of the second ANDed with
+    the terminals holding t, over every type t; both ORs are memoized.  So
+    the preference lookups are bounded by agents, types and outcomes,
+    however many pairs a scan admits.
     """
 
     def __init__(self, mech):
         self.mech = mech
-        self.types = mech.type_masks()
         # Bitmask of every terminal, and of the terminals of each outcome.
         self.every, self.by_outcome = 0, {}
         for z in mech.terminals:
             self.every |= 1 << z
             x = mech.outcome[z]
             self.by_outcome[x] = self.by_outcome.get(x, 0) | 1 << z
-        self._tables = {}
+        self._ranked = {}
+        self._holders = {}
+        self._held_below = {}
         self._partners = {}
 
-    def _agent_tables(self, j):
-        """Per type t of agent j: (t's levels, above, below)."""
-        tables = self._tables.get(j)
-        if tables is None:
-            tables = self._tables[j] = []
-            mech = self.mech
-            held_by = [(mech.outcome[z], self.types[z][j], 1 << z) for z in mech.terminals]
-            for t in mech.model.all_types(j):
-                levels = mech.model.levels(j, t)
-                size = max(levels) + 1
-                at, held = [0] * size, [0] * size
-                for x, mask in self.by_outcome.items():
-                    at[levels[x]] |= mask
-                for x, types, bit in held_by:
-                    if types >> t & 1:
-                        held[levels[x]] |= bit
-                above, below = [0] * size, [0] * size
-                for k in range(1, size):
-                    above[k] = above[k - 1] | at[k - 1]
-                    below[-1 - k] = below[-k] | held[-k]
-                tables.append((levels, above, below))
-        return tables
+    def _ranks(self, j, t, x1):
+        """(terminals whose outcome t ranks above x1, those it ranks below)."""
+        out = self._ranked.get((j, t, x1))
+        if out is None:
+            levels = self.mech.model.levels(j, t)
+            k = levels[x1]
+            above = below = 0
+            for x, mask in self.by_outcome.items():
+                level = levels[x]
+                if level < k:
+                    above |= mask
+                elif level > k:
+                    below |= mask
+            out = self._ranked[j, t, x1] = above, below
+        return out
 
     def partners(self, j, z1):
-        x1 = self.mech.outcome[z1]
-        types = self.types[z1][j]
+        mech = self.mech
+        x1 = mech.outcome[z1]
+        types = mech.theta[z1][j]
         out = self._partners.get((j, x1, types))
         if out is None:
-            out = 0
-            for t, (levels, above, below) in enumerate(self._agent_tables(j)):
-                k = levels[x1]
-                out |= below[k]
-                if types >> t & 1:
-                    out |= above[k]
+            out = self._held_below.get((j, x1))
+            if out is None:
+                holders = self._holders.get(j)
+                if holders is None:
+                    # Per type of j, the terminals that hold it.
+                    holders = self._holders[j] = [0] * mech.model.n_types(j)
+                    for z in mech.terminals:
+                        for t in mech.theta[z][j]:
+                            holders[t] |= 1 << z
+                out = 0
+                for t, held in enumerate(holders):
+                    if held:
+                        out |= self._ranks(j, t, x1)[1] & held
+                self._held_below[j, x1] = out
+            for t in types:
+                out |= self._ranks(j, t, x1)[0]
             self._partners[j, x1, types] = out
         return out
 
@@ -255,78 +259,41 @@ def is_rp(mech, f, relaxed=False):
 
 def _all_indifferent(model, j, outcomes):
     for tj in model.all_types(j):
-        order = model.order(j, tj)
-        levels = {order.level(x) for x in outcomes}
-        if len(levels) > 1:
+        levels = model.levels(j, tj)
+        if len({levels[x] for x in outcomes}) > 1:
             return False
     return True
-
-
-def _ranked_apart(model, j, outcomes):
-    """Whether some type of agent j ranks two of the outcomes apart, read
-    off the memoized level rows."""
-    for t in model.all_types(j):
-        levels = model.levels(j, t)
-        if len({levels[x] for x in outcomes}) > 1:
-            return True
-    return False
 
 
 def is_irp(mech, f):
     """Indifference reaction-proofness: whenever a reaction pair of histories
     is reachable under a common outside strategy profile, at least one of the
     two histories already fixes agent j's welfare (full indifference over all
-    continuation outcomes, for every type j could hold).
-
-    A node is unsettled for j when some type of j ranks two of its
-    continuation outcomes apart; the verdict is read off the level rows once
-    per agent and distinct outcome set, for the nodes the sibling pairs
-    reach.
-    The agents other than i that conflict on a pair are read off the first
-    history's conflict masks, so the second histories that fail with h1 are
-    one mask.  The canonical order visits h2 in ascending id order, the order
-    of the sorted members, so its lowest set bit is the first failing pair.
-    """
+    continuation outcomes, for every type j could hold).  The agents other
+    than i that conflict on a pair are read off the first history's conflict
+    masks."""
     model = mech.model
     _require_valid(mech, f)
-    n = model.n_agents
-    verdicts = {}
-    unsettled = [0] * n   # per agent, over the nodes marked for it so far
-    marked = [0] * n
     for i, k1, k2 in siblings_same_action(mech):
         s1, s2 = mech.infosets[k1], mech.infosets[k2]
-        members2 = sum(1 << h for h in s2.nodes)
-        others = [j for j in range(n) if j != i]
-        for j in others:
-            for h in s1.nodes + s2.nodes:
-                if marked[j] >> h & 1:
-                    continue
-                marked[j] |= 1 << h
-                out = mech.outcomes_under(h)
-                apart = verdicts.get((j, out))
-                if apart is None:
-                    apart = verdicts[j, out] = _ranked_apart(model, j, out)
-                if apart:
-                    unsettled[j] |= 1 << h
+        others = [j for j in range(model.n_agents) if j != i]
         for h1 in s1.nodes:
             masks = mech.conflict_masks(h1)
-            once, twice = _coverage(masks[j] for j in others)
-            pending = members2 & ~twice
-            free = pending & ~once
-            failing = 0
-            for j in others:
-                if unsettled[j] >> h1 & 1:
-                    failing |= (masks[j] & pending | free) & unsettled[j]
-            if not failing:
-                continue
-            h2 = (failing & -failing).bit_length() - 1
-            js = [j for j in others if masks[j] >> h2 & 1] or others
-            j = next(j for j in js
-                     if unsettled[j] >> h1 & 1 and unsettled[j] >> h2 & 1)
-            return Verdict(False, Witness(
-                "irp", j, i, h1, h2, None, None, None, None,
-                infosets=(k1, k2),
-                detail="neither history settles the reacting-on agent"))
+            _, skip = _coverage(masks[j] for j in others)
+            out1 = mech.outcomes_under(h1)
+            for h2 in s2.nodes:
+                if skip >> h2 & 1:
+                    continue
+                out2 = mech.outcomes_under(h2)
+                for j in [j for j in others if masks[j] >> h2 & 1] or others:
+                    if _all_indifferent(model, j, out1):
+                        continue
+                    if _all_indifferent(model, j, out2):
+                        continue
+                    return Verdict(False, Witness(
+                        "irp", j, i, h1, h2, None, None, None, None,
+                        infosets=(k1, k2),
+                        detail="neither history settles the reacting-on agent"))
     return Verdict(True)
 
 

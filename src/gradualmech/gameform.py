@@ -199,19 +199,6 @@ class Mechanism:
             self._tree["below"] = below
         return below
 
-    def type_masks(self):
-        """Per node, its row of theta as one bitmask of type ids per agent."""
-        table = self._tree.get("type_masks")
-        if table is None:
-            mask_of = {}
-            for row in self.theta:
-                for types in row:
-                    if types not in mask_of:
-                        mask_of[types] = sum(1 << t for t in types)
-            table = self._tree["type_masks"] = [
-                tuple(mask_of[types] for types in row) for row in self.theta]
-        return table
-
     def outcomes_under(self, v):
         table = self._tree.get("outcomes_under")
         if table is None:

@@ -71,7 +71,6 @@ class TypeModel:
             for order in per_type:
                 if order.outcomes() != full:
                     raise ValueError(f"agent {i}: weak order does not cover all outcomes")
-        self._levels = {}
 
     def n_types(self, agent):
         return len(self.type_names[agent])
@@ -99,14 +98,10 @@ class TypeModel:
         return self.prefs[agent][type_idx]
 
     def levels(self, agent, type_idx):
-        """The level of each outcome id in the type's weak order: it weakly
-        prefers x to y iff ``levels[x] <= levels[y]``.  Memoized per type."""
-        row = self._levels.get((agent, type_idx))
-        if row is None:
-            order = self.prefs[agent][type_idx]
-            row = self._levels[agent, type_idx] = tuple(
-                map(order.level, range(len(self.outcome_names))))
-        return row
+        """The type's weak order as a table from outcome id to level: it
+        weakly prefers x to y iff ``levels[x] <= levels[y]``.  The order's
+        own table, shared and not to be mutated."""
+        return self.prefs[agent][type_idx]._level_of
 
     def weakly_prefers(self, agent, type_idx, x, y):
         order = self.prefs[agent][type_idx]

@@ -130,11 +130,12 @@ def test_every_false_verdict_reverifies(random_corpus):
 
 
 def test_passing_scans_read_preferences_by_model_size(monkeypatch):
-    """Passing IC, RP and IRP scans read each weak order once, through the
-    model's memoized level rows: their level lookups are bounded by types ×
-    outcomes summed over the agents, however many terminal pairs they admit,
-    and none of them compares a pair with ``weakly_prefers``."""
-    calls = {"level": 0, "weakly_prefers": 0}
+    """Passing IC, RP and IRP scans read preferences only through the
+    model's level tables, and their lookups there are bounded by types ×
+    outcomes × (outcomes + 1) summed over the agents, however many terminal
+    pairs they admit.  None of them compares a pair with ``weakly_prefers``
+    or ``WeakOrder.level``."""
+    calls = {"level": 0, "weakly_prefers": 0, "lookup": 0}
 
     def counted(cls, name):
         inner = getattr(cls, name)
@@ -144,16 +145,25 @@ def test_passing_scans_read_preferences_by_model_size(monkeypatch):
             return inner(*args)
         monkeypatch.setattr(cls, name, wrapper)
 
+    class CountedTable(dict):
+        def __getitem__(self, x):
+            calls["lookup"] += 1
+            return dict.__getitem__(self, x)
+
     counted(gm.WeakOrder, "level")
     counted(gm.TypeModel, "weakly_prefers")
+    levels = gm.TypeModel.levels
+    monkeypatch.setattr(gm.TypeModel, "levels",
+                        lambda model, j, t: CountedTable(levels(model, j, t)))
     _, f = gm.second_price_scf(4, 4)
     checks = (gm.is_ic, gm.is_rp, lambda m, f: gm.is_rp(m, f, relaxed=True), gm.is_irp)
     for check in checks:
-        mech = gm.build_gstar(4, 4)   # a fresh model, so no memo carries over
+        mech = gm.build_gstar(4, 4)
         model = mech.model
-        bound = sum(map(model.n_types, range(model.n_agents))) * model.n_outcomes()
+        n_x = model.n_outcomes()
+        bound = sum(map(model.n_types, range(model.n_agents))) * n_x * (n_x + 1)
         for name in calls:
             calls[name] = 0
         assert check(mech, f).holds
-        assert calls["weakly_prefers"] == 0
-        assert 0 < calls["level"] <= bound
+        assert calls["weakly_prefers"] == 0 and calls["level"] == 0
+        assert 0 < calls["lookup"] <= bound
