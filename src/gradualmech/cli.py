@@ -13,14 +13,13 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import random
 import sys
 
 from . import transforms as tr
 from .checkers import is_ic, is_irp, is_rp
 from .dot import export_dot
-from .fileformat import ParseError, load_mechanism, serialize_mechanism
+from .fileformat import ParseError, dumps, load_mechanism, serialize_mechanism
 from .gameform import MechanismError, implemented_scf, validate
 from .generators import (build_gstar, build_rda, direct_mechanism,
                          random_transformed_mechanism, serial_dictatorship_pair,
@@ -221,7 +220,7 @@ def cmd_reduce(args):
                       for s in chain.steps],
             "all_illuminations_preserving": verdict,
         }
-        print(json.dumps(doc, indent=1))
+        print(dumps(doc))
     else:
         for k, s in enumerate(chain.steps):
             extra = "" if s.preserving is None else f" [forward illumination preserving: {s.preserving}]"

@@ -5,11 +5,19 @@ order per type, the SCF as an explicit profile table, the history tree as
 nested nodes whose steps name type subsets per agent, and the information
 sets as node-id lists.  Parsing and serialization round-trip up to the
 numbering of nodes.
+
+Documents are written by :func:`dumps` below, as exactly the text the
+standard ``json`` module writes with ``indent=1``.  CPython's C encoder
+does not indent, so for indented text the ``json`` module runs its
+pure-Python encoder, which was the largest cost of writing a document.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import product
+from json.encoder import encode_basestring_ascii as _quote
+from operator import getitem
 
 from .gameform import MechanismError, build_mechanism, validate
 from .prefs import ScfTable, TypeModel, WeakOrder
@@ -37,6 +45,85 @@ def _names(value, what):
     for name in _need(value, list, what):
         _need(name, str, f"{what} entry")
     return value
+
+
+class _Entries:
+    """A list whose entries the caller renders: ``render(indent)`` returns
+    the text of each entry, for entries whose lines start with ``indent``
+    (a newline and the spaces of their depth)."""
+
+    __slots__ = ("render",)
+
+    def __init__(self, render):
+        self.render = render
+
+
+def _value(obj, indent):
+    """The indent-1 text of ``obj``, whose own line starts with ``indent``.
+
+    Entries are written by direct calls, one frame per container as in the
+    ``json`` module's encoder, so the writer nests no deeper than it (a call
+    from ``map`` would count twice towards the recursion limit).  Each
+    container's entries are joined once.
+    """
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    inner = indent + " "
+    if kind is list:
+        entries = []
+        for item in obj:
+            entries.append(_value(item, inner))
+        brackets = "[]"
+    elif kind is dict:
+        entries = []
+        for key, item in obj.items():
+            entries.append(_quote(key) + ": " + _value(item, inner))
+        brackets = "{}"
+    elif kind is _Entries:
+        entries = obj.render(inner)
+        brackets = "[]"
+    elif obj is True:
+        return "true"
+    elif obj is False:
+        return "false"
+    elif obj is None:
+        return "null"
+    elif kind is int:
+        return repr(obj)
+    else:
+        raise TypeError(f"cannot write a {kind.__name__} as JSON")
+    text = ("," + inner).join(entries)
+    if not text:
+        return brackets
+    return brackets[0] + inner + text + indent + brackets[1]
+
+
+def dumps(obj):
+    """The ``json`` module's ``dumps(obj, indent=1)`` text, for dicts with
+    string keys, lists, strings, ints, bools and None."""
+    return _value(obj, "\n")
+
+
+def _scf_rows(model, f):
+    """The SCF table's rows, rendered from per-agent tables of encoded type
+    names and a table of encoded outcome names: no document per row.
+
+    The table is total (``ScfTable`` checks it), so ``model.profiles()``
+    lists its profiles in the sorted order the rows are written in.
+    """
+
+    def render(row):
+        entry = row + " "
+        name = entry + " "
+        types = [[name + _quote(t) for t in names] for names in model.type_names]
+        outcomes = [_quote(x) for x in model.outcome_names]
+        template = "[" + entry + "[{}" + entry + "]," + entry + "{}" + row + "]"
+        return map(template.format,
+                   map(",".join, product(*types)),
+                   map(outcomes.__getitem__, map(f.table.__getitem__, model.profiles())))
+
+    return _Entries(render)
 
 
 def serialize_mechanism(mech, f=None):
@@ -75,12 +162,8 @@ def serialize_mechanism(mech, f=None):
                      for s in mech.infosets],
     }
     if f is not None:
-        doc["scf"] = [
-            [[model.type_names[i][profile[i]] for i in range(model.n_agents)],
-             model.outcome_names[x]]
-            for profile, x in sorted(f.items())
-        ]
-    return json.dumps(doc, indent=1)
+        doc["scf"] = _scf_rows(model, f)
+    return dumps(doc)
 
 
 def parse_model(doc):
@@ -127,16 +210,17 @@ def parse_scf(doc, model, type_index, out_index):
     rows = doc.get("scf")
     if rows is None:
         return None
+    n = model.n_agents
     table = {}
     for row in _need(rows, list, "'scf'"):
         if not isinstance(row, list) or len(row) != 2:
             _fail(f"scf row {row!r}: want [profile, outcome]")
         profile_names, out_name = row
-        if not isinstance(profile_names, list) or len(profile_names) != model.n_agents:
+        # ``map`` stops at the shorter input, so the length test stays.
+        if not isinstance(profile_names, list) or len(profile_names) != n:
             _fail(f"scf profile {profile_names!r}: one type per agent required")
         try:
-            profile = tuple(type_index[i][profile_names[i]]
-                            for i in range(model.n_agents))
+            profile = tuple(map(getitem, type_index, profile_names))
             table[profile] = out_index[out_name]
         except KeyError as e:
             _fail(f"scf row {row!r}: unknown name {e}")
@@ -199,7 +283,7 @@ def parse_mechanism(text):
                 a = agent_index[agent_name]
                 _need(type_names, list, "an action")
                 try:
-                    parts[a] = frozenset(type_index[a][t] for t in type_names)
+                    parts[a] = frozenset(map(type_index[a].__getitem__, type_names))
                 except KeyError as e:
                     _fail(f"node {nid}: unknown type {e} for agent {agent_name}")
                 except TypeError:

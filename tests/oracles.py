@@ -5,6 +5,7 @@ no shared code paths with the implementations under test.
 """
 
 import itertools
+import json
 import math
 from collections import deque
 
@@ -591,6 +592,47 @@ def unconditional_deviation_ic(mech, f, model=None):
                                                 mech.outcome[z2]):
                         return False
     return True
+
+
+def serialize_oracle(mech, f=None):
+    """The format document as one nested object per value, SCF rows
+    included, written by the ``json`` module's indenting encoder."""
+    model = mech.model
+    names = model.agent_names
+
+    def node_doc(v):
+        doc = {"id": v}
+        if mech.is_terminal(v):
+            doc["outcome"] = model.outcome_names[mech.outcome[v]]
+            return doc
+        doc["children"] = []
+        for c in mech.children[v]:
+            step = {names[a]: [model.type_names[a][t] for t in sorted(act)]
+                    for a, act in mech.step[c]}
+            doc["children"].append({"step": step, "node": node_doc(c)})
+        return doc
+
+    doc = {
+        "format": "gm/1",
+        "agents": list(names),
+        "types": [list(t) for t in model.type_names],
+        "outcomes": list(model.outcome_names),
+        "preferences": [
+            [[[model.outcome_names[x] for x in sorted(level)] for level in order.levels]
+             for order in model.prefs[i]]
+            for i in range(model.n_agents)
+        ],
+        "tree": node_doc(0),
+        "infosets": [{"agent": names[s.agent], "nodes": list(s.nodes)}
+                     for s in mech.infosets],
+    }
+    if f is not None:
+        doc["scf"] = [
+            [[model.type_names[i][profile[i]] for i in range(model.n_agents)],
+             model.outcome_names[x]]
+            for profile, x in sorted(f.items())
+        ]
+    return json.dumps(doc, indent=1)
 
 
 def gen_ttc_oracle(priorities, n):

@@ -120,6 +120,27 @@ MALFORMED = {
     "scf-int": (("scf",), 3),
     "children-int": (("tree", "children"), 5),
     "step-list": (("tree", "children", 0, "step"), ["L"]),
+    "scf-row-int": (("scf", 0), 5),
+    "scf-row-of-three": (("scf", 0), [["L", "L"], "L", "L"]),
+    "scf-profile-too-long": (("scf", 0, 0), ["L", "L", "L"]),
+    "scf-profile-too-short": (("scf", 0, 0), ["L"]),
+    "scf-type-name-list": (("scf", 0, 0), [["L"], "L"]),
+    "scf-unknown-outcome": (("scf", 0, 1), "Z"),
+    "step-type-name-list": (("tree", "children", 0, "step", "voter1"), [["L"]]),
+    "step-unknown-type": (("tree", "children", 0, "step", "voter1"), ["Q"]),
+}
+
+# The exact diagnostics of the cases read with ``map`` (SCF profiles and step
+# actions); ``map`` would stop silently at a short profile, so they are pinned.
+MALFORMED_MESSAGES = {
+    "scf-row-int": "scf row 5: want [profile, outcome]",
+    "scf-row-of-three": "scf row [['L', 'L'], 'L', 'L']: want [profile, outcome]",
+    "scf-profile-too-long": "scf profile ['L', 'L', 'L']: one type per agent required",
+    "scf-profile-too-short": "scf profile ['L']: one type per agent required",
+    "scf-type-name-list": "scf row [[['L'], 'L'], 'L']: names must be strings",
+    "scf-unknown-outcome": "scf row [['L', 'L'], 'Z']: unknown name 'Z'",
+    "step-type-name-list": "node 0: type names must be strings",
+    "step-unknown-type": "node 0: unknown type 'Q' for agent voter1",
 }
 
 
@@ -140,6 +161,8 @@ def test_cli_malformed_document_exits_two(case, voting, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
+    if case in MALFORMED_MESSAGES:
+        assert err == f"error: {MALFORMED_MESSAGES[case]}\n"
 
 
 def test_cli_validate_reports(tmp_path, voting):
