@@ -54,11 +54,12 @@ class Mechanism:
 
     The tree tables depend on the history tree alone: ``parent``, ``step``,
     ``outcome``, ``children``, ``terminals``, ``theta``, ``menus``,
-    ``acting``, and in ``_tree`` the lazily built ones and the tree-rule
-    report, each built by whichever mechanism on the tree asks first.  The
-    partition tables depend on the information sets too: ``infosets``,
-    ``node_iset``, ``experience`` and the conflict maps.  ``regroup`` shares
-    the first and builds only the second.
+    ``acting``, and in ``_tree`` the step keys, the fingerprint's tree text,
+    the lazily built ones and the tree-rule report, each built by whichever
+    mechanism on the tree asks first.  The partition tables depend on the
+    information sets too: ``infosets``, ``node_iset``, ``experience`` and
+    the conflict maps.  ``regroup`` shares the first and builds only the
+    second.
     """
 
     def __init__(self, model, parent, step, outcome, infoset_groups):
@@ -302,17 +303,36 @@ class Mechanism:
 
     # -- identity ------------------------------------------------------------
 
+    def step_keys(self):
+        """Per node, the step key of its step (None at the root);
+        ``build_mechanism`` fills it from its per-build step table."""
+        keys = self._tree.get("keys")
+        if keys is None:
+            keys = self._tree["keys"] = tuple(
+                step_key(s) if s else None for s in self.step)
+        return keys
+
     def canonical_form(self):
         return (
             self.parent,
-            tuple(step_key(s) if s else None for s in self.step),
+            self.step_keys(),
             tuple(sorted(self.outcome.items())),
             tuple((s.agent, s.nodes) for s in self.infosets),
         )
 
     def fingerprint(self):
-        text = repr((self.canonical_form(), self.model.type_names,
-                     self.model.outcome_names))
+        """Hash of ``repr((canonical_form(), type_names, outcome_names))``.
+        The repr of a tuple of two or more items is "(" + their reprs joined
+        by ", " + ")", so that text is the tree's part, written once per tree
+        and shared by every regrouping, followed by the information sets and
+        the model's names, which each mechanism writes itself."""
+        head = self._tree.get("text")
+        if head is None:
+            head = self._tree["text"] = "((" + ", ".join(
+                map(repr, self.canonical_form()[:3])) + ", "
+        text = "".join((head, repr(tuple((s.agent, s.nodes) for s in self.infosets)),
+                        "), ", repr(self.model.type_names), ", ",
+                        repr(self.model.outcome_names), ")"))
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
     def __repr__(self):
@@ -328,7 +348,10 @@ def build_mechanism(model, nodes, infoset_groups, outcomes):
     """Assemble and canonicalize a mechanism.
 
     ``nodes``: list of (parent_id, step) with ids arbitrary; step is None for
-    the root and a ((agent, frozenset), ...) tuple otherwise.
+    the root and otherwise a hashable tuple of (agent, frozenset of type ids)
+    pairs, in any agent order.  Each distinct step is checked, normalized
+    with ``make_step`` and keyed once; every node carrying it gets the same
+    normalized tuple.
     ``infoset_groups``: iterable of (agent, [node ids]).
     ``outcomes``: {node id: outcome id} for terminals.
 
@@ -341,6 +364,10 @@ def build_mechanism(model, nodes, infoset_groups, outcomes):
     roots = [k for k, (p, _) in enumerate(nodes) if p is None]
     if len(roots) != 1:
         raise MechanismError(f"exactly one root required, found {len(roots)}")
+    full = [model.full_type_set(a) for a in range(model.n_agents)]
+    normal = {}  # raw step -> (normalized step, its step key)
+    node_step = [None] * n
+    node_key = [None] * n
     children = [[] for _ in range(n)]
     for k, (p, step) in enumerate(nodes):
         if p is None:
@@ -349,21 +376,28 @@ def build_mechanism(model, nodes, infoset_groups, outcomes):
             raise MechanismError(f"node {k}: dangling predecessor {p}")
         if not step:
             raise MechanismError(f"node {k}: missing action profile")
-        for agent, action in step:
-            if not (0 <= agent < model.n_agents):
-                raise MechanismError(f"node {k}: unknown agent {agent}")
-            if not action or not all(0 <= t < model.n_types(agent) for t in action):
-                raise MechanismError(f"node {k}: bad action for agent {agent}")
+        e = normal.get(step)
+        if e is None:
+            for agent, action in step:
+                if not (0 <= agent < model.n_agents):
+                    raise MechanismError(f"node {k}: unknown agent {agent}")
+                if not action or not full[agent].issuperset(action):
+                    raise MechanismError(f"node {k}: bad action for agent {agent}")
+            s = make_step(dict(step))
+            e = normal[step] = (s, step_key(s))
+        node_step[k], node_key[k] = e
         children[p].append(k)
 
-    # Canonical ids: breadth-first, children sorted by step key.
+    # Canonical ids: breadth-first, children sorted by the key of their
+    # normalized step; the sort is stable and children[v] ascends, so ties
+    # keep the input order.
     old_order = []
     queue = deque(roots)
     seen = {roots[0]}
     while queue:
         v = queue.popleft()
         old_order.append(v)
-        for c in sorted(children[v], key=lambda c: (step_key(nodes[c][1]), c)):
+        for c in sorted(children[v], key=node_key.__getitem__):
             if c in seen:
                 raise MechanismError("cycle in tree structure")
             seen.add(c)
@@ -372,12 +406,8 @@ def build_mechanism(model, nodes, infoset_groups, outcomes):
         raise MechanismError("disconnected nodes present")
     old2new = {old: new for new, old in enumerate(old_order)}
 
-    parent = [None] * n
-    step = [None] * n
-    for old, (p, s) in enumerate(nodes):
-        new = old2new[old]
-        parent[new] = old2new[p] if p is not None else None
-        step[new] = make_step(dict(s)) if s else None
+    parent = [None] + [old2new[nodes[old][0]] for old in old_order[1:]]
+    step = [node_step[old] for old in old_order]
     outcome = {}
     for old, x in outcomes.items():
         if not (0 <= old < n):
@@ -396,7 +426,9 @@ def build_mechanism(model, nodes, infoset_groups, outcomes):
             ms.append(old2new[v])
         if ms:
             groups.append((agent, ms))
-    return Mechanism(model, parent, step, outcome, groups)
+    mech = Mechanism(model, parent, step, outcome, groups)
+    mech._tree["keys"] = tuple(node_key[old] for old in old_order)
+    return mech
 
 
 def validate(mech):

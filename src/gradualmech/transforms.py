@@ -548,34 +548,36 @@ def is_incentive_preserving(mech, t, f):
             seen.update(itertools.product(*(sorted(mech.theta[v][j]) for j in others)))
         return sorted(seen)
 
-    minus1 = acquired(p1)
-    minus2 = acquired(p2)
     table = mech.truthful_table()
 
-    def full(ti, rest):
-        prof = list(rest)
-        prof.insert(i, ti)
-        return tuple(prof)
+    def rows(minus):
+        """Per type of the informed agent, one row per acquired tuple: the
+        profile, its truthful terminal z, its outcome, z's conflict masks and
+        the terminals at which two or more of the other agents conflict with
+        z, whose pairs with z the scan skips."""
+        out = {}
+        for ti in theta_i:
+            out[ti] = side = []
+            for rest in minus:
+                prof = rest[:i] + (ti,) + rest[i:]
+                z = table[prof]
+                masks = mech.conflict_masks(z)
+                side.append((prof, z, f[prof], masks,
+                             _coverage(masks[j] for j in others)[1]))
+        return out
+
+    side1 = rows(acquired(p1))
+    side2 = rows(acquired(p2))
 
     # The informed agent's types range over ordered pairs, and the two parts
     # swap roles, which together cover every switched-superscript variant of
     # the required comparisons.
-    for side_a, side_b in ((minus1, minus2), (minus2, minus1)):
+    for side_a, side_b in ((side1, side2), (side2, side1)):
         for ti1 in theta_i:
             for ti2 in theta_i:
-                for rest1 in side_a:
-                    prof1 = full(ti1, rest1)
-                    z1 = table[prof1]
-                    x1 = f[prof1]
-                    masks = mech.conflict_masks(z1)
-                    _, skip = _coverage(masks[j] for j in others)
-                    for rest2 in side_b:
-                        prof2 = full(ti2, rest2)
-                        z2 = table[prof2]
-                        if skip >> z2 & 1:
-                            continue
-                        x2 = f[prof2]
-                        if x1 == x2:
+                for prof1, z1, x1, masks, skip in side_a[ti1]:
+                    for prof2, z2, x2, _, _ in side_b[ti2]:
+                        if skip >> z2 & 1 or x1 == x2:
                             continue
                         js = [j for j in others if masks[j] >> z2 & 1] or others
                         for j in js:

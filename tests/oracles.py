@@ -4,6 +4,7 @@ Everything here is written the dumb way on purpose: full enumerations with
 no shared code paths with the implementations under test.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -156,6 +157,21 @@ def rebuild_oracle(mech):
     groups = [(s.agent, [last - v for v in s.nodes]) for s in reversed(mech.infosets)]
     outcomes = {last - v: x for v, x in mech.outcome.items()}
     return build_mechanism(mech.model, nodes, groups, outcomes)
+
+
+def fingerprint_oracle(mech):
+    """``Mechanism.fingerprint`` as it was before the tree's text was kept
+    per tree: the canonical form with each node's step key derived from its
+    step, then its repr with the model's names, and the hash of that."""
+    form = (
+        mech.parent,
+        tuple(tuple((agent, tuple(sorted(action))) for agent, action in s) if s else None
+              for s in mech.step),
+        tuple(sorted(mech.outcome.items())),
+        tuple((s.agent, s.nodes) for s in mech.infosets),
+    )
+    text = repr((form, mech.model.type_names, mech.model.outcome_names))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def mechanism_tables_oracle(mech):

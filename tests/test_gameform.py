@@ -164,6 +164,15 @@ def test_dangling_parent_is_build_error():
                         [], {})
 
 
+def test_bad_type_ids_are_build_errors():
+    model = tiny_model()
+    n_types = model.n_types(0)
+    for action in (frozenset({"a"}), frozenset({-1}), frozenset({n_types}),
+                   frozenset({0, n_types}), frozenset()):
+        with pytest.raises(MechanismError, match="node 1: bad action for agent 0"):
+            build_mechanism(model, [(None, None), (0, ((0, action),))], [], {})
+
+
 def test_theta_at_root_and_after_actions(voting):
     model, f, mechs = voting
     g3 = mechs["g3"]
