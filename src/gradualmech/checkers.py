@@ -5,6 +5,8 @@ under the canonical enumeration order, so failures are stable goldens.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 
 from .gameform import MechanismError, implements, siblings_same_action, validate
@@ -62,19 +64,31 @@ def _coverage(masks):
     return seen, twice
 
 
+def _rank_table(model, j, t, by_outcome):
+    """Prefix ORs of ``by_outcome``'s masks in the level order of type t of
+    agent j, from one pass that groups them by level: entry k covers the
+    outcomes t ranks strictly above level k, and the last entry all of them,
+    so the last entry XOR entry k + 1 covers those ranked strictly below."""
+    levels = model.levels(j, t)
+    grouped = [0] * len(model.order(j, t).levels)
+    for x, mask in by_outcome.items():
+        grouped[levels[x]] |= mask
+    return list(itertools.accumulate(grouped, operator.or_, initial=0))
+
+
 class _Harm:
     """The partners that harm an agent's truthful comparison with a first
     terminal, as bitmasks over terminal ids.
 
     A pair (z1, z2) with outcomes x1 != x2 harms agent j when one of j's
     types at z1 ranks x2 strictly above x1, or one of j's types at z2 ranks
-    x2 strictly below x1.  Per agent j, type t and outcome x1, ``_ranks``
-    holds the terminals whose outcome t ranks above x1 and those it ranks
-    below x1, read off t's level table once.  The partners of z1 are then
-    an OR of the first over j's types at z1 and of the second ANDed with
-    the terminals holding t, over every type t; both ORs are memoized.  So
-    the preference lookups are bounded by agents, types and outcomes,
-    however many pairs a scan admits.
+    x2 strictly below x1.  Per agent j and type t, one rank table gives, for
+    every level of t, the terminals whose outcome t ranks strictly above it
+    and those it ranks strictly below it (``_rank_table``).  The partners of
+    z1 are then an OR, at x1's level, of the first over j's types at z1 and
+    of the second ANDed with the terminals holding t, over every type t;
+    both ORs are memoized.  So a scan builds at most one rank table per
+    (agent, type), however many pairs and outcomes it meets.
     """
 
     def __init__(self, mech):
@@ -85,26 +99,21 @@ class _Harm:
             self.every |= 1 << z
             x = mech.outcome[z]
             self.by_outcome[x] = self.by_outcome.get(x, 0) | 1 << z
-        self._ranked = {}
+        self._tables = {}
         self._holders = {}
         self._held_below = {}
         self._partners = {}
 
     def _ranks(self, j, t, x1):
         """(terminals whose outcome t ranks above x1, those it ranks below)."""
-        out = self._ranked.get((j, t, x1))
-        if out is None:
-            levels = self.mech.model.levels(j, t)
-            k = levels[x1]
-            above = below = 0
-            for x, mask in self.by_outcome.items():
-                level = levels[x]
-                if level < k:
-                    above |= mask
-                elif level > k:
-                    below |= mask
-            out = self._ranked[j, t, x1] = above, below
-        return out
+        table = self._tables.get((j, t))
+        if table is None:
+            model = self.mech.model
+            table = self._tables[j, t] = (
+                model.levels(j, t), _rank_table(model, j, t, self.by_outcome))
+        levels, ranked = table
+        k = levels[x1]
+        return ranked[k], ranked[-1] ^ ranked[k + 1]
 
     def partners(self, j, z1):
         mech = self.mech
@@ -129,6 +138,41 @@ class _Harm:
             for t in types:
                 out |= self._ranks(j, t, x1)[0]
             self._partners[j, x1, types] = out
+        return out
+
+
+class _Settled:
+    """Whether a history fixes an agent's welfare: every type of hers is
+    indifferent over all the outcomes below it.  The outcomes below each
+    node are one bitmask (``Mechanism.outcome_masks``).  Per agent and
+    outcome x, ``_common`` holds the outcomes that every type of hers puts
+    on x's level, read off the types' rank tables over single outcomes; the
+    history settles her iff its mask lies inside that mask for its lowest
+    outcome.  Memoized per (agent, history)."""
+
+    def __init__(self, mech):
+        self.model = mech.model
+        self.under = mech.outcome_masks()
+        self._common = {}
+        self._memo = {}
+
+    def __call__(self, j, h):
+        out = self._memo.get((j, h))
+        if out is None:
+            common = self._common.get(j)
+            if common is None:
+                model = self.model
+                each = {x: 1 << x for x in range(model.n_outcomes())}
+                common = self._common[j] = [~0] * len(each)
+                for t in model.all_types(j):
+                    levels = model.levels(j, t)
+                    ranked = _rank_table(model, j, t, each)
+                    for x in each:
+                        k = levels[x]
+                        common[x] &= ranked[k + 1] ^ ranked[k]
+            mask = self.under[h]
+            low = (mask & -mask).bit_length() - 1
+            out = self._memo[j, h] = not mask & ~common[low]
         return out
 
 
@@ -257,43 +301,48 @@ def is_rp(mech, f, relaxed=False):
     return Verdict(True)
 
 
-def _all_indifferent(model, j, outcomes):
-    for tj in model.all_types(j):
-        levels = model.levels(j, tj)
-        if len({levels[x] for x in outcomes}) > 1:
-            return False
-    return True
-
-
 def is_irp(mech, f):
     """Indifference reaction-proofness: whenever a reaction pair of histories
     is reachable under a common outside strategy profile, at least one of the
     two histories already fixes agent j's welfare (full indifference over all
-    continuation outcomes, for every type j could hold).  The agents other
-    than i that conflict on a pair are read off the first history's conflict
-    masks."""
-    model = mech.model
+    continuation outcomes, for every type j could hold; ``_Settled``).
+
+    For each sibling pair and first history h1, the second histories are one
+    mask over node ids, built as in ``is_ic``: the members of the second set
+    at which at most one agent other than i conflicts with h1, and that
+    agent, or every agent when none conflicts, is unsettled at h1 and at
+    the member.  The canonical order visits the members in ascending id
+    order, the order of ``InfoSet.nodes``, so the lowest set bit is the
+    witness's h2, and its agent is the first checked agent unsettled at
+    both."""
     _require_valid(mech, f)
+    n = mech.model.n_agents
+    settled = _Settled(mech)
+    unsettled = {}  # (j, k) -> the members of set k at which j is unsettled
     for i, k1, k2 in siblings_same_action(mech):
-        s1, s2 = mech.infosets[k1], mech.infosets[k2]
-        others = [j for j in range(model.n_agents) if j != i]
-        for h1 in s1.nodes:
+        others = [j for j in range(n) if j != i]
+        for h1 in mech.infosets[k1].nodes:
+            checked = [j for j in others if not settled(j, h1)]
+            if not checked:
+                continue
             masks = mech.conflict_masks(h1)
-            _, skip = _coverage(masks[j] for j in others)
-            out1 = mech.outcomes_under(h1)
-            for h2 in s2.nodes:
-                if skip >> h2 & 1:
-                    continue
-                out2 = mech.outcomes_under(h2)
-                for j in [j for j in others if masks[j] >> h2 & 1] or others:
-                    if _all_indifferent(model, j, out1):
-                        continue
-                    if _all_indifferent(model, j, out2):
-                        continue
-                    return Verdict(False, Witness(
-                        "irp", j, i, h1, h2, None, None, None, None,
-                        infosets=(k1, k2),
-                        detail="neither history settles the reacting-on agent"))
+            once, twice = _coverage(masks[j] for j in others)
+            bad = 0
+            for j in checked:
+                u = unsettled.get((j, k2))
+                if u is None:
+                    u = unsettled[j, k2] = sum(1 << h for h in mech.infosets[k2].nodes
+                                               if not settled(j, h))
+                bad |= (masks[j] | ~once) & u
+            bad &= ~twice
+            if bad:
+                h2 = (bad & -bad).bit_length() - 1
+                js = [j for j in others if masks[j] >> h2 & 1] or others
+                j = next(j for j in js if j in checked and not settled(j, h2))
+                return Verdict(False, Witness(
+                    "irp", j, i, h1, h2, None, None, None, None,
+                    infosets=(k1, k2),
+                    detail="neither history settles the reacting-on agent"))
     return Verdict(True)
 
 
@@ -314,8 +363,8 @@ def verify_witness(mech, f, w):
     if w.kind == "irp":
         if mech.conflict_agents(w.z1, w.z2) - {w.agent, w.reactor}:
             return False
-        return (not _all_indifferent(model, w.agent, mech.outcomes_under(w.z1))
-                and not _all_indifferent(model, w.agent, mech.outcomes_under(w.z2)))
+        settled = _Settled(mech)
+        return not settled(w.agent, w.z1) and not settled(w.agent, w.z2)
     if w.kind == "ill":
         if mech.conflict_agents(w.z1, w.z2) - {w.agent, w.reactor}:
             return False

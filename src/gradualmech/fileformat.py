@@ -151,13 +151,18 @@ def serialize_mechanism(mech, f=None):
          for order in model.prefs[i]]
         for i in range(model.n_agents)
     ]
+    try:
+        tree = node_doc(0)
+    finally:
+        # As in ``parse_mechanism``: break the self-reference of the walk.
+        del node_doc
     doc = {
         "format": FORMAT,
         "agents": list(names),
         "types": [list(t) for t in model.type_names],
         "outcomes": list(model.outcome_names),
         "preferences": prefs,
-        "tree": node_doc(0),
+        "tree": tree,
         "infosets": [{"agent": names[s.agent], "nodes": list(s.nodes)}
                      for s in mech.infosets],
     }
@@ -292,7 +297,13 @@ def parse_mechanism(text):
             walk(child, nid, tuple(sorted(parts.items())))
 
     tree = doc.get("tree") or _fail("missing 'tree'")
-    walk(tree, None, None)
+    try:
+        walk(tree, None, None)
+    finally:
+        # ``walk`` refers to itself through its closure cell; emptying the
+        # cell breaks that cycle, so the raw nodes are freed by reference
+        # counting rather than left to the cycle collector.
+        del walk
 
     ids = sorted(nodes)
     remap = {nid: k for k, nid in enumerate(ids)}

@@ -200,14 +200,21 @@ class Mechanism:
             self._tree["below"] = below
         return below
 
-    def outcomes_under(self, v):
-        table = self._tree.get("outcomes_under")
+    def outcome_masks(self):
+        """Per node, the outcomes of the terminals below it as a bitmask of
+        outcome ids."""
+        table = self._tree.get("outcome_masks")
         if table is None:
-            table = self._tree["outcomes_under"] = [
-                frozenset(self.outcome[z] for z in self.terminals_under(u))
-                for u in range(self.n_nodes())
-            ]
-        return table[v]
+            n = self.n_nodes()
+            table = [0] * n
+            for v in reversed(range(n)):
+                if self.children[v]:
+                    for c in self.children[v]:
+                        table[v] |= table[c]
+                else:
+                    table[v] = 1 << self.outcome[v]
+            self._tree["outcome_masks"] = table
+        return table
 
     # -- information-set structure ----------------------------------------
 
@@ -259,17 +266,19 @@ class Mechanism:
 
     def _other_action_masks(self):
         """{(k, a): bitmask of the nodes whose path passes through information
-        set k with an action other than a}, read off the experience chains."""
+        set k with an action other than a}.  The experience chains gain the
+        entry (k, a) at node v exactly when v's step has the agent take a and
+        k is her set at v's parent, and carry it to every node below v, so
+        the table is read off the steps."""
         if self._other_action is None:
-            # An entry is appended to a chain at one node and carried to
-            # every node below it.
             below = self.subtree_masks()
             through = {}
-            for exp in self.experience:
-                for v, chain in exp.items():
-                    if v and len(chain) > len(exp[self.parent[v]]):
-                        entry = chain[-1]
-                        through[entry] = through.get(entry, 0) | below[v]
+            for v in range(1, len(self.parent)):
+                p = self.parent[v]
+                for agent, action in self.step[v]:
+                    k = self.node_iset.get((agent, p))
+                    if k is not None:
+                        through[k, action] = through.get((k, action), 0) | below[v]
             by_set = {}
             for (k, _), mask in through.items():
                 by_set[k] = by_set.get(k, 0) | mask
@@ -390,18 +399,16 @@ def build_mechanism(model, nodes, infoset_groups, outcomes):
 
     # Canonical ids: breadth-first, children sorted by the key of their
     # normalized step; the sort is stable and children[v] ascends, so ties
-    # keep the input order.
+    # keep the input order.  Each node is in exactly one children list, its
+    # parent's, and the root in none, so the walk reaches each node at most
+    # once.  A parent cycle cannot contain the root, so its nodes are never
+    # reached and are reported as disconnected.
     old_order = []
     queue = deque(roots)
-    seen = {roots[0]}
     while queue:
         v = queue.popleft()
         old_order.append(v)
-        for c in sorted(children[v], key=node_key.__getitem__):
-            if c in seen:
-                raise MechanismError("cycle in tree structure")
-            seen.add(c)
-            queue.append(c)
+        queue.extend(sorted(children[v], key=node_key.__getitem__))
     if len(old_order) != n:
         raise MechanismError("disconnected nodes present")
     old2new = {old: new for new, old in enumerate(old_order)}

@@ -358,7 +358,13 @@ def build_gstar(n, m):
         else:
             sink.terminal(node, outcome(leaves, price))
 
-    decide(0, 1, list(range(n)), 0, [], [], 0)
+    try:
+        decide(0, 1, list(range(n)), 0, [], [], 0)
+    finally:
+        # The walks refer to each other through their closure cells; emptying
+        # the cells breaks those cycles, so the sink is freed by reference
+        # counting rather than left to the cycle collector.
+        del decide, finish
     return sink.build()
 
 
@@ -612,7 +618,11 @@ def build_rda(priorities, n):
 
     cur0 = {i: model.full_type_set(i) for i in range(n)}
     exp0 = {i: () for i in range(n)}
-    stage(0, frozenset(range(n)), frozenset(range(n)), {}, {}, cur0, exp0)
+    try:
+        stage(0, frozenset(range(n)), frozenset(range(n)), {}, {}, cur0, exp0)
+    finally:
+        # As in ``build_gstar``: break the cycles through the closure cells.
+        del stage, designate, assert_phase, end_stage
     return sink.build()
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .checkers import Verdict, Witness, _coverage
+from .checkers import Verdict, Witness, _coverage, _rank_table
 from .gameform import (MechanismError, build_mechanism, implements, is_static,
                        make_step, validate)
 
@@ -534,6 +534,17 @@ def is_incentive_preserving(mech, t, f):
     Quantifies over ordered pairs of (type of the informed agent, acquired
     information tuple from each part), restricted to pairs reachable under
     one strategy profile of the remaining agents.
+
+    Per first row, the second rows that may harm it are one mask over their
+    terminals, built as in ``is_ic``: the terminals at which at most one
+    other agent conflicts, ANDed per checked agent j with the terminals of
+    the rows whose value j's type ranks strictly above the first row's.
+    Rows are keyed by the value ``f`` gives them, not by their terminal's
+    outcome, because ``f`` need not be the SCF the mechanism implements; two
+    rows may then share a terminal and differ in value, so the mask may be a
+    superset.  The second rows are therefore walked in order and only those
+    in the mask get the exact test, so the first hit is the canonical
+    witness of the pair-by-pair scan in ``tests/oracles.py``.
     """
     model = mech.model
     p1, p2 = _illumination_parts(mech, t, "illumination check")
@@ -551,33 +562,46 @@ def is_incentive_preserving(mech, t, f):
     table = mech.truthful_table()
 
     def rows(minus):
-        """Per type of the informed agent, one row per acquired tuple: the
-        profile, its truthful terminal z, its outcome, z's conflict masks and
-        the terminals at which two or more of the other agents conflict with
-        z, whose pairs with z the scan skips."""
+        """Per type of the informed agent: one row per acquired tuple (the
+        profile, its truthful terminal z, the value f gives it, z's conflict
+        masks, and the terminals at which at least one and at least two of
+        the other agents conflict with z), and per value x the terminals of
+        the rows of value x."""
         out = {}
         for ti in theta_i:
-            out[ti] = side = []
+            side, by_x = [], {}
             for rest in minus:
                 prof = rest[:i] + (ti,) + rest[i:]
-                z = table[prof]
+                z, x = table[prof], f[prof]
                 masks = mech.conflict_masks(z)
-                side.append((prof, z, f[prof], masks,
-                             _coverage(masks[j] for j in others)[1]))
+                side.append((prof, z, x, masks, *_coverage(masks[j] for j in others)))
+                by_x[x] = by_x.get(x, 0) | 1 << z
+            out[ti] = side, by_x
         return out
 
-    side1 = rows(acquired(p1))
-    side2 = rows(acquired(p2))
+    sides = (rows(acquired(p1)), rows(acquired(p2)))
+    ranked = {}  # (second side, ti2, j, type of j) -> rank table of by_x
 
     # The informed agent's types range over ordered pairs, and the two parts
     # swap roles, which together cover every switched-superscript variant of
     # the required comparisons.
-    for side_a, side_b in ((side1, side2), (side2, side1)):
+    for a, b in ((0, 1), (1, 0)):
         for ti1 in theta_i:
             for ti2 in theta_i:
-                for prof1, z1, x1, masks, skip in side_a[ti1]:
-                    for prof2, z2, x2, _, _ in side_b[ti2]:
-                        if skip >> z2 & 1 or x1 == x2:
+                second, by_x = sides[b][ti2]
+                for prof1, z1, x1, masks, once, twice in sides[a][ti1][0]:
+                    harmful = 0
+                    for j in others:
+                        tj = prof1[j]
+                        rank = ranked.get((b, ti2, j, tj))
+                        if rank is None:
+                            rank = ranked[b, ti2, j, tj] = _rank_table(model, j, tj, by_x)
+                        harmful |= (masks[j] | ~once) & rank[model.levels(j, tj)[x1]]
+                    harmful &= ~twice
+                    if not harmful:
+                        continue
+                    for prof2, z2, x2, *_ in second:
+                        if not harmful >> z2 & 1:
                             continue
                         js = [j for j in others if masks[j] >> z2 & 1] or others
                         for j in js:

@@ -397,8 +397,8 @@ def is_irp_oracle(mech, f):
                 if len(conflict) > 1:
                     continue
                 js = conflict if conflict else set(range(model.n_agents)) - {i}
-                out1 = mech.outcomes_under(h1)
-                out2 = mech.outcomes_under(h2)
+                out1 = {mech.outcome[z] for z in mech.terminals_under(h1)}
+                out2 = {mech.outcome[z] for z in mech.terminals_under(h2)}
                 for j in sorted(js):
                     if _indifferent_oracle(model, j, out1):
                         continue

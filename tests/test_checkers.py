@@ -1,7 +1,7 @@
 import pytest
 
 import gradualmech as gm
-from gradualmech import MechanismError
+from gradualmech import MechanismError, checkers
 
 from oracles import brute_force_ic, unconditional_deviation_ic
 
@@ -127,6 +127,40 @@ def test_every_false_verdict_reverifies(random_corpus):
         if checked >= 12:
             break
     assert checked >= 1
+
+
+def test_scans_count_rank_tables_and_settled_tests(monkeypatch):
+    """Machine-independent counts on the (4,4) auction: the IC and RP scans
+    build one rank table per (agent, type) at most, 16 in all, not one per
+    (agent, type, outcome); the IRP scan makes at most one settled test per
+    (agent, history of a sibling set)."""
+    made = []
+
+    def recording(cls):
+        class Recording(cls):
+            def __init__(self, mech):
+                super().__init__(mech)
+                made.append(self)
+        monkeypatch.setattr(checkers, cls.__name__, Recording)
+
+    recording(checkers._Harm)
+    recording(checkers._Settled)
+    mech = gm.build_gstar(4, 4)
+    _, f = gm.second_price_scf(4, 4)
+    model = mech.model
+    tables = sum(map(model.n_types, range(model.n_agents)))
+    assert tables == 16
+    for check in (gm.is_ic, gm.is_rp, lambda m, f: gm.is_rp(m, f, relaxed=True)):
+        made.clear()
+        assert check(mech, f).holds
+        (harm,) = made
+        assert 0 < len(harm._tables) <= tables
+    histories = {h for _, k1, k2 in gm.siblings_same_action(mech)
+                 for k in (k1, k2) for h in mech.infosets[k].nodes}
+    made.clear()
+    assert gm.is_irp(mech, f).holds
+    (settled,) = made
+    assert 0 < len(settled._memo) <= model.n_agents * len(histories)
 
 
 def test_passing_scans_read_preferences_by_model_size(monkeypatch):

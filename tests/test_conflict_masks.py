@@ -2,16 +2,21 @@
 pair-by-pair dict scans they replace (``tests/oracles.py``).
 
 Run as a script to compare all four checks, and the incentive-preservation
-test, on the first 40 illuminations of each auction instead of the sample
-the suite uses:
+test with the auction's SCF and with its outcome ids rotated, on the first
+40 illuminations of each auction instead of the sample the suite uses, and
+``is_irp`` on the (4,5) auction:
 ``PYTHONPATH=src python tests/test_conflict_masks.py``.
 """
 
+import io
 import itertools
+import sys
 
 import pytest
 
 import gradualmech as gm
+from gradualmech.cli import main
+from gradualmech.fileformat import serialize_mechanism
 from oracles import (conflict_agents_oracle, is_ic_oracle,
                      is_incentive_preserving_oracle, is_irp_oracle, is_rp_oracle)
 
@@ -75,6 +80,52 @@ def test_incentive_preservation_matches_the_pair_scan(n, m):
     for j, g, t, f in samples(n, m, SAMPLE[(n, m)]):
         assert (gm.is_incentive_preserving(g, t, f)
                 == is_incentive_preserving_oracle(g, t, f)), (n, m, j)
+
+
+def rotated(model, f):
+    """``f`` with every outcome id moved up by one, modulo the outcome
+    count: an SCF the mechanism does not implement, so two profiles at one
+    terminal can take different values."""
+    n = model.n_outcomes()
+    return gm.ScfTable(model, {p: (x + 1) % n for p, x in f.items()})
+
+
+def test_incentive_preservation_is_exact_when_f_is_not_implemented(full_corpus):
+    """``check-ill`` never checks that the mechanism implements ``f``.  The
+    masks key rows by their ``f`` values, not by their terminals' outcomes,
+    so the verdict and witness stay the pair scan's there too."""
+    cases = failing = 0
+    for name, mech, model, f in full_corpus:
+        for t in gm.find_opportunities(mech, "illuminate")[:4]:
+            for g in (f, rotated(model, f)):
+                verdict = gm.is_incentive_preserving(mech, t, g)
+                assert verdict == is_incentive_preserving_oracle(mech, t, g), (name, t)
+                cases += 1
+                failing += not verdict.holds
+    assert (cases, failing) == (840, 548)
+
+
+ROTATED_CHECK_ILL = """\
+incentive-preserving illumination: fails
+violation kind: ill
+harmed agent: bidder1
+reacting agent: bidder2
+truthful profile: (2,1,2) -> outcome w1&2@p2
+reachable profile: (1,3,3) -> outcome w1@p1
+type 2 of bidder1 does not weakly prefer w1&2@p2 to w1@p1
+histories: 27 vs 26
+illumination lets the informed agent harm this comparison
+"""
+
+
+def test_check_ill_on_a_rotated_scf_document(monkeypatch, capsys):
+    """The (3,3) auction's document with its SCF rotated: ``check-ill``
+    prints the witness of the pair scan, as it did before the masks."""
+    g = gm.build_gstar(3, 3)
+    model, f = gm.second_price_scf(3, 3)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(serialize_mechanism(g, rotated(model, f))))
+    code = main(["check-ill", "-", "--agent", "bidder2", "--infoset", "5", "--part", "1"])
+    assert (code, capsys.readouterr().out) == (1, ROTATED_CHECK_ILL)
 
 
 def harmful_partners(mech, i, k1, k2, z1, relaxed):
@@ -151,14 +202,21 @@ def test_checks_match_the_pair_scans_under_indifference_ties():
 
 
 if __name__ == "__main__":
-    compared = 0
+    compared = rotations = 0
     for n, m in AUCTIONS:
         for j, g, t, f in samples(n, m, range(40)):
             mech = gm.apply_illuminate(g, t)
             for label, check, oracle in CHECKS:
                 assert check(mech, f) == oracle(mech, f), (n, m, j, label)
                 compared += 1
-            assert (gm.is_incentive_preserving(g, t, f)
-                    == is_incentive_preserving_oracle(g, t, f)), (n, m, j)
-            compared += 1
-    print(f"{compared} checks agree")
+            for h in (f, rotated(g.model, f)):
+                assert (gm.is_incentive_preserving(g, t, h)
+                        == is_incentive_preserving_oracle(g, t, h)), (n, m, j)
+                compared += 1
+            rotations += 1
+    g = gm.build_gstar(4, 5)
+    f = gm.second_price_scf(4, 5)[1]
+    assert gm.is_irp(g, f) == is_irp_oracle(g, f), (4, 5)
+    compared += 1
+    print(f"{compared} checks agree, {rotations} of them incentive-preservation "
+          f"tests with a rotated SCF, one is_irp on the (4,5) auction")

@@ -164,6 +164,18 @@ def test_dangling_parent_is_build_error():
                         [], {})
 
 
+def test_parent_cycles_are_disconnected_nodes():
+    """A parent cycle cannot contain the root, so the breadth-first walk
+    never reaches its nodes: two nodes that are each other's parent, and a
+    node that is its own parent, are reported as disconnected."""
+    model = tiny_model()
+    step = make_step({0: frozenset({0})})
+    for nodes in ([(None, None), (2, step), (1, step)],
+                  [(None, None), (1, step)]):
+        with pytest.raises(MechanismError, match="^disconnected nodes present$"):
+            build_mechanism(model, nodes, [], {})
+
+
 def test_bad_type_ids_are_build_errors():
     model = tiny_model()
     n_types = model.n_types(0)

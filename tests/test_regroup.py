@@ -49,7 +49,7 @@ def build_tree_tables(mech):
     tree-rule report and the per-node conflict masks."""
     gm.validate(mech)
     mech.children_by_step(0)
-    mech.outcomes_under(0)
+    mech.outcome_masks()
     mech.truthful_table()
     for u in range(mech.n_nodes()):
         mech.conflict_masks(u)
