@@ -15,7 +15,7 @@ pure-Python encoder, which was the largest cost of writing a document.
 from __future__ import annotations
 
 import json
-from itertools import product
+from itertools import islice, product
 from json.encoder import encode_basestring_ascii as _quote
 from operator import getitem
 
@@ -34,8 +34,9 @@ def _fail(msg):
 
 
 def _need(value, kind, what):
-    """``value`` if it is a ``kind`` (list, dict, str, int), else a ParseError."""
-    if not isinstance(value, kind):
+    """``value`` if it is a ``kind`` (list, dict, str, int), else a ParseError.
+    JSON's booleans are no ints here, although ``bool`` subclasses ``int``."""
+    if not isinstance(value, kind) or kind is int and isinstance(value, bool):
         _fail(f"{what} must be of type {kind.__name__}, not {type(value).__name__}")
     return value
 
@@ -107,10 +108,8 @@ def dumps(obj):
 
 def _scf_rows(model, f):
     """The SCF table's rows, rendered from per-agent tables of encoded type
-    names and a table of encoded outcome names: no document per row.
-
-    The table is total (``ScfTable`` checks it), so ``model.profiles()``
-    lists its profiles in the sorted order the rows are written in.
+    names and a table of encoded outcome names: no document per row.  The
+    rows are written in ``model.profiles()`` order, the table's own.
     """
 
     def render(row):
@@ -121,7 +120,7 @@ def _scf_rows(model, f):
         template = "[" + entry + "[{}" + entry + "]," + entry + "{}" + row + "]"
         return map(template.format,
                    map(",".join, product(*types)),
-                   map(outcomes.__getitem__, map(f.table.__getitem__, model.profiles())))
+                   map(outcomes.__getitem__, f.outcomes))
 
     return _Entries(render)
 
@@ -211,30 +210,36 @@ def parse_model(doc):
 
 def parse_scf(doc, model, type_index, out_index):
     """The document's SCF table, or None; ``type_index`` maps each agent's
-    type names to ids and ``out_index`` the outcome names."""
+    type names to ids and ``out_index`` the outcome names.  Rows may come in
+    any order but must list each profile exactly once."""
     rows = doc.get("scf")
     if rows is None:
         return None
-    n = model.n_agents
-    table = {}
+    # Per agent, each type name's share of a profile's rank.
+    offset = [{name: t * stride for name, t in names.items()}
+              for names, stride in zip(type_index, model.strides)]
+    slots = [None] * model.n_profiles()
     for row in _need(rows, list, "'scf'"):
         if not isinstance(row, list) or len(row) != 2:
             _fail(f"scf row {row!r}: want [profile, outcome]")
         profile_names, out_name = row
         # ``map`` stops at the shorter input, so the length test stays.
-        if not isinstance(profile_names, list) or len(profile_names) != n:
+        if not isinstance(profile_names, list) or len(profile_names) != model.n_agents:
             _fail(f"scf profile {profile_names!r}: one type per agent required")
         try:
-            profile = tuple(map(getitem, type_index, profile_names))
-            table[profile] = out_index[out_name]
+            r = sum(map(getitem, offset, profile_names))
+            x = out_index[out_name]
         except KeyError as e:
             _fail(f"scf row {row!r}: unknown name {e}")
         except TypeError:
             _fail(f"scf row {row!r}: names must be strings")
-    try:
-        return ScfTable(model, table)
-    except ValueError as e:
-        _fail(str(e))
+        if slots[r] is not None:
+            _fail(f"scf row {row!r}: profile listed twice")
+        slots[r] = x
+    if None in slots:
+        missing = next(islice(model.profiles(), slots.index(None), None))
+        _fail(f"SCF not total: missing profile {missing}")
+    return ScfTable(model, slots)
 
 
 def parse_mechanism(text):
@@ -319,7 +324,7 @@ def parse_mechanism(text):
             _fail(f"information set for unknown agent {agent_name!r}")
         members = []
         for nid in _need(entry.get("nodes", []), list, "information set 'nodes'"):
-            if not isinstance(nid, int) or nid not in remap:
+            if isinstance(nid, bool) or not isinstance(nid, int) or nid not in remap:
                 _fail(f"information set references unknown node {nid}")
             members.append(remap[nid])
         groups.append((agent_index[agent_name], members))

@@ -54,12 +54,12 @@ class Mechanism:
 
     The tree tables depend on the history tree alone: ``parent``, ``step``,
     ``outcome``, ``children``, ``terminals``, ``theta``, ``menus``,
-    ``acting``, and in ``_tree`` the step keys, the fingerprint's tree text,
-    the lazily built ones and the tree-rule report, each built by whichever
-    mechanism on the tree asks first.  The partition tables depend on the
-    information sets too: ``infosets``, ``node_iset``, ``experience`` and
-    the conflict maps.  ``regroup`` shares the first and builds only the
-    second.
+    ``acting``, and in ``_tree`` the step keys, which ``build_mechanism``
+    fills, then the fingerprint's tree text, the lazily built tables and the
+    tree-rule report, each built by whichever mechanism on the tree asks
+    first.  The partition tables depend on the information sets too:
+    ``infosets``, ``node_iset``, ``experience`` and the conflict maps.
+    ``regroup`` shares the first and builds only the second.
     """
 
     def __init__(self, model, parent, step, outcome, infoset_groups):
@@ -252,16 +252,29 @@ class Mechanism:
     # -- play and consistency ----------------------------------------------
 
     def truthful_terminal(self, profile):
-        return self.truthful_table()[profile]
+        return self.truthful_table()[self.model.rank(profile)]
 
     def truthful_table(self):
+        """Per profile rank (``TypeModel.rank``), the terminal its truthful
+        path ends at.  Each terminal fills the ranks of its type box, the
+        sums of one stride multiple per agent, adding a lone type in place
+        while the box has one rank so far.  On a valid mechanism the
+        terminal boxes partition the profile space (see ``_tree_rules``), so
+        each slot is filled exactly once."""
         table = self._tree.get("truthful")
         if table is None:
-            table = {}
+            table = [None] * self.model.n_profiles()
             for z in self.terminals:
-                for profile in self.theta_profiles(z):
-                    table[profile] = z
-            self._tree["truthful"] = table
+                ranks = [0]
+                for stride, types in zip(self.model.strides, self.theta[z]):
+                    if len(types) == 1 == len(ranks):
+                        (t,) = types
+                        ranks[0] += t * stride
+                    else:
+                        ranks = [r + t * stride for r in ranks for t in types]
+                for r in ranks:
+                    table[r] = z
+            table = self._tree["truthful"] = tuple(table)
         return table
 
     def _other_action_masks(self):
@@ -312,19 +325,10 @@ class Mechanism:
 
     # -- identity ------------------------------------------------------------
 
-    def step_keys(self):
-        """Per node, the step key of its step (None at the root);
-        ``build_mechanism`` fills it from its per-build step table."""
-        keys = self._tree.get("keys")
-        if keys is None:
-            keys = self._tree["keys"] = tuple(
-                step_key(s) if s else None for s in self.step)
-        return keys
-
     def canonical_form(self):
         return (
             self.parent,
-            self.step_keys(),
+            self._tree["keys"],
             tuple(sorted(self.outcome.items())),
             tuple((s.agent, s.nodes) for s in self.infosets),
         )
@@ -524,14 +528,13 @@ def _partition_rules(mech):
 
 def implemented_scf(mech):
     """The SCF a valid mechanism implements: outcome of each truthful path."""
-    table = {profile: mech.outcome[z] for profile, z in mech.truthful_table().items()}
-    return ScfTable(mech.model, table)
+    return ScfTable(mech.model, map(mech.outcome.__getitem__, mech.truthful_table()))
 
 
 def implements(mech, f):
-    """True iff every terminal's outcome equals f on its accrued type sets."""
-    return all(f[profile] == mech.outcome[z]
-               for z in mech.terminals for profile in mech.theta_profiles(z))
+    """True iff the valid mechanism's truthful outcomes equal f on every
+    profile."""
+    return implemented_scf(mech) == f
 
 
 def siblings_same_action(mech):

@@ -59,9 +59,9 @@ class _TreeSink:
 def direct_mechanism(model, f):
     """One simultaneous move at the root: each agent reports her exact type."""
     sink = _TreeSink(model)
-    for profile in model.profiles():
+    for profile, x in f.items():
         v = sink.child(0, {i: frozenset({profile[i]}) for i in range(model.n_agents)})
-        sink.terminal(v, f[profile])
+        sink.terminal(v, x)
     for i in range(model.n_agents):
         sink.decision(("root", i), i, 0)
     return sink.build()
@@ -88,11 +88,11 @@ def voting_model_and_scf(n_voters=2, phantoms=(M,)):
         prefs=[prefs_by_type] * n_voters,
         agent_names=tuple(f"voter{i + 1}" for i in range(n_voters)),
     )
-    table = {}
+    outcomes = []
     for profile in model.profiles():
         votes = sorted(profile + tuple(phantoms))
-        table[profile] = votes[len(votes) // 2]
-    return model, ScfTable(model, table)
+        outcomes.append(votes[len(votes) // 2])
+    return model, ScfTable(model, outcomes)
 
 
 def voting_examples():
@@ -198,7 +198,7 @@ def serial_dictatorship_scf(n=3, order=None):
     """Agents pick their favorite remaining item in the given order."""
     model = matching_model(n)
     order = list(order) if order is not None else list(range(n))
-    table = {}
+    outcomes = []
     for profile in model.profiles():
         remaining = set(range(n))
         assignment = [None] * n
@@ -206,8 +206,8 @@ def serial_dictatorship_scf(n=3, order=None):
             pick = _best(model.rankings[profile[i]], remaining)
             assignment[i] = pick
             remaining.discard(pick)
-        table[profile] = model.matching_index[tuple(assignment)]
-    return model, ScfTable(model, table)
+        outcomes.append(model.matching_index[tuple(assignment)])
+    return model, ScfTable(model, outcomes)
 
 
 def serial_dictatorship_pair():
@@ -273,13 +273,14 @@ def second_price_scf(n, m):
             lotteries.append(key)
         return lottery_index[key]
 
-    table_raw = {}
+    # ``product`` lists the profiles in ``TypeModel.profiles()`` order.
+    outcomes = []
     for profile in itertools.product(range(m), repeat=n):
         values = [v + 1 for v in profile]
         top = max(values)
         winners = [i for i, v in enumerate(values) if v == top]
         price = sorted(values, reverse=True)[1]
-        table_raw[profile] = outcome_id(winners, price)
+        outcomes.append(outcome_id(winners, price))
 
     prefs = []
     for i in range(n):
@@ -296,7 +297,7 @@ def second_price_scf(n, m):
     model = TypeModel([[str(v + 1) for v in range(m)]] * n, names, prefs,
                       agent_names=[f"bidder{i + 1}" for i in range(n)])
     model.lotteries = list(lotteries)
-    return model, ScfTable(model, table_raw)
+    return model, ScfTable(model, outcomes)
 
 
 def auction_payoff(model, outcome_id, bidder, value):
@@ -325,7 +326,7 @@ def build_gstar(n, m):
         raise ValueError("need n >= 2 bidders and m >= 2 price levels")
     model, f = second_price_scf(n, m)
     sink = _TreeSink(model)
-    out_index = {model.lotteries[o]: o for o in set(f.table.values())}
+    out_index = {model.lotteries[o]: o for o in set(f.outcomes)}
 
     def outcome(winners, price):
         return out_index[(tuple(sorted(winners)), price)]
@@ -442,8 +443,7 @@ def ttc_scf(priorities, n):
                 remaining_items.discard(assignment[o])
         return model.matching_index[tuple(assignment)]
 
-    table = {profile: outcome(profile) for profile in model.profiles()}
-    return model, ScfTable(model, table)
+    return model, ScfTable(model, map(outcome, model.profiles()))
 
 
 def _pointer_cycles(graph):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 
 
 class WeakOrder:
@@ -71,6 +73,10 @@ class TypeModel:
             for order in per_type:
                 if order.outcomes() != full:
                     raise ValueError(f"agent {i}: weak order does not cover all outcomes")
+        # Rank strides: agent i's type counts once per profile of the agents
+        # after her, since ``profiles()`` varies the last agent fastest.
+        self.strides = tuple(math.prod(map(len, self.type_names[i + 1:]))
+                             for i in range(self.n_agents))
 
     def n_types(self, agent):
         return len(self.type_names[agent])
@@ -89,10 +95,16 @@ class TypeModel:
         return itertools.product(*(self.all_types(i) for i in range(self.n_agents)))
 
     def n_profiles(self):
-        out = 1
-        for i in range(self.n_agents):
-            out *= self.n_types(i)
-        return out
+        return math.prod(map(len, self.type_names))
+
+    def rank(self, profile):
+        """The profile's index in ``profiles()`` order: its mixed-radix
+        number, agent 0's type the most significant digit.  KeyError for a
+        wrong length or an unknown type id, as a profile-keyed dict raises."""
+        if len(profile) != self.n_agents or not all(
+                0 <= t < len(names) for t, names in zip(profile, self.type_names)):
+            raise KeyError(profile)
+        return sum(map(operator.mul, profile, self.strides))
 
     def order(self, agent, type_idx):
         return self.prefs[agent][type_idx]
@@ -133,33 +145,29 @@ def weakly_prefers(model, agent, type_idx, x, y):
 
 
 class ScfTable:
-    """A total map from complete type profiles to outcome ids."""
+    """A total map from complete type profiles to outcome ids, kept as one
+    tuple of outcome ids indexed by profile rank (``TypeModel.rank``), so
+    in ``model.profiles()`` order."""
 
-    def __init__(self, model, table):
+    def __init__(self, model, outcomes):
         self.model = model
-        self.table = dict(table)
+        self.outcomes = tuple(outcomes)
         n_out = model.n_outcomes()
-        for profile in model.profiles():
-            if profile not in self.table:
-                raise ValueError(f"SCF not total: missing profile {profile}")
-            x = self.table[profile]
-            if not (0 <= x < n_out):
-                raise ValueError(f"SCF maps {profile} to unknown outcome {x}")
-        if len(self.table) != model.n_profiles():
-            extra = set(self.table) - set(model.profiles())
-            raise ValueError(f"SCF table has spurious entries: {sorted(extra)[:3]}")
+        if len(self.outcomes) != model.n_profiles():
+            raise ValueError(f"SCF table has {len(self.outcomes)} entries, not one per profile")
+        if self.outcomes and (min(self.outcomes) < 0 or max(self.outcomes) >= n_out):
+            r, x = next((r, x) for r, x in enumerate(self.outcomes) if not 0 <= x < n_out)
+            profile = next(itertools.islice(model.profiles(), r, None))
+            raise ValueError(f"SCF maps {profile} to unknown outcome {x}")
 
     def __getitem__(self, profile):
-        return self.table[profile]
+        return self.outcomes[self.model.rank(profile)]
 
     def __eq__(self, other):
-        return isinstance(other, ScfTable) and self.table == other.table
+        return isinstance(other, ScfTable) and self.outcomes == other.outcomes
 
     def items(self):
-        return self.table.items()
-
-    def image(self):
-        return sorted(set(self.table.values()))
+        return zip(self.model.profiles(), self.outcomes)
 
 
 def is_strategy_proof(model, f):
@@ -167,18 +175,22 @@ def is_strategy_proof(model, f):
 
     Returns ``(True, None)`` or ``(False, (agent, true_type, misreport,
     others))`` with the first violation in (agent, type, misreport, others)
-    enumeration order.
+    enumeration order.  For agent i the profiles that differ only in i's
+    type lie ``strides[i]`` apart; the ranks with i's type 0, ascending,
+    list the others' types in their order.
     """
-    n = model.n_agents
-    for i in range(n):
-        others_spaces = [model.all_types(j) for j in range(n) if j != i]
-        for ti in model.all_types(i):
-            for ti_mis in model.all_types(i):
-                if ti_mis == ti:
+    out = f.outcomes
+    for i in range(model.n_agents):
+        stride, n_i = model.strides[i], model.n_types(i)
+        bases = [hi + lo for hi in range(0, len(out), stride * n_i) for lo in range(stride)]
+        for ti in range(n_i):
+            levels = model.levels(i, ti)
+            for mis in range(n_i):
+                if mis == ti:
                     continue
-                for rest in itertools.product(*others_spaces):
-                    profile = rest[:i] + (ti,) + rest[i:]
-                    deviated = rest[:i] + (ti_mis,) + rest[i:]
-                    if not model.weakly_prefers(i, ti, f[profile], f[deviated]):
-                        return False, (i, ti, ti_mis, rest)
+                truth, lie = ti * stride, mis * stride
+                for base in bases:
+                    if levels[out[base + truth]] > levels[out[base + lie]]:
+                        rest = next(itertools.islice(model.profiles(), base, None))
+                        return False, (i, ti, mis, rest[:i] + rest[i + 1:])
     return True, None

@@ -5,7 +5,9 @@ reduction of any mechanism to its one-shot (direct) form.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .checkers import Verdict, Witness, _coverage, _rank_table
@@ -228,32 +230,24 @@ def apply_illuminate(mech, t):
     each node.  The result is a regrouping of the input's tree."""
     p1, p2 = _illumination_parts(mech, t, "illuminate")
     i = t.agent
-
-    def part_of(v):
-        for u in mech.path_nodes(v):
-            if u in p1:
-                return 1
-            if u in p2:
-                return 2
-        return None
+    # Perfect recall puts no member of a set below another member of the
+    # same set, so each node lies below at most one member, and its side is
+    # read off the members' subtree masks.
+    below = mech.subtree_masks()
+    under = [functools.reduce(operator.or_, map(below.__getitem__, part)) for part in (p1, p2)]
 
     groups = []
     for other in mech.infosets:
         if other.agent != i:
             groups.append((other.agent, list(other.nodes)))
             continue
-        marks = {v: part_of(v) for v in other.nodes}
-        if all(m is None for m in marks.values()):
+        sides = [[v for v in other.nodes if mask >> v & 1] for mask in under]
+        if not any(sides):
             groups.append((i, list(other.nodes)))
             continue
-        if any(m is None for m in marks.values()):
+        if sum(map(len, sides)) != len(other.nodes):
             raise MechanismError("illuminate: successor set straddles the split inconsistently")
-        side1 = [v for v, m in marks.items() if m == 1]
-        side2 = [v for v, m in marks.items() if m == 2]
-        if side1:
-            groups.append((i, side1))
-        if side2:
-            groups.append((i, side2))
+        groups.extend((i, side) for side in sides if side)
     return mech.regroup(groups)
 
 
@@ -572,7 +566,8 @@ def is_incentive_preserving(mech, t, f):
             side, by_x = [], {}
             for rest in minus:
                 prof = rest[:i] + (ti,) + rest[i:]
-                z, x = table[prof], f[prof]
+                r = model.rank(prof)
+                z, x = table[r], f.outcomes[r]
                 masks = mech.conflict_masks(z)
                 side.append((prof, z, x, masks, *_coverage(masks[j] for j in others)))
                 by_x[x] = by_x.get(x, 0) | 1 << z

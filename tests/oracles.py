@@ -434,7 +434,6 @@ def is_incentive_preserving_oracle(mech, t, f):
 
     minus1 = acquired(p1)
     minus2 = acquired(p2)
-    table = mech.truthful_table()
 
     def full(ti, rest):
         prof = list(rest)
@@ -446,11 +445,11 @@ def is_incentive_preserving_oracle(mech, t, f):
             for ti2 in theta_i:
                 for rest1 in side_a:
                     prof1 = full(ti1, rest1)
-                    z1 = table[prof1]
+                    z1 = mech.truthful_terminal(prof1)
                     x1 = f[prof1]
                     for rest2 in side_b:
                         prof2 = full(ti2, rest2)
-                        z2 = table[prof2]
+                        z2 = mech.truthful_terminal(prof2)
                         outside = conflict_agents_oracle(mech, z1, z2) - {i}
                         if len(outside) > 1:
                             continue
@@ -507,6 +506,33 @@ def reduce_chain_oracle(mech, f):
     if final_problems:
         raise MechanismError("reduce: final mechanism invalid: " + final_problems[0])
     return ReductionChain(mech.fingerprint(), steps, current), illuminations
+
+
+def implemented_scf_oracle(mech):
+    """{profile: outcome} read by walking every terminal's type box, as
+    ``implemented_scf`` did before the SCF became a tuple by profile rank."""
+    return {profile: mech.outcome[z]
+            for z in mech.terminals for profile in mech.theta_profiles(z)}
+
+
+def is_strategy_proof_oracle(model, f):
+    """The ordered scan ``is_strategy_proof`` replaces: (agent, type,
+    misreport, others) in enumeration order, one preference call per pair,
+    on a dict read off the table's layout rather than through ``rank``."""
+    table = dict(zip(model.profiles(), f.outcomes))
+    n = model.n_agents
+    for i in range(n):
+        others_spaces = [model.all_types(j) for j in range(n) if j != i]
+        for ti in model.all_types(i):
+            for ti_mis in model.all_types(i):
+                if ti_mis == ti:
+                    continue
+                for rest in itertools.product(*others_spaces):
+                    profile = rest[:i] + (ti,) + rest[i:]
+                    deviated = rest[:i] + (ti_mis,) + rest[i:]
+                    if not model.weakly_prefers(i, ti, table[profile], table[deviated]):
+                        return False, (i, ti, ti_mis, rest)
+    return True, None
 
 
 def sp_oracle(model, f):

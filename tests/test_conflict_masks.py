@@ -87,7 +87,7 @@ def rotated(model, f):
     count: an SCF the mechanism does not implement, so two profiles at one
     terminal can take different values."""
     n = model.n_outcomes()
-    return gm.ScfTable(model, {p: (x + 1) % n for p, x in f.items()})
+    return gm.ScfTable(model, [(x + 1) % n for x in f.outcomes])
 
 
 def test_incentive_preservation_is_exact_when_f_is_not_implemented(full_corpus):

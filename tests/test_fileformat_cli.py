@@ -129,6 +129,8 @@ MALFORMED = {
     "scf-unknown-outcome": (("scf", 0, 1), "Z"),
     "step-type-name-list": (("tree", "children", 0, "step", "voter1"), [["L"]]),
     "step-unknown-type": (("tree", "children", 0, "step", "voter1"), ["Q"]),
+    "root-id-true": (("tree", "id"), True),
+    "infoset-node-false": (("infosets", 0, "nodes"), [False]),
 }
 
 # The exact diagnostics of the cases read with ``map`` (SCF profiles and step
@@ -142,6 +144,9 @@ MALFORMED_MESSAGES = {
     "scf-unknown-outcome": "scf row [['L', 'L'], 'Z']: unknown name 'Z'",
     "step-type-name-list": "node 0: type names must be strings",
     "step-unknown-type": "node 0: unknown type 'Q' for agent voter1",
+    # JSON booleans are not node ids, although Python's bool subclasses int.
+    "root-id-true": "a node id must be of type int, not bool",
+    "infoset-node-false": "information set references unknown node False",
 }
 
 
@@ -164,6 +169,37 @@ def test_cli_malformed_document_exits_two(case, voting, capsys):
     assert err.startswith("error:") and "Traceback" not in err
     if case in MALFORMED_MESSAGES:
         assert err == f"error: {MALFORMED_MESSAGES[case]}\n"
+
+
+def g3_document(voting):
+    model, f, mechs = voting
+    return json.loads(serialize_mechanism(mechs["g3"], f))
+
+
+@pytest.mark.parametrize("verb", ["check-sp", "check-ic"])
+@pytest.mark.parametrize("outcome", ["R", "L"])
+def test_scf_profile_listed_twice_exits_two(verb, outcome, voting, capsys):
+    """A full table plus a repeat of row 0's profile is bad input, whether
+    the repeat disagrees with row 0 (R) or copies it (L)."""
+    doc = g3_document(voting)
+    assert doc["scf"][0] == [["L", "L"], "L"]
+    doc["scf"].append([["L", "L"], outcome])
+    code, _ = run_cli([verb, "-"], json.dumps(doc))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: scf row [['L', 'L'], '{outcome}']: profile listed twice\n"
+
+
+def test_scf_rows_in_any_order_and_first_missing_profile_named(voting, capsys):
+    doc = g3_document(voting)
+    doc["scf"].reverse()
+    code, out = run_cli(["check-ic", "-"], json.dumps(doc))
+    assert code == 0 and "holds" in out
+    doc["scf"].reverse()
+    del doc["scf"][4], doc["scf"][2]
+    code, _ = run_cli(["check-sp", "-"], json.dumps(doc))
+    assert code == 2
+    assert capsys.readouterr().err == "error: SCF not total: missing profile (0, 2)\n"
 
 
 def test_cli_validate_reports(tmp_path, voting):

@@ -159,7 +159,7 @@ def test_reduction_keys_fewer_steps_than_it_builds_nodes(monkeypatch, step_key_c
 
 class CountingScf(gm.ScfTable):
     def __init__(self, f):
-        super().__init__(f.model, f.table)
+        super().__init__(f.model, f.outcomes)
         self.lookups = 0
 
     def __getitem__(self, profile):

@@ -264,12 +264,11 @@ def test_implements_is_not_fooled_by_a_reused_scf_id(voting):
     when it is allocated where a just-freed correct table lived."""
     model, f, mechs = voting
     g3 = mechs["g3"]
-    profile = min(f.table)
-    wrong = dict(f.table)
-    wrong[profile] = (f[profile] + 1) % model.n_outcomes()
+    wrong = list(f.outcomes)
+    wrong[0] = (wrong[0] + 1) % model.n_outcomes()
     stale = 0
     for _ in range(3000):
-        right = gm.ScfTable(model, f.table)
+        right = gm.ScfTable(model, f.outcomes)
         assert gm.implements(g3, right)
         del right
         stale += gm.implements(g3, gm.ScfTable(model, wrong))

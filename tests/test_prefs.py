@@ -53,11 +53,10 @@ def test_reflexivity_and_voting_preferences():
 
 def test_scf_totality_enforced():
     model, f = gm.voting_model_and_scf()
-    table = dict(f.table)
-    table.pop((0, 0))
+    table = list(f.outcomes)
     with pytest.raises(ValueError):
-        ScfTable(model, table)
-    table[(0, 0)] = 7
+        ScfTable(model, table[1:])
+    table[0] = 7
     with pytest.raises(ValueError):
         ScfTable(model, table)
 
@@ -106,7 +105,7 @@ def test_pay_your_own_bid_not_strategy_proof():
             per_type.append(WeakOrder([by_ev[ev] for ev in sorted(by_ev, reverse=True)]))
         prefs.append(per_type)
     model = TypeModel([["1", "2"]] * n, [str(e) for e in entries], prefs)
-    f = ScfTable(model, {p: idx[own_bid_entry(p)] for p in model.profiles()})
+    f = ScfTable(model, [idx[own_bid_entry(p)] for p in model.profiles()])
 
     ok, witness = gm.is_strategy_proof(model, f)
     assert not ok
