@@ -1,3 +1,4 @@
+import hashlib
 import io
 from contextlib import redirect_stdout
 
@@ -58,6 +59,24 @@ def test_rda_validates_and_matches_ttc_everywhere():
             rda = gm.build_rda(pr, n)
             assert gm.validate(rda) == [], (n, pr)
             assert gm.implemented_scf(rda) == f, (n, pr)
+
+
+def rda_digest(structures):
+    """First 16 hex digits of the sha256 of the trees' fingerprints, one a
+    line."""
+    text = "\n".join(gm.build_rda(pr, len(pr)).fingerprint() for pr in structures)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_rda_tree_shapes_are_pinned():
+    """The staged trees themselves, node for node: every two- and
+    three-agent structure, and a stride of the four-agent ones."""
+    small = gm.all_priority_structures(2) + gm.all_priority_structures(3)
+    assert len(small) == 220
+    assert rda_digest(small) == "4f4c9029372c1940"
+    four = gm.all_priority_structures(4)[::20011]
+    assert len(four) == 17
+    assert rda_digest(four) == "811cc9722f813670"
 
 
 def test_rda_two_agents_claim_and_trade_paths():
