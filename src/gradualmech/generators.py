@@ -108,38 +108,27 @@ def voting_examples():
     singles = [frozenset({c}) for c in (L, M, R)]
     mechs = {}
 
-    def v2_exact_subtree(sink, parent, own, pool_key):
+    def v2_subtree(sink, parent, own, pool_key, menu=singles):
+        # Every action of a menu keeps the outcome constant, so its least
+        # candidate stands for it.
         sink.decision(pool_key, 1, parent)
-        for act in singles:
+        for act in menu:
             t = sink.child(parent, {1: act})
-            sink.terminal(t, f[(own, next(iter(act)))])
+            sink.terminal(t, f[(own, min(act))])
 
     # g1: voter 2's menu after M is {M, L+R}; after L+R voter 1 refines and
-    # voter 2 reports exactly without seeing the refinement.
-    sink = _TreeSink(model)
-    sink.decision("v1-root", 0, 0)
-    n_m = sink.child(0, {0: frozenset({M})})
-    n_lr = sink.child(0, {0: lr})
-    sink.decision("v2-after-m", 1, n_m)
-    for act in (frozenset({M}), lr):
-        sink.terminal(sink.child(n_m, {1: act}), M)
-    sink.decision("v1-refine", 0, n_lr)
-    for own in (L, R):
-        n_own = sink.child(n_lr, {0: frozenset({own})})
-        v2_exact_subtree(sink, n_own, own, "v2-pooled")
-    mechs["g1"] = sink.build()
-
-    # g2: like g1 with voter 2's menu after M fully refined.
-    sink = _TreeSink(model)
-    sink.decision("v1-root", 0, 0)
-    n_m = sink.child(0, {0: frozenset({M})})
-    n_lr = sink.child(0, {0: lr})
-    v2_exact_subtree(sink, n_m, M, "v2-after-m")
-    sink.decision("v1-refine", 0, n_lr)
-    for own in (L, R):
-        n_own = sink.child(n_lr, {0: frozenset({own})})
-        v2_exact_subtree(sink, n_own, own, "v2-pooled")
-    mechs["g2"] = sink.build()
+    # voter 2 reports exactly without seeing the refinement.  g2: like g1
+    # with voter 2's menu after M fully refined.
+    for name, after_m in (("g1", (frozenset({M}), lr)), ("g2", singles)):
+        sink = _TreeSink(model)
+        sink.decision("v1-root", 0, 0)
+        n_m = sink.child(0, {0: frozenset({M})})
+        n_lr = sink.child(0, {0: lr})
+        v2_subtree(sink, n_m, M, "v2-after-m", after_m)
+        sink.decision("v1-refine", 0, n_lr)
+        for own in (L, R):
+            v2_subtree(sink, sink.child(n_lr, {0: frozenset({own})}), own, "v2-pooled")
+        mechs[name] = sink.build()
 
     # g3: voter 1 reports exactly at the root; voter 2 learns only whether
     # the report was M.  g4: same tree, voter 2 learns nothing.
@@ -149,7 +138,7 @@ def voting_examples():
         sink.decision("v1-root", 0, 0)
         for own in (L, M, R):
             n_own = sink.child(0, {0: frozenset({own})})
-            v2_exact_subtree(sink, n_own, own, key_of(own))
+            v2_subtree(sink, n_own, own, key_of(own))
         mechs[name] = sink.build()
 
     mechs["direct"] = direct_mechanism(model, f)
@@ -489,21 +478,28 @@ def build_rda(priorities, n):
             owned.setdefault(a, set()).add(x)
         return {a: frozenset(xs) for a, xs in owned.items()}
 
-    def expand(node, movers, actions_of, key_of, cur, exp, cont):
-        """One simultaneous step over ``movers``; each mover's option list is
-        [(label, action)].  ``cont(node2, cur2, exp2, picked)`` receives the
-        chosen labels.  Movers with no real choice never reach here."""
+    def feasible(options):
+        return [(label, act) for label, act in options if act]
+
+    def expand(node, options, key_of, cur, exp, cont):
+        """One simultaneous step; ``options`` maps each owner to her
+        [(label, action)] list, empty actions left out.  An owner with one
+        option takes it silently and gets no node: claim/renounce, partner
+        groups and asserted items each partition her current set, so that
+        one action is the whole set.  The others move at ``node``, and
+        ``cont(node2, cur2, exp2, labels)`` receives a label for every owner."""
+        labels = {o: opts[0][0] for o, opts in options.items() if len(opts) == 1}
+        movers = [o for o, opts in options.items() if len(opts) > 1]
         if not movers:
-            cont(node, cur, exp, {})
+            cont(node, cur, exp, labels)
             return
         for o in movers:
             sink.decision(key_of(o), o, node)
-        for combo in itertools.product(*(actions_of[o] for o in movers)):
-            parts = {o: act for o, (_, act) in zip(movers, combo)}
-            child = sink.child(node, parts)
+        for combo in itertools.product(*(options[o] for o in movers)):
+            child = sink.child(node, {o: act for o, (_, act) in zip(movers, combo)})
             cur2 = dict(cur)
             exp2 = dict(exp)
-            picked = {}
+            picked = dict(labels)
             for o, (label, act) in zip(movers, combo):
                 cur2[o] = act
                 exp2[o] = exp[o] + ((key_of(o), tuple(sorted(act))),)
@@ -519,23 +515,13 @@ def build_rda(priorities, n):
         actives = sorted(a for a in owned if a not in standing)
         if not actives:
             raise MechanismError("stage with no active owner")
-
-        forced = {}
-        movers = []
-        actions_of = {}
+        options = {}
         for o in actives:
             claim = frozenset(t for t in cur[o] if top(t, items) in owned[o])
-            ren = cur[o] - claim
-            if claim and ren:
-                movers.append(o)
-                actions_of[o] = [("claim", claim), ("renounce", ren)]
-            else:
-                forced[o] = bool(claim)
+            options[o] = feasible((("claim", claim), ("renounce", cur[o] - claim)))
 
-        def after_renounce(node2, cur2, exp2, picked):
-            decided = dict(forced)
-            decided.update((o, label == "claim") for o, label in picked.items())
-            claimers = sorted(o for o in actives if decided[o])
+        def after_renounce(node2, cur2, exp2, labels):
+            claimers = [o for o in actives if labels[o] == "claim"]
             if claimers:
                 queue = [(o, owned[o]) for o in claimers]
                 assert_phase(node2, agents, items, standing, matched, cur2, exp2,
@@ -544,63 +530,42 @@ def build_rda(priorities, n):
                 designate(node2, agents, items, standing, matched, cur2, exp2,
                           owned, sig)
 
-        expand(node, movers, actions_of, lambda o: ("R", o, sig, exp[o]),
-               cur, exp, after_renounce)
+        expand(node, options, lambda o: ("R", o, sig, exp[o]), cur, exp, after_renounce)
 
     def designate(node, agents, items, standing, matched, cur, exp, owned, sig):
-        actives = sorted(a for a in owned if a not in standing)
-        forced = {}
-        movers = []
-        actions_of = {}
-        for o in actives:
-            opts = []
-            for p in sorted(owned):
-                if p == o:
-                    continue
-                act = frozenset(t for t in cur[o] if top(t, items) in owned[p])
-                if act:
-                    opts.append((p, act))
-            if not opts:
-                raise MechanismError("designation with no feasible partner")
-            if len(opts) == 1:
-                forced[o] = opts[0][0]
-            else:
-                movers.append(o)
-                actions_of[o] = opts
+        # Designation runs only when every active owner renounced, so none of
+        # her types tops at her own items, and her current set is never empty:
+        # she has no action towards herself and at least one towards a partner.
+        options = {o: feasible((p, frozenset(t for t in cur[o] if top(t, items) in owned[p]))
+                               for p in sorted(owned))
+                   for o in sorted(a for a in owned if a not in standing)}
 
-        def after_designate(node2, cur2, exp2, picked):
+        def after_designate(node2, cur2, exp2, labels):
             stand2 = dict(standing)
-            for o, p in {**forced, **picked}.items():
+            for o, p in labels.items():
                 stand2[o] = (p, owned[p])
             cycle = _pointer_cycles({o: pm for o, (pm, _) in stand2.items()})
             queue = [(o, stand2[o][1]) for o in sorted(cycle)]
             assert_phase(node2, agents, items, stand2, matched, cur2, exp2,
                          queue, [])
 
-        expand(node, movers, actions_of, lambda o: ("D", o, sig, exp[o]),
-               cur, exp, after_designate)
+        expand(node, options, lambda o: ("D", o, sig, exp[o]), cur, exp, after_designate)
 
     def assert_phase(node, agents, items, standing, matched, cur, exp, queue, leavers):
         if not queue:
             end_stage(node, agents, items, standing, matched, cur, exp, leavers)
             return
         (o, menu), rest = queue[0], queue[1:]
-        picks = [(x, frozenset(t for t in cur[o] if top(t, menu) == x))
-                 for x in sorted(menu)]
-        picks = [(x, act) for x, act in picks if act]
+        picks = feasible((x, frozenset(t for t in cur[o] if top(t, menu) == x))
+                         for x in sorted(menu))
         if len(picks) == 1:
             assert_phase(node, agents, items, standing, matched, cur, exp,
                          rest, leavers + [(o, picks[0][0])])
             return
-        sink.decision(("A", o, node), o, node)
-        for x, act in picks:
-            child = sink.child(node, {o: act})
-            cur2 = dict(cur)
-            cur2[o] = act
-            exp2 = dict(exp)
-            exp2[o] = exp[o] + ((("A", o, node), tuple(sorted(act))),)
-            assert_phase(child, agents, items, standing, matched, cur2, exp2,
-                         rest, leavers + [(o, x)])
+        expand(node, {o: picks}, lambda o: ("A", o, node), cur, exp,
+               lambda node2, cur2, exp2, labels: assert_phase(
+                   node2, agents, items, standing, matched, cur2, exp2,
+                   rest, leavers + [(o, labels[o])]))
 
     def end_stage(node, agents, items, standing, matched, cur, exp, leavers):
         agents2, items2 = set(agents), set(items)

@@ -122,7 +122,9 @@ def coalesce_ready(mech, t):
 
 def apply_coalesce(mech, t):
     """Coalescing: the target's menu replaces ``action`` at the source; the
-    target's decision step is spliced out of every affected history."""
+    target's decision step is spliced out of every affected history.
+
+    ``mech`` must be valid; every caller validates first."""
     problem = coalesce_ready(mech, t)
     if problem:
         raise MechanismError(problem)
@@ -140,17 +142,14 @@ def apply_coalesce(mech, t):
         tmap.append(old)
         return len(nodes) - 1
 
-    def plain_copy(old, parent_new, step):
-        new = add(parent_new, step, old)
-        if old in mech.outcome:
-            outcomes[new] = mech.outcome[old]
-        for c in mech.children[old]:
-            plain_copy(c, new, mech.step[c])
+    def copy(old, parent_new, step, branch):
+        """Copy the subtree at ``old``.  ``branch`` is the agent's pending
+        choice between the source action and the target nodes, else None.
 
-    def rewrite(old, parent_new, step, branch):
-        """Copy the region between the source action and the target nodes,
-        with the agent's pending choice fixed to ``branch``."""
-        if old in target_nodes:
+        Perfect recall puts no member of the source set below a source or a
+        target node, so source actions are expanded wherever ``branch`` is
+        None, and a target node is met only with a branch pending."""
+        if branch is not None and old in target_nodes:
             kept = [c for c in mech.children[old]
                     if dict(mech.step[c]).get(i) == branch]
             if not kept:
@@ -159,42 +158,35 @@ def apply_coalesce(mech, t):
                 # The agent moved alone there: splice her step out entirely.
                 if len(kept) != 1:
                     raise MechanismError("coalesce: ambiguous splice at target node")
-                plain_copy(kept[0], parent_new, step)
+                copy(kept[0], parent_new, step, None)
                 return
             new = add(parent_new, step, old)
             for c in kept:
-                rest = tuple(p for p in mech.step[c] if p[0] != i)
-                plain_copy(c, new, rest)
+                copy(c, new, tuple(p for p in mech.step[c] if p[0] != i), None)
             return
-        if old in mech.outcome:
+        if branch is not None and old in mech.outcome:
             raise MechanismError(
                 "coalesce: a terminal precedes the target below the source action")
         new = add(parent_new, step, old)
-        for c in mech.children[old]:
-            rewrite(c, new, mech.step[c], branch)
-
-    def copy_general(old, parent_new, step):
-        new = add(parent_new, step, old)
         if old in mech.outcome:
             outcomes[new] = mech.outcome[old]
-        in_source = old in source_nodes
+        in_source = branch is None and old in source_nodes
         for c in mech.children[old]:
             cstep = dict(mech.step[c])
             if in_source and cstep.get(i) == t.action:
-                for branch in new_actions:
-                    cstep2 = dict(cstep)
-                    cstep2[i] = branch
-                    rewrite(c, new, make_step(cstep2), branch)
+                for b in new_actions:
+                    cstep[i] = b
+                    copy(c, new, make_step(cstep), b)
             else:
-                copy_general(c, new, mech.step[c])
+                copy(c, new, mech.step[c], branch)
 
     try:
-        copy_general(0, None, None)
+        copy(0, None, None, None)
     finally:
-        # The walks refer to themselves through their closure cells; emptying
-        # the cells breaks those cycles, so the input is freed by reference
-        # counting rather than left to the cycle collector.
-        del add, plain_copy, rewrite, copy_general
+        # The walk refers to itself through its closure cell; emptying the
+        # cell breaks that cycle, so the input is freed by reference counting
+        # rather than left to the cycle collector.
+        del add, copy
 
     # Pull every surviving information set back through the history mapping.
     child_agents = [set() for _ in nodes]

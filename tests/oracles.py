@@ -10,13 +10,14 @@ import json
 import math
 from collections import deque
 
-from gradualmech import all_strategies, build_rda, make_step, play, ttc_scf
+from gradualmech import (all_strategies, build_rda, make_step, play, ttc_scf,
+                         unconditional_strategy)
 from gradualmech.checkers import Verdict, Witness, _first_profile
 from gradualmech.fileformat import serialize_mechanism
 from gradualmech.gameform import (MechanismError, build_mechanism, implements,
                                   is_static, siblings_same_action, validate)
 from gradualmech.transforms import (ChainStep, ReductionChain, apply_coalesce,
-                                    apply_merge, apply_split,
+                                    apply_merge, apply_split, coalesce_ready,
                                     is_incentive_preserving, iter_opportunities)
 from gradualmech.generators import _best
 
@@ -506,6 +507,116 @@ def reduce_chain_oracle(mech, f):
     if final_problems:
         raise MechanismError("reduce: final mechanism invalid: " + final_problems[0])
     return ReductionChain(mech.fingerprint(), steps, current), illuminations
+
+
+def apply_coalesce_oracle(mech, t):
+    """``apply_coalesce`` as three mutually recursive walks: a plain copy, a
+    rewrite of the region between the source action and the target nodes
+    with the agent's pending choice fixed, and a general copy that expands
+    each source action, as it was before the walks became one."""
+    problem = coalesce_ready(mech, t)
+    if problem:
+        raise MechanismError(problem)
+    i = t.agent
+    source_nodes = set(mech.infosets[t.infoset].nodes)
+    target_nodes = set(mech.infosets[t.target].nodes)
+    new_actions = mech.infosets[t.target].actions
+
+    nodes = []
+    outcomes = {}
+    tmap = []  # new id -> old id whose information sets it inherits
+
+    def add(parent_new, step, old):
+        nodes.append((parent_new, step))
+        tmap.append(old)
+        return len(nodes) - 1
+
+    def plain_copy(old, parent_new, step):
+        new = add(parent_new, step, old)
+        if old in mech.outcome:
+            outcomes[new] = mech.outcome[old]
+        for c in mech.children[old]:
+            plain_copy(c, new, mech.step[c])
+
+    def rewrite(old, parent_new, step, branch):
+        if old in target_nodes:
+            kept = [c for c in mech.children[old]
+                    if dict(mech.step[c]).get(i) == branch]
+            if not kept:
+                raise MechanismError("coalesce: target node missing the branch action")
+            if all(len(mech.step[c]) == 1 for c in kept):
+                if len(kept) != 1:
+                    raise MechanismError("coalesce: ambiguous splice at target node")
+                plain_copy(kept[0], parent_new, step)
+                return
+            new = add(parent_new, step, old)
+            for c in kept:
+                rest = tuple(p for p in mech.step[c] if p[0] != i)
+                plain_copy(c, new, rest)
+            return
+        if old in mech.outcome:
+            raise MechanismError(
+                "coalesce: a terminal precedes the target below the source action")
+        new = add(parent_new, step, old)
+        for c in mech.children[old]:
+            rewrite(c, new, mech.step[c], branch)
+
+    def copy_general(old, parent_new, step):
+        new = add(parent_new, step, old)
+        if old in mech.outcome:
+            outcomes[new] = mech.outcome[old]
+        in_source = old in source_nodes
+        for c in mech.children[old]:
+            cstep = dict(mech.step[c])
+            if in_source and cstep.get(i) == t.action:
+                for branch in new_actions:
+                    cstep2 = dict(cstep)
+                    cstep2[i] = branch
+                    rewrite(c, new, make_step(cstep2), branch)
+            else:
+                copy_general(c, new, mech.step[c])
+
+    copy_general(0, None, None)
+
+    child_agents = [set() for _ in nodes]
+    for c, (p, step) in enumerate(nodes):
+        if p is not None and step:
+            for a, _ in step:
+                child_agents[p].add(a)
+    group_map = {}
+    for new, old in enumerate(tmap):
+        for a in child_agents[new]:
+            k = mech.node_iset.get((a, old))
+            if k is None or k == t.target:
+                raise MechanismError("coalesce: inconsistent information sets in input")
+            group_map.setdefault(k, []).append(new)
+    groups = [(mech.infosets[k].agent, members)
+              for k, members in sorted(group_map.items())]
+    return build_mechanism(mech.model, nodes, groups, outcomes)
+
+
+def replay_ic_witness(mech, w):
+    """Replay an IC or RP witness with explicit strategies and ``play``,
+    which reads no conflict masks.  Every other agent plays the union of her
+    choices on the paths to ``w.z1`` and ``w.z2``, and the first action at
+    her other sets.  The harmed agent plays her truthful strategy for her
+    type at ``w.z1``, and then the same strategy with her choices on the
+    path to ``w.z2``.  Returns the two terminals reached."""
+    i = w.agent
+    strategies = {}
+    for a in range(mech.model.n_agents):
+        if a == i:
+            continue
+        chosen = {k: mech.infosets[k].actions[0] for k in mech.agent_infosets(a)}
+        on_paths = set(mech.experience[a][w.z1]) | set(mech.experience[a][w.z2])
+        if len({k for k, _ in on_paths}) != len(on_paths):
+            raise MechanismError(f"agent {a} chooses differently on the two paths")
+        chosen.update(on_paths)
+        strategies[a] = chosen
+    truthful = unconditional_strategy(mech, i, w.profile1[i])
+    deviation = {**truthful, **dict(mech.experience[i][w.z2])}
+    return (play(mech, {**strategies, i: truthful}),
+            play(mech, {**strategies, i: deviation}))
 
 
 def implemented_scf_oracle(mech):

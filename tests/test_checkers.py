@@ -3,7 +3,7 @@ import pytest
 import gradualmech as gm
 from gradualmech import MechanismError, checkers
 
-from oracles import brute_force_ic, unconditional_deviation_ic
+from oracles import brute_force_ic, replay_ic_witness, unconditional_deviation_ic
 
 
 def test_ic_direct_mechanism_of_sp_scf(voting):
@@ -201,3 +201,21 @@ def test_passing_scans_read_preferences_by_model_size(monkeypatch):
         assert check(mech, f).holds
         assert calls["weakly_prefers"] == 0 and calls["level"] == 0
         assert 0 < calls["lookup"] <= bound
+
+
+def test_ic_and_rp_witnesses_replay_with_explicit_strategies(full_corpus):
+    """Every IC and RP witness of the corpus is reached by ``play`` from
+    explicit strategies, which reads no conflict masks, and the deviation
+    strictly gains."""
+    replayed = {"ic": 0, "rp": 0}
+    for name, mech, model, f in full_corpus:
+        for check in (gm.is_ic, gm.is_rp):
+            w = check(mech, f).witness
+            if w is None:
+                continue
+            z1, z2 = replay_ic_witness(mech, w)
+            assert (z1, z2) == (w.z1, w.z2), (name, w)
+            assert not model.weakly_prefers(w.agent, w.profile1[w.agent],
+                                            mech.outcome[z1], mech.outcome[z2]), (name, w)
+            replayed[w.kind] += 1
+    assert replayed == {"ic": 51, "rp": 51}

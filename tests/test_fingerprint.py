@@ -70,6 +70,14 @@ def test_corpus_fingerprints_match_the_oracle(full_corpus):
         assert mech.fingerprint() == fingerprint_oracle(mech), name
 
 
+def test_voting_fingerprints_are_pinned(voting):
+    model, f, mechs = voting
+    assert {name: m.fingerprint()[:16] for name, m in mechs.items()} == {
+        "g1": "fcf26be242329311", "g2": "7be7d01b390c38a8",
+        "g3": "464edb8a8185c953", "g4": "9188a1465bde0fed",
+        "direct": "55bfa55986342298"}
+
+
 def test_regrouping_fingerprints_match_the_oracle(full_corpus):
     checked = 0
     for name, mech, model, f in full_corpus:

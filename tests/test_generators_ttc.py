@@ -8,7 +8,7 @@ import gradualmech as gm
 from gradualmech.cli import main
 
 from conftest import rda3_subset
-from oracles import gen_ttc_oracle, sd_assignment, ttc_all_cycles
+from oracles import gen_ttc_oracle, replay_ic_witness, sd_assignment, ttc_all_cycles
 
 
 def test_ttc_identity_when_all_top_own():
@@ -158,6 +158,33 @@ def test_rda_four_agents_pooling_bites_and_stays_ic():
     assert gm.validate(rda) == []
     assert gm.implemented_scf(rda) == f
     assert gm.is_ic(rda, f).holds
+
+
+def test_rda_four_agents_first_ic_failure():
+    """The first four-agent structure, in the orbit sample, on which the
+    staged tree is not IC.  The checks run against the tree's own SCF, which
+    is the trading-cycles table (``implemented_scf(rda) == ttc_scf(pr, 4)``,
+    about 13 s to build).  Agent 2, of type abcd, reaches ``cabd`` truthfully
+    and ``cbad`` on the other path, with everyone else's choices fixed."""
+    pr = ((0, 1, 2, 3), (0, 1, 2, 3), (1, 0, 3, 2), (2, 0, 3, 1))
+    rda = gm.build_rda(pr, 4)
+    model, f = rda.model, gm.implemented_scf(rda)
+    assert (rda.n_nodes(), len(rda.infosets)) == (135, 65)
+    assert rda.fingerprint()[:16] == "498e1b3dafdad465"
+    assert gm.validate(rda) == []
+
+    ic = gm.is_ic(rda, f).witness
+    assert (ic.agent, ic.z1, ic.z2) == (2, 99, 105)
+    assert [model.outcome_names[rda.outcome[z]] for z in (ic.z1, ic.z2)] == ["cabd", "cbad"]
+    rp = gm.is_rp(rda, f).witness
+    assert (rp.agent, rp.reactor, rp.z1, rp.z2, rp.infosets) == (2, 1, 99, 105, (24, 25))
+    irp = gm.is_irp(rda, f).witness
+    assert (irp.agent, irp.reactor, irp.z1, irp.z2) == (2, 1, 17, 18)
+
+    assert replay_ic_witness(rda, ic) == (99, 105)
+    own = ic.profile1[2]
+    assert model.type_names[2][own] == "abcd"
+    assert model.strictly_prefers(2, own, rda.outcome[105], rda.outcome[99])
 
 
 def check_gen_ttc(pr, n):

@@ -1,17 +1,18 @@
 """The one-pass ``Mechanism`` tables, the reduction that keeps each merge
-probe's result, and the mask-driven incentive-preservation scan, against the
-code they replace (``tests/oracles.py``).
+probe's result, the mask-driven incentive-preservation scan and the one-walk
+coalesce, against the code they replace (``tests/oracles.py``).
 
-The suite leaves out the ``rda3-*`` entries of ``full_corpus``: they take
-most of the reduction time.  Run as a script to compare every entry:
-``PYTHONPATH=src python tests/test_reduction_oracles.py``.
+The suite leaves out the ``rda3-*`` entries of ``full_corpus`` but one
+coalesce chain: they take most of the reduction time.  Run as a script to
+compare every entry: ``PYTHONPATH=src python tests/test_reduction_oracles.py``.
 """
 
 import pytest
 
 import gradualmech as gm
-from oracles import (is_incentive_preserving_oracle, mechanism_tables_oracle,
-                     reduce_chain_oracle)
+from gradualmech.gameform import MechanismError
+from oracles import (apply_coalesce_oracle, is_incentive_preserving_oracle,
+                     mechanism_tables_oracle, reduce_chain_oracle)
 
 
 def check_tables(name, mech):
@@ -40,6 +41,31 @@ def check_reduction(name, mech, f):
     return len(illuminations)
 
 
+def coalesce_result(apply, mech, t):
+    try:
+        out = apply(mech, t)
+    except MechanismError as e:
+        return str(e)
+    return out.canonical_form(), [(s.agent, s.nodes, s.actions) for s in out.infosets]
+
+
+def check_coalesces(name, mech, f):
+    """Every coalesce opportunity of ``mech`` and of each mechanism along its
+    reduction chain gives the same tree and information sets, or the same
+    error, as the three-walk copy; return the number compared."""
+    chain = gm.reduce_to_direct(mech, f)
+    compared = 0
+    for step in [None] + chain.steps:
+        if step is not None:
+            mech = gm.apply_transformation(mech, step.transform)
+            assert mech.fingerprint() == step.fingerprint, name
+        for t in gm.iter_opportunities(mech, "coalesce"):
+            assert (coalesce_result(gm.apply_coalesce, mech, t)
+                    == coalesce_result(apply_coalesce_oracle, mech, t)), (name, t)
+            compared += 1
+    return compared
+
+
 @pytest.fixture(scope="module")
 def corpus(full_corpus):
     return [entry for entry in full_corpus if not entry[0].startswith("rda3-")]
@@ -57,12 +83,25 @@ def test_reduction_matches_the_probe_then_apply_loop(corpus):
     assert merges > 0
 
 
+def test_coalesce_matches_the_three_walk_copy(corpus):
+    """Includes the three-agent trading chain on which agent 1 coalesces at
+    the root, where a target node's kept children must be copied with no
+    pending branch."""
+    pr = ((0, 1, 2), (0, 2, 1), (0, 2, 1))
+    trading = ("rda3-" + str(pr), gm.build_rda(pr, 3), None, gm.ttc_scf(pr, 3)[1])
+    compared = sum(check_coalesces(name, mech, f)
+                   for name, mech, model, f in corpus + [trading])
+    assert compared > 0
+
+
 if __name__ == "__main__":
     from conftest import build_full_corpus
 
     entries = build_full_corpus()
-    merges = 0
+    merges = coalesces = 0
     for name, mech, model, f in entries:
         check_tables(name, mech)
         merges += check_reduction(name, mech, f)
-    print(f"{len(entries)} reductions and {merges} merge steps agree")
+        coalesces += check_coalesces(name, mech, f)
+    print(f"{len(entries)} reductions, {merges} merge steps and "
+          f"{coalesces} coalesces agree")
