@@ -164,7 +164,7 @@ def test_rda_four_agents_first_ic_failure():
     """The first four-agent structure, in the orbit sample, on which the
     staged tree is not IC.  The checks run against the tree's own SCF, which
     is the trading-cycles table (``implemented_scf(rda) == ttc_scf(pr, 4)``,
-    about 13 s to build).  Agent 2, of type abcd, reaches ``cabd`` truthfully
+    over 10 s to build).  Agent 2, of type abcd, reaches ``cabd`` truthfully
     and ``cbad`` on the other path, with everyone else's choices fixed."""
     pr = ((0, 1, 2, 3), (0, 1, 2, 3), (1, 0, 3, 2), (2, 0, 3, 1))
     rda = gm.build_rda(pr, 4)
