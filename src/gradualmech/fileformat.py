@@ -133,35 +133,33 @@ def serialize_mechanism(mech, f=None):
     def action_names(agent, action):
         return [model.type_names[agent][t] for t in sorted(action)]
 
-    def node_doc(v):
-        doc = {"id": v}
+    # build_mechanism numbers nodes breadth-first, so every child has a
+    # larger id than its parent and one pass in descending id order writes
+    # each node's children before the node.
+    docs = [None] * mech.n_nodes()
+    for v in reversed(range(mech.n_nodes())):
+        node = docs[v] = {"id": v}
         if mech.is_terminal(v):
-            doc["outcome"] = model.outcome_names[mech.outcome[v]]
+            node["outcome"] = model.outcome_names[mech.outcome[v]]
         else:
-            doc["children"] = [
+            node["children"] = [
                 {"step": {names[a]: action_names(a, act) for a, act in mech.step[c]},
-                 "node": node_doc(c)}
+                 "node": docs[c]}
                 for c in mech.children[v]
             ]
-        return doc
 
     prefs = [
         [[[model.outcome_names[x] for x in sorted(level)] for level in order.levels]
          for order in model.prefs[i]]
         for i in range(model.n_agents)
     ]
-    try:
-        tree = node_doc(0)
-    finally:
-        # As in ``parse_mechanism``: break the self-reference of the walk.
-        del node_doc
     doc = {
         "format": FORMAT,
         "agents": list(names),
         "types": [list(t) for t in model.type_names],
         "outcomes": list(model.outcome_names),
         "preferences": prefs,
-        "tree": tree,
+        "tree": docs[0],
         "infosets": [{"agent": names[s.agent], "nodes": list(s.nodes)}
                      for s in mech.infosets],
     }

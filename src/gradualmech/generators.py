@@ -558,10 +558,6 @@ def build_rda(priorities, n):
         (o, menu), rest = queue[0], queue[1:]
         picks = feasible((x, frozenset(t for t in cur[o] if top(t, menu) == x))
                          for x in sorted(menu))
-        if len(picks) == 1:
-            assert_phase(node, agents, items, standing, matched, cur, exp,
-                         rest, leavers + [(o, picks[0][0])])
-            return
         expand(node, {o: picks}, lambda o: ("A", o, node), cur, exp,
                lambda node2, cur2, exp2, labels: assert_phase(
                    node2, agents, items, standing, matched, cur2, exp2,

@@ -122,9 +122,23 @@ def coalesce_ready(mech, t):
 
 def apply_coalesce(mech, t):
     """Coalescing: the target's menu replaces ``action`` at the source; the
-    target's decision step is spliced out of every affected history.
+    target's decision step is spliced out of every affected history.  Each
+    copied node joins the information sets its original held for the agents
+    that still move there, so the target set is left empty and dropped.
 
-    ``mech`` must be valid; every caller validates first."""
+    ``mech`` must be valid; every caller validates first.  Validity leaves
+    the walk nothing to check beyond ``coalesce_ready``:
+
+    - The members of one information set lie on no common path (perfect
+      recall) and share the agent's current set.  The terminal type boxes
+      partition the profile space (``_tree_rules``), so the members' boxes
+      of the other agents' types are disjoint.  Hence ``coalesce_ready``'s
+      equal ``theta_minus`` means that the target members below each source
+      member cover its box, and every history below the source action meets
+      a target member before a terminal.
+    - Menus are uniform, so the pending branch is on every target member's
+      menu.  The agent's actions partition her set, so where she moves
+      alone exactly one child takes the branch."""
     problem = coalesce_ready(mech, t)
     if problem:
         raise MechanismError(problem)
@@ -135,12 +149,14 @@ def apply_coalesce(mech, t):
 
     nodes = []
     outcomes = {}
-    tmap = []  # new id -> old id whose information sets it inherits
+    groups = [[] for _ in mech.infosets]  # per input set, its copied members
 
-    def add(parent_new, step, old):
+    def add(parent_new, step, old, movers):
+        new = len(nodes)
         nodes.append((parent_new, step))
-        tmap.append(old)
-        return len(nodes) - 1
+        for a in movers:
+            groups[mech.node_iset[a, old]].append(new)
+        return new
 
     def copy(old, parent_new, step, branch):
         """Copy the subtree at ``old``.  ``branch`` is the agent's pending
@@ -150,24 +166,16 @@ def apply_coalesce(mech, t):
         target node, so source actions are expanded wherever ``branch`` is
         None, and a target node is met only with a branch pending."""
         if branch is not None and old in target_nodes:
-            kept = [c for c in mech.children[old]
-                    if dict(mech.step[c]).get(i) == branch]
-            if not kept:
-                raise MechanismError("coalesce: target node missing the branch action")
-            if all(len(mech.step[c]) == 1 for c in kept):
+            kept = [c for c in mech.children[old] if (i, branch) in mech.step[c]]
+            if mech.acting[old] == (i,):
                 # The agent moved alone there: splice her step out entirely.
-                if len(kept) != 1:
-                    raise MechanismError("coalesce: ambiguous splice at target node")
                 copy(kept[0], parent_new, step, None)
                 return
-            new = add(parent_new, step, old)
+            new = add(parent_new, step, old, [a for a in mech.acting[old] if a != i])
             for c in kept:
                 copy(c, new, tuple(p for p in mech.step[c] if p[0] != i), None)
             return
-        if branch is not None and old in mech.outcome:
-            raise MechanismError(
-                "coalesce: a terminal precedes the target below the source action")
-        new = add(parent_new, step, old)
+        new = add(parent_new, step, old, mech.acting[old])
         if old in mech.outcome:
             outcomes[new] = mech.outcome[old]
         in_source = branch is None and old in source_nodes
@@ -188,22 +196,9 @@ def apply_coalesce(mech, t):
         # rather than left to the cycle collector.
         del add, copy
 
-    # Pull every surviving information set back through the history mapping.
-    child_agents = [set() for _ in nodes]
-    for c, (p, step) in enumerate(nodes):
-        if p is not None and step:
-            for a, _ in step:
-                child_agents[p].add(a)
-    group_map = {}
-    for new, old in enumerate(tmap):
-        for a in child_agents[new]:
-            k = mech.node_iset.get((a, old))
-            if k is None or k == t.target:
-                raise MechanismError("coalesce: inconsistent information sets in input")
-            group_map.setdefault(k, []).append(new)
-    groups = [(mech.infosets[k].agent, members)
-              for k, members in sorted(group_map.items())]
-    return build_mechanism(mech.model, nodes, groups, outcomes)
+    return build_mechanism(mech.model, nodes,
+                           [(s.agent, members) for s, members in zip(mech.infosets, groups)],
+                           outcomes)
 
 
 def _illumination_parts(mech, t, what):
@@ -219,7 +214,9 @@ def _illumination_parts(mech, t, what):
 def apply_illuminate(mech, t):
     """Illumination: the tree is unchanged; the information set splits in two
     and every successor set of the same agent splits by which part precedes
-    each node.  The result is a regrouping of the input's tree."""
+    each node.  The result is a regrouping of the input's tree.
+
+    ``mech`` must be valid; every caller validates first."""
     p1, p2 = _illumination_parts(mech, t, "illuminate")
     i = t.agent
     # Perfect recall puts no member of a set below another member of the
@@ -233,13 +230,15 @@ def apply_illuminate(mech, t):
         if other.agent != i:
             groups.append((other.agent, list(other.nodes)))
             continue
+        # Perfect recall again: a successor set's members share the agent's
+        # chain.  Either the chain passes the split set, and then each member
+        # lies below exactly one of its members, or no member does.  So the
+        # two sides hold every member or none.
         sides = [[v for v in other.nodes if mask >> v & 1] for mask in under]
-        if not any(sides):
+        if any(sides):
+            groups.extend((i, side) for side in sides if side)
+        else:
             groups.append((i, list(other.nodes)))
-            continue
-        if sum(map(len, sides)) != len(other.nodes):
-            raise MechanismError("illuminate: successor set straddles the split inconsistently")
-        groups.extend((i, side) for side in sides if side)
     return mech.regroup(groups)
 
 
@@ -356,7 +355,6 @@ def apply_unsplit(mech, t):
     if problem:
         raise MechanismError(problem)
     iset = mech.infosets[t.infoset]
-    members = set(iset.nodes)
     drop = {c for v in iset.nodes for c in mech.children[v]}
     keep = [v for v in range(mech.n_nodes()) if v not in drop]
     nodes = []
@@ -386,31 +384,27 @@ def apply_uncoalesce(mech, t):
     i = t.agent
     union = frozenset().union(*chosen)
     chosen_set = set(chosen)
-    members = set(iset.nodes)
 
     nodes = _raw_nodes(mech)
-    outcomes = dict(mech.outcome)
     new_infoset = []
-    for v in sorted(members):
-        by_rest = {}
+    for v in iset.nodes:
+        by_rest = {}  # the other agents' moves -> [(child, the agent's action)]
         for c in mech.children[v]:
-            step_map = dict(mech.step[c])
-            if step_map.get(i) in chosen_set:
-                rest = tuple(sorted((a, x) for a, x in step_map.items() if a != i))
-                by_rest.setdefault(rest, []).append(c)
-        for rest, cs in sorted(by_rest.items()):
-            mid_parts = dict(rest)
-            mid_parts[i] = union
-            mid_step = make_step(mid_parts)
-            nodes.append((v, mid_step))
-            mid = len(nodes) - 1
+            act = dict(mech.step[c]).get(i)
+            if act in chosen_set:
+                rest = tuple(p for p in mech.step[c] if p[0] != i)
+                by_rest.setdefault(rest, []).append((c, act))
+        # The middle nodes under v have distinct steps, so build_mechanism
+        # numbers them the same whatever order they are added in.
+        for rest, kids in by_rest.items():
+            mid = len(nodes)
+            nodes.append((v, make_step({**dict(rest), i: union})))
             new_infoset.append(mid)
-            for c in cs:
-                act = dict(mech.step[c])[i]
+            for c, act in kids:
                 nodes[c] = (mid, make_step({i: act}))
     groups = _raw_groups(mech)
     groups.append((i, new_infoset))
-    return build_mechanism(mech.model, nodes, groups, outcomes)
+    return build_mechanism(mech.model, nodes, groups, mech.outcome)
 
 
 def _binary_partitions(items):
@@ -677,7 +671,11 @@ def reduce_to_direct(mech, f):
         current = merged
         steps.append(ChainStep(t, current.fingerprint(), preserving=preserving))
 
-    final_problems = validate(current)
-    if final_problems:
-        raise MechanismError("reduce: final mechanism invalid: " + final_problems[0])
+    # The result is not validated again: each step keeps a valid mechanism
+    # valid, and the input was validated above.  A split adds one final move
+    # per terminal, and those terminals share one chain and one menu.  A
+    # coalesce puts the target's menu, which partitions ``action``, in place
+    # of ``action`` at the source; each copy keeps its original's sets and
+    # moves, and the members of every set have their chains fused alike.
+    # A merge validates its own result.
     return ReductionChain(mech.fingerprint(), steps, current)

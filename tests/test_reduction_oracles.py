@@ -1,6 +1,9 @@
 """The one-pass ``Mechanism`` tables, the reduction that keeps each merge
 probe's result, the mask-driven incentive-preservation scan and the one-walk
-coalesce, against the code they replace (``tests/oracles.py``).
+coalesce, against the code they replace (``tests/oracles.py``).  Each step
+of a reduction chain and every illumination must give a valid mechanism:
+``apply_coalesce``, ``apply_illuminate`` and ``reduce_to_direct`` rely on
+validity being kept and do not check their results.
 
 The suite leaves out the ``rda3-*`` entries of ``full_corpus`` but one
 coalesce chain: they take most of the reduction time.  Run as a script to
@@ -50,15 +53,17 @@ def coalesce_result(apply, mech, t):
 
 
 def check_coalesces(name, mech, f):
-    """Every coalesce opportunity of ``mech`` and of each mechanism along its
-    reduction chain gives the same tree and information sets, or the same
-    error, as the three-walk copy; return the number compared."""
+    """Every mechanism along the reduction chain of ``mech`` is valid, and
+    every coalesce opportunity of each gives the same tree and information
+    sets, or the same error, as the three-walk copy; return the number
+    compared."""
     chain = gm.reduce_to_direct(mech, f)
     compared = 0
     for step in [None] + chain.steps:
         if step is not None:
             mech = gm.apply_transformation(mech, step.transform)
             assert mech.fingerprint() == step.fingerprint, name
+            assert gm.validate(mech) == [], (name, step.transform)
         for t in gm.iter_opportunities(mech, "coalesce"):
             assert (coalesce_result(gm.apply_coalesce, mech, t)
                     == coalesce_result(apply_coalesce_oracle, mech, t)), (name, t)
@@ -92,6 +97,17 @@ def test_coalesce_matches_the_three_walk_copy(corpus):
     compared = sum(check_coalesces(name, mech, f)
                    for name, mech, model, f in corpus + [trading])
     assert compared > 0
+
+
+def test_every_illumination_is_valid(full_corpus):
+    """A successor set that straddled the split would leave some of its
+    members in no set, which ``validate`` reports."""
+    count = 0
+    for name, mech, model, f in full_corpus:
+        for t in gm.iter_opportunities(mech, "illuminate"):
+            assert gm.validate(gm.apply_illuminate(mech, t)) == [], (name, t)
+            count += 1
+    assert count > 0
 
 
 if __name__ == "__main__":
