@@ -236,6 +236,24 @@ def is_ic(mech, f):
     return Verdict(True)
 
 
+def _divergence(mech, others, h1, s2, under2, seqs):
+    """Relaxed RP, for a first history h1 and second set s2: per member h2,
+    the agents of ``others`` whose information-set sequences up to h1 and h2
+    differ; and per agent of ``others``, the terminals under the members
+    whose divergence is at most hers.  ``seqs`` memoizes the sequences per
+    node for one scan."""
+    for h in (h1, *s2.nodes):
+        if h not in seqs:
+            seqs[h] = [tuple(e[0] for e in exp[h]) for exp in mech.experience]
+    divergent = {h2: {k for k in others if seqs[h1][k] != seqs[h2][k]} for h2 in s2.nodes}
+    allowed = [0] * len(others)
+    for h2, div in divergent.items():
+        for idx, j in enumerate(others):
+            if not div - {j}:
+                allowed[idx] |= under2[h2]
+    return divergent, allowed
+
+
 def is_rp(mech, f, relaxed=False):
     """Reaction-proofness: an agent reacting across two same-action sibling
     information sets can never harm another agent's truthful comparison.
@@ -246,58 +264,79 @@ def is_rp(mech, f, relaxed=False):
     learn about the divergence.  An agent j is then checked only on the
     members h2 whose divergence from h1 is at most j's own.
 
-    The harmful second terminals of each first one are one mask, built as in
-    ``is_ic``.  The canonical order visits them in the tree order of
-    ``terminals_under`` over the second set's members, not in id order, so
-    the witness comes from the first member whose terminals meet the mask
-    and the first of its terminals in that order.
+    ``siblings_same_action`` lists the pairs of one first set k1 together,
+    so the scan builds k1's rows once for all its later siblings k2.  Per
+    terminal z1 under k1's members, in ``terminals_under`` order, the row
+    holds, per agent j other than i, the second terminals that harm j's
+    comparison with z1, built as in ``is_ic`` over ``later``, the terminals
+    under every k2.  A row depends on k2 only through a final AND, so a pair
+    (k1, k2) costs one AND per row and agent, with k2's terminals or, in
+    ``relaxed`` mode, with those j may react on (``_divergence``), and none
+    at all when k2's terminals miss the OR of every row.  The pairs stay in
+    canonical order, k2 by k2 and then z1 by z1, so the first hit is the
+    pair scan's.  Its second terminals go in the tree order of
+    ``terminals_under`` over k2's members, not in id order: the witness
+    comes from the first member whose terminals meet the row and the first
+    of its terminals in that order.
     """
     _require_valid(mech, f)
     n = mech.model.n_agents
     harm = _Harm(mech)
     below = mech.subtree_masks()
-    for i, k1, k2 in siblings_same_action(mech):
-        s1, s2 = mech.infosets[k1], mech.infosets[k2]
-        ks = (k1, k2)
-        under2 = {h: below[h] & harm.every for h in s2.nodes}
-        in_t2 = 0
-        for mask in under2.values():
-            in_t2 |= mask
+    seqs = {}
+    for (i, k1), pairs in itertools.groupby(siblings_same_action(mech), lambda p: p[:2]):
         others = [j for j in range(n) if j != i]
-        allowed = [in_t2] * len(others)
-        if relaxed:
-            seqs = {h: [tuple(e[0] for e in mech.experience[k][h]) for k in others]
-                    for h in s1.nodes + s2.nodes}
-        for h1 in s1.nodes:
-            if relaxed:
-                divergent = {h2: {k for k, a, b in zip(others, seqs[h1], seqs[h2]) if a != b}
-                             for h2 in s2.nodes}
-                allowed = [0] * len(others)
-                for h2, div in divergent.items():
-                    for idx, j in enumerate(others):
-                        if not div - {j}:
-                            allowed[idx] |= under2[h2]
+        seconds, later = [], 0
+        for _, _, k2 in pairs:
+            under2 = {h: below[h] & harm.every for h in mech.infosets[k2].nodes}
+            in_t2 = 0
+            for mask in under2.values():
+                in_t2 |= mask
+            seconds.append((k2, under2, in_t2))
+            later |= in_t2
+        rows, hit = [], 0  # (h1, [(z1, one mask per others)]), and their OR
+        for h1 in mech.infosets[k1].nodes:
+            row = []
             for z1 in mech.terminals_under(h1):
                 masks = mech.conflict_masks(z1)
                 outside = [masks[j] for j in others]
                 once, twice = _coverage(outside)
-                qualify = in_t2 & ~harm.by_outcome[mech.outcome[z1]] & ~twice
+                qualify = later & ~(harm.by_outcome[mech.outcome[z1]] | twice)
                 free = qualify & ~once
-                harmful = 0
-                for j, mask, ok in zip(others, outside, allowed):
-                    checked = (mask & qualify | free) & ok
+                per_j = []
+                for j, mask in zip(others, outside):
+                    checked = mask & qualify | free
                     if checked:
-                        harmful |= checked & harm.partners(j, z1)
-                if not harmful:
-                    continue
-                h2 = next(h for h in s2.nodes if under2[h] & harmful)
-                z2 = next(z for z in mech.terminals_under(h2) if harmful >> z & 1)
-                js = [j for j in others if masks[j] >> z2 & 1] or others
+                        checked &= harm.partners(j, z1)
+                        hit |= checked
+                    per_j.append(checked)
+                if any(per_j):
+                    row.append((z1, per_j))
+            if row:
+                rows.append((h1, row))
+        for k2, under2, in_t2 in seconds:
+            if not hit & in_t2:
+                continue
+            s2 = mech.infosets[k2]
+            allowed = [in_t2] * len(others)
+            for h1, row in rows:
                 if relaxed:
-                    js = [j for j in js if not divergent[h2] - {j}]
-                return Verdict(False, _first_harmed(
-                    mech, "rp", js, i, z1, z2, ks,
-                    "reaction across sibling information sets"))
+                    divergent, allowed = _divergence(mech, others, h1, s2, under2, seqs)
+                for z1, per_j in row:
+                    harmful = 0
+                    for mask, ok in zip(per_j, allowed):
+                        harmful |= mask & ok
+                    if not harmful:
+                        continue
+                    h2 = next(h for h in s2.nodes if under2[h] & harmful)
+                    z2 = next(z for z in mech.terminals_under(h2) if harmful >> z & 1)
+                    masks = mech.conflict_masks(z1)
+                    js = [j for j in others if masks[j] >> z2 & 1] or others
+                    if relaxed:
+                        js = [j for j in js if not divergent[h2] - {j}]
+                    return Verdict(False, _first_harmed(
+                        mech, "rp", js, i, z1, z2, (k1, k2),
+                        "reaction across sibling information sets"))
     return Verdict(True)
 
 
@@ -307,42 +346,54 @@ def is_irp(mech, f):
     two histories already fixes agent j's welfare (full indifference over all
     continuation outcomes, for every type j could hold; ``_Settled``).
 
-    For each sibling pair and first history h1, the second histories are one
-    mask over node ids, built as in ``is_ic``: the members of the second set
-    at which at most one agent other than i conflicts with h1, and that
-    agent, or every agent when none conflicts, is unsettled at h1 and at
-    the member.  The canonical order visits the members in ascending id
-    order, the order of ``InfoSet.nodes``, so the lowest set bit is the
-    witness's h2, and its agent is the first checked agent unsettled at
-    both."""
+    As in ``is_rp``, the scan builds a first set k1's rows once for all its
+    later siblings k2.  Per member h1 of k1, the row holds, for each agent j
+    other than i who is unsettled at h1, the later siblings' members at
+    which at most one agent other than i conflicts with h1, and that agent
+    is j or none is: a mask over node ids, built as in ``is_ic``.  A pair
+    (k1, k2) then costs one AND per row entry with the members of k2 at
+    which j is unsettled.  The pairs stay in canonical order, and the
+    members of k2 go in ascending id order, the order of ``InfoSet.nodes``,
+    so the lowest set bit is the witness's h2, and its agent is the first
+    checked agent unsettled at both."""
     _require_valid(mech, f)
     n = mech.model.n_agents
     settled = _Settled(mech)
     unsettled = {}  # (j, k) -> the members of set k at which j is unsettled
-    for i, k1, k2 in siblings_same_action(mech):
+    for (i, k1), pairs in itertools.groupby(siblings_same_action(mech), lambda p: p[:2]):
         others = [j for j in range(n) if j != i]
+        k2s = [k2 for _, _, k2 in pairs]
+        later = sum(1 << h for k2 in k2s for h in mech.infosets[k2].nodes)
+        rows = []  # (h1, [(j, the later members j is checked at)])
         for h1 in mech.infosets[k1].nodes:
             checked = [j for j in others if not settled(j, h1)]
             if not checked:
                 continue
             masks = mech.conflict_masks(h1)
-            once, twice = _coverage(masks[j] for j in others)
-            bad = 0
-            for j in checked:
-                u = unsettled.get((j, k2))
-                if u is None:
-                    u = unsettled[j, k2] = sum(1 << h for h in mech.infosets[k2].nodes
-                                               if not settled(j, h))
-                bad |= (masks[j] | ~once) & u
-            bad &= ~twice
-            if bad:
-                h2 = (bad & -bad).bit_length() - 1
-                js = [j for j in others if masks[j] >> h2 & 1] or others
-                j = next(j for j in js if j in checked and not settled(j, h2))
-                return Verdict(False, Witness(
-                    "irp", j, i, h1, h2, None, None, None, None,
-                    infosets=(k1, k2),
-                    detail="neither history settles the reacting-on agent"))
+            once, twice = _coverage([masks[j] for j in others])
+            qualify = later & ~twice
+            free = qualify & ~once
+            row = [(j, mask) for j in checked if (mask := masks[j] & qualify | free)]
+            if row:
+                rows.append((h1, row))
+        for k2 in k2s:
+            for h1, row in rows:
+                bad = 0
+                for j, mask in row:
+                    u = unsettled.get((j, k2))
+                    if u is None:
+                        u = unsettled[j, k2] = sum(1 << h for h in mech.infosets[k2].nodes
+                                                   if not settled(j, h))
+                    bad |= mask & u
+                if bad:
+                    h2 = (bad & -bad).bit_length() - 1
+                    masks = mech.conflict_masks(h1)
+                    js = [j for j in others if masks[j] >> h2 & 1] or others
+                    j = next(j for j in js if not settled(j, h1) and not settled(j, h2))
+                    return Verdict(False, Witness(
+                        "irp", j, i, h1, h2, None, None, None, None,
+                        infosets=(k1, k2),
+                        detail="neither history settles the reacting-on agent"))
     return Verdict(True)
 
 

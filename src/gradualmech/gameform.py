@@ -277,6 +277,16 @@ class Mechanism:
             table = self._tree["truthful"] = tuple(table)
         return table
 
+    def truthful_outcomes(self):
+        """Per profile rank, the outcome of its truthful path: the SCF the
+        valid mechanism implements, as a tuple.  A tree table, so every
+        check of a mechanism and of its regroupings reads one tuple."""
+        table = self._tree.get("outcomes")
+        if table is None:
+            table = self._tree["outcomes"] = tuple(
+                map(self.outcome.__getitem__, self.truthful_table()))
+        return table
+
     def _other_action_masks(self):
         """{(k, a): bitmask of the nodes whose path passes through information
         set k with an action other than a}.  The experience chains gain the
@@ -528,13 +538,13 @@ def _partition_rules(mech):
 
 def implemented_scf(mech):
     """The SCF a valid mechanism implements: outcome of each truthful path."""
-    return ScfTable(mech.model, map(mech.outcome.__getitem__, mech.truthful_table()))
+    return ScfTable(mech.model, mech.truthful_outcomes())
 
 
 def implements(mech, f):
     """True iff the valid mechanism's truthful outcomes equal f on every
-    profile."""
-    return implemented_scf(mech) == f
+    profile: one comparison of two tuples by profile rank."""
+    return mech.truthful_outcomes() == f.outcomes
 
 
 def siblings_same_action(mech):

@@ -12,7 +12,8 @@ from collections import deque
 
 from gradualmech import (all_strategies, build_rda, make_step, play, ttc_scf,
                          unconditional_strategy)
-from gradualmech.checkers import Verdict, Witness, _first_profile
+from gradualmech.checkers import (Verdict, Witness, _coverage, _first_harmed,
+                                  _first_profile, _Harm, _require_valid, _Settled)
 from gradualmech.fileformat import serialize_mechanism
 from gradualmech.gameform import (MechanismError, build_mechanism, implements,
                                   is_static, siblings_same_action, validate)
@@ -409,6 +410,94 @@ def is_irp_oracle(mech, f):
                         "irp", j, i, h1, h2, None, None, None, None,
                         infosets=(k1, k2),
                         detail="neither history settles the reacting-on agent"))
+    return Verdict(True)
+
+
+def is_rp_pair_masks_oracle(mech, f, relaxed=False):
+    """``is_rp`` as a mask scan per sibling pair, as it was before the scan
+    built each first set's rows once: every pair redoes the conflict masks,
+    the coverage and the checked masks of each first terminal."""
+    _require_valid(mech, f)
+    n = mech.model.n_agents
+    harm = _Harm(mech)
+    below = mech.subtree_masks()
+    for i, k1, k2 in siblings_same_action(mech):
+        s1, s2 = mech.infosets[k1], mech.infosets[k2]
+        ks = (k1, k2)
+        under2 = {h: below[h] & harm.every for h in s2.nodes}
+        in_t2 = 0
+        for mask in under2.values():
+            in_t2 |= mask
+        others = [j for j in range(n) if j != i]
+        allowed = [in_t2] * len(others)
+        if relaxed:
+            seqs = {h: [tuple(e[0] for e in mech.experience[k][h]) for k in others]
+                    for h in s1.nodes + s2.nodes}
+        for h1 in s1.nodes:
+            if relaxed:
+                divergent = {h2: {k for k, a, b in zip(others, seqs[h1], seqs[h2]) if a != b}
+                             for h2 in s2.nodes}
+                allowed = [0] * len(others)
+                for h2, div in divergent.items():
+                    for idx, j in enumerate(others):
+                        if not div - {j}:
+                            allowed[idx] |= under2[h2]
+            for z1 in mech.terminals_under(h1):
+                masks = mech.conflict_masks(z1)
+                outside = [masks[j] for j in others]
+                once, twice = _coverage(outside)
+                qualify = in_t2 & ~harm.by_outcome[mech.outcome[z1]] & ~twice
+                free = qualify & ~once
+                harmful = 0
+                for j, mask, ok in zip(others, outside, allowed):
+                    checked = (mask & qualify | free) & ok
+                    if checked:
+                        harmful |= checked & harm.partners(j, z1)
+                if not harmful:
+                    continue
+                h2 = next(h for h in s2.nodes if under2[h] & harmful)
+                z2 = next(z for z in mech.terminals_under(h2) if harmful >> z & 1)
+                js = [j for j in others if masks[j] >> z2 & 1] or others
+                if relaxed:
+                    js = [j for j in js if not divergent[h2] - {j}]
+                return Verdict(False, _first_harmed(
+                    mech, "rp", js, i, z1, z2, ks,
+                    "reaction across sibling information sets"))
+    return Verdict(True)
+
+
+def is_irp_pair_masks_oracle(mech, f):
+    """``is_irp`` as a mask scan per sibling pair, as it was before the scan
+    built each first history's rows once: every pair redoes the coverage of
+    each first history's conflict masks."""
+    _require_valid(mech, f)
+    n = mech.model.n_agents
+    settled = _Settled(mech)
+    unsettled = {}  # (j, k) -> the members of set k at which j is unsettled
+    for i, k1, k2 in siblings_same_action(mech):
+        others = [j for j in range(n) if j != i]
+        for h1 in mech.infosets[k1].nodes:
+            checked = [j for j in others if not settled(j, h1)]
+            if not checked:
+                continue
+            masks = mech.conflict_masks(h1)
+            once, twice = _coverage(masks[j] for j in others)
+            bad = 0
+            for j in checked:
+                u = unsettled.get((j, k2))
+                if u is None:
+                    u = unsettled[j, k2] = sum(1 << h for h in mech.infosets[k2].nodes
+                                               if not settled(j, h))
+                bad |= (masks[j] | ~once) & u
+            bad &= ~twice
+            if bad:
+                h2 = (bad & -bad).bit_length() - 1
+                js = [j for j in others if masks[j] >> h2 & 1] or others
+                j = next(j for j in js if j in checked and not settled(j, h2))
+                return Verdict(False, Witness(
+                    "irp", j, i, h1, h2, None, None, None, None,
+                    infosets=(k1, k2),
+                    detail="neither history settles the reacting-on agent"))
     return Verdict(True)
 
 

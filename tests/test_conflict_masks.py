@@ -1,37 +1,68 @@
 """The per-node conflict masks and the mask-driven pair scans against the
-pair-by-pair dict scans they replace (``tests/oracles.py``).
+pair-by-pair dict scans they replace, and the RP and IRP scans, which
+decide each first set once, against the mask scans per sibling pair they
+replace (``tests/oracles.py``).
 
 Run as a script to compare all four checks, and the incentive-preservation
 test with the auction's SCF and with its outcome ids rotated, on the first
-40 illuminations of each auction instead of the sample the suite uses, and
-``is_irp`` on the (4,5) auction:
+40 illuminations of each auction instead of the sample the suite uses;
+``is_irp`` on the (4,5) auction against the pair-by-pair scan; and RP,
+relaxed RP and IRP against the per-pair mask scans on the passing (4,5)
+and (5,4) auctions and the first 40 illuminations of (4,4) and (5,3).  It
+then prints the in-process median time of each large scan:
 ``PYTHONPATH=src python tests/test_conflict_masks.py``.
 """
 
 import io
 import itertools
+import random
+import statistics
 import sys
+import time
 
 import pytest
 
 import gradualmech as gm
+import oracles
+from gradualmech import checkers
 from gradualmech.cli import main
 from gradualmech.fileformat import serialize_mechanism
+from gradualmech.gameform import siblings_same_action
 from oracles import (conflict_agents_oracle, is_ic_oracle,
-                     is_incentive_preserving_oracle, is_irp_oracle, is_rp_oracle)
+                     is_incentive_preserving_oracle, is_irp_oracle,
+                     is_irp_pair_masks_oracle, is_rp_oracle, is_rp_pair_masks_oracle)
 
+
+def relaxed_rp(mech, f):
+    return gm.is_rp(mech, f, relaxed=True)
+
+
+# (label, check, pair-by-pair oracle, per-pair mask scan or None)
 CHECKS = (
-    ("ic", gm.is_ic, is_ic_oracle),
-    ("rp", gm.is_rp, is_rp_oracle),
-    ("relaxed-rp", lambda m, f: gm.is_rp(m, f, relaxed=True),
-     lambda m, f: is_rp_oracle(m, f, relaxed=True)),
-    ("irp", gm.is_irp, is_irp_oracle),
+    ("ic", gm.is_ic, is_ic_oracle, None),
+    ("rp", gm.is_rp, is_rp_oracle, is_rp_pair_masks_oracle),
+    ("relaxed-rp", relaxed_rp, lambda m, f: is_rp_oracle(m, f, relaxed=True),
+     lambda m, f: is_rp_pair_masks_oracle(m, f, relaxed=True)),
+    ("irp", gm.is_irp, is_irp_oracle, is_irp_pair_masks_oracle),
 )
+PAIR_MASKS = [(label, check, masks) for label, check, _, masks in CHECKS if masks]
 AUCTIONS = ((3, 3), (4, 4), (5, 3))
 # Each failing check on a (4,4) or (5,3) illumination scans for 0.1-0.5 s
 # before its witness, and the oracles take several times longer, so the
 # suite takes three of the first 40 there; (3,3) has 11 and takes them all.
 SAMPLE = {(3, 3): range(40), (4, 4): (0, 19, 39), (5, 3): (0, 19, 39)}
+
+
+def agree(mech, f, where):
+    """Each check's verdict, asserted equal to the pair-by-pair oracle's
+    and, for RP and IRP, to the per-pair mask scan's."""
+    verdicts = []
+    for label, check, oracle, masks in CHECKS:
+        verdict = check(mech, f)
+        assert verdict == oracle(mech, f), (where, label)
+        assert masks is None or verdict == masks(mech, f), (where, label)
+        verdicts.append(verdict)
+    return verdicts
 
 
 def test_conflict_agents_matches_the_dict_scan(full_corpus):
@@ -50,8 +81,7 @@ def test_conflict_agents_matches_the_dict_scan(full_corpus):
 
 def test_checks_match_the_pair_scans_on_the_corpus(full_corpus):
     for name, mech, model, f in full_corpus:
-        for label, check, oracle in CHECKS:
-            assert check(mech, f) == oracle(mech, f), (name, label)
+        agree(mech, f, name)
 
 
 def samples(n, m, indices):
@@ -69,9 +99,7 @@ def illuminations(n, m, indices):
 @pytest.mark.parametrize("n,m", AUCTIONS)
 def test_checks_match_the_pair_scans_on_illuminations(n, m):
     for j, mech, f in illuminations(n, m, SAMPLE[(n, m)]):
-        for label, check, oracle in CHECKS:
-            verdict = check(mech, f)
-            assert verdict == oracle(mech, f), (n, m, j, label)
+        for verdict in agree(mech, f, (n, m, j)):
             assert verdict.holds or gm.verify_witness(mech, f, verdict.witness)
 
 
@@ -171,6 +199,23 @@ def test_rp_witness_is_first_in_tree_order_not_lowest_id(random_corpus, relaxed)
     assert partners == [13, 7]
 
 
+def test_rp_rows_before_the_witness_may_harm_only_a_later_sibling():
+    """First set 2 of this mechanism has two later siblings, 3 and 4.  Its
+    terminals 31 and 32 come before the witness's 33 and harm only
+    terminals under set 4, so the scan must AND each row with set 3's
+    terminals, not with those of every later sibling, to find the pair
+    scan's witness on the pair (2, 3)."""
+    mech, f, *_ = gm.random_transformed_mechanism(random.Random(479))
+    verdict = gm.is_rp(mech, f)
+    assert verdict == is_rp_oracle(mech, f) == is_rp_pair_masks_oracle(mech, f)
+    w = verdict.witness
+    assert (w.reactor, w.infosets, w.z1, w.z2) == (0, (3, 2), 38, 33)
+    for z1, harmed in ((31, [36]), (32, [35])):
+        assert harmful_partners(mech, 0, 2, 3, z1, False) == []
+        assert harmful_partners(mech, 0, 2, 4, z1, False) == harmed
+    assert gm.is_rp(mech, f, relaxed=True) == is_rp_oracle(mech, f, relaxed=True)
+
+
 def relabelled_voting():
     """Each voting mechanism and each of its illuminations, with its
     outcomes permuted, and the SCF it then implements.  The voter of ideal M
@@ -193,22 +238,84 @@ def relabelled_voting():
 def test_checks_match_the_pair_scans_under_indifference_ties():
     failing = 0
     for name, mech, f in relabelled_voting():
-        for label, check, oracle in CHECKS:
-            verdict = check(mech, f)
-            assert verdict == oracle(mech, f), (name, label)
+        for verdict in agree(mech, f, name):
             assert verdict.holds or gm.verify_witness(mech, f, verdict.witness)
             failing += not verdict.holds
     assert failing > 0
+
+
+@pytest.mark.parametrize("n,m", AUCTIONS)
+def test_rp_and_irp_match_the_pair_mask_scans_on_auctions(n, m):
+    """The whole auctions pass every scan, so each pair is visited; the
+    pair-by-pair oracles are too slow there."""
+    g = gm.build_gstar(n, m)
+    _, f = gm.second_price_scf(n, m)
+    for label, check, masks in PAIR_MASKS:
+        verdict = check(g, f)
+        assert verdict.holds and verdict == masks(g, f), (n, m, label)
+
+
+# Per benchmark auction: _coverage calls of the per-pair mask scans (RP,
+# strict and relaxed alike, and IRP), and the terminals under the members
+# of each distinct first set and those members, the most a scan that
+# decides each first set once may make.
+COVERAGE_CALLS = {
+    (4, 4): ((1828, 303), (862, 148)),
+    (5, 3): ((4640, 906), (1148, 206)),
+    (4, 5): ((4199, 514), (2075, 277)),
+    (5, 4): ((20220, 2372), (5722, 732)),
+}
+
+
+@pytest.mark.parametrize("n,m", sorted(COVERAGE_CALLS))
+def test_scans_cover_each_first_terminal_once(monkeypatch, n, m):
+    """A count that does not depend on the machine: RP computes the
+    coverage of each terminal under a first set once, not once per later
+    sibling, and IRP that of each first member once."""
+    calls = []
+    real = checkers._coverage
+
+    def counted(masks):
+        calls.append(None)
+        return real(masks)
+
+    monkeypatch.setattr(checkers, "_coverage", counted)
+    monkeypatch.setattr(oracles, "_coverage", counted)
+    g = gm.build_gstar(n, m)
+    _, f = gm.second_price_scf(n, m)
+    firsts = {k1 for _, k1, _ in siblings_same_action(g)}
+    members = [h for k in firsts for h in g.infosets[k].nodes]
+    (pair_rp, pair_irp), bounds = COVERAGE_CALLS[n, m]
+    assert (sum(len(g.terminals_under(h)) for h in members), len(members)) == bounds
+
+    def count(check):
+        del calls[:]
+        assert check(g, f).holds
+        return len(calls)
+
+    counts = [count(check) for _, check, _ in PAIR_MASKS]
+    assert counts == [bounds[0], bounds[0], bounds[1]]
+    assert [count(masks) for _, _, masks in PAIR_MASKS] == [pair_rp, pair_rp, pair_irp]
+
+
+def median_ms(check, mech, f, repeats=7):
+    """Median wall time of ``check(mech, f)`` with the mechanism's memos
+    filled by one untimed call."""
+    check(mech, f)
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        check(mech, f)
+        times.append(time.perf_counter() - start)
+    return 1000 * statistics.median(times)
 
 
 if __name__ == "__main__":
     compared = rotations = 0
     for n, m in AUCTIONS:
         for j, g, t, f in samples(n, m, range(40)):
-            mech = gm.apply_illuminate(g, t)
-            for label, check, oracle in CHECKS:
-                assert check(mech, f) == oracle(mech, f), (n, m, j, label)
-                compared += 1
+            agree(gm.apply_illuminate(g, t), f, (n, m, j))
+            compared += len(CHECKS) + len(PAIR_MASKS)
             for h in (f, rotated(g.model, f)):
                 assert (gm.is_incentive_preserving(g, t, h)
                         == is_incentive_preserving_oracle(g, t, h)), (n, m, j)
@@ -218,5 +325,17 @@ if __name__ == "__main__":
     f = gm.second_price_scf(4, 5)[1]
     assert gm.is_irp(g, f) == is_irp_oracle(g, f), (4, 5)
     compared += 1
+    timed = []
+    for n, m in ((4, 4), (5, 3), (4, 5), (5, 4)):
+        g = gm.build_gstar(n, m)
+        f = gm.second_price_scf(n, m)[1]
+        for label, check, masks in PAIR_MASKS:
+            verdict = check(g, f)
+            assert verdict.holds and verdict == masks(g, f), (n, m, label)
+            compared += 1
+            timed.append(f"  ({n},{m}) {label}: {median_ms(check, g, f):.1f} ms, "
+                         f"per-pair mask scan {median_ms(masks, g, f):.1f} ms")
     print(f"{compared} checks agree, {rotations} of them incentive-preservation "
           f"tests with a rotated SCF, one is_irp on the (4,5) auction")
+    print("median of 7 in process, memos filled:")
+    print("\n".join(timed))

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 from contextlib import redirect_stdout
 
 import pytest
@@ -141,6 +142,52 @@ def test_rda_ic_all_structures_n_le_3():
             model, f = gm.ttc_scf(pr, n)
             rda = gm.build_rda(pr, n)
             assert gm.is_ic(rda, f).holds, (n, pr)
+
+
+def relabel(pr, agents, items):
+    """The priority structure with agent a renamed ``agents[a]`` and item x
+    renamed ``items[x]``."""
+    out = [None] * len(pr)
+    for x, order in enumerate(pr):
+        out[items[x]] = tuple(agents[a] for a in order)
+    return tuple(out)
+
+
+def test_rda_three_agent_orbits_are_constant():
+    """Relabelling agents and items, a group of 36, splits the 216
+    three-agent structures into 10 orbits, and the staged tree's size and
+    verdicts are constant on each.
+
+    Why a relabelling gives an isomorphic tree: rename agent a to s[a] and
+    item x to p[x].  Item p[x]'s priority list is then item x's with agents
+    renamed, and agent s[a]'s type p(r) ranks items as a's type r does.
+    ``build_rda`` decides every owner, claim, renunciation, designation and
+    trading cycle from the priorities and the rankings alone, so each step
+    of the renamed run is the renamed step, and its information-set keys are
+    the renamed keys, equal exactly when the originals are.  Agent ids order
+    only a node's children, which ``build_mechanism`` numbers canonically,
+    and the queue of sequential assertions, taken in ascending id.  At n = 3
+    the menus of one queue are disjoint sets of items (a claimer's own
+    items, or a cycle member's partner's), so at most one member has two
+    items to choose among; the others assert silently, with no node, and
+    the queue's order does not change the tree.  So the renamed tree is the
+    tree with agents, types and outcomes renamed, and IC, RP and IRP, which
+    read only the tree and the preferences, are equal on both.  The
+    argument does not reach n = 4, where two members of one queue can each
+    hold two items."""
+    n = 3
+    perms = list(itertools.permutations(range(n)))
+    orbits = {}
+    for pr in gm.all_priority_structures(n):
+        rep = min(relabel(pr, agents, items) for agents in perms for items in perms)
+        rda = gm.build_rda(pr, n)
+        _, f = gm.ttc_scf(pr, n)
+        ic, rp, irp = (check(rda, f).holds for check in (gm.is_ic, gm.is_rp, gm.is_irp))
+        assert ic == rp and (ic or not irp), pr
+        orbits.setdefault(rep, set()).add((rda.n_nodes(), len(rda.infosets), ic, rp, irp))
+    assert len(orbits) == 10
+    assert all(len(rows) == 1 for rows in orbits.values())
+    assert all(row[2:] == (True, True, True) for (row,) in orbits.values())
 
 
 @pytest.mark.slow

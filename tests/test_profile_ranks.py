@@ -107,3 +107,16 @@ def test_checks_build_one_truthful_table_and_implements_reads_no_entry(monkeypat
     counting = CountingScf(f)
     assert gm.implements(mech, counting)
     assert counting.lookups == 0
+
+
+def test_truthful_outcomes_are_one_tree_table(full_corpus):
+    """The implemented outcomes are a tree table: a regrouping reads the
+    same tuple, ``implemented_scf`` wraps it, and it is the dict walk's SCF
+    in profile order."""
+    for name, mech, model, f in full_corpus:
+        outcomes = mech.truthful_outcomes()
+        oracle = implemented_scf_oracle(mech)
+        assert outcomes == tuple(oracle[p] for p in model.profiles()), name
+        other = mech.regroup([(s.agent, s.nodes) for s in mech.infosets])
+        assert other.truthful_outcomes() is outcomes, name
+        assert gm.implemented_scf(other).outcomes is outcomes, name
