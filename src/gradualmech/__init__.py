@@ -6,7 +6,7 @@ characterizations, rewrites trees through the basic transformations, and
 generates the standard auction and trading-cycles mechanisms.
 """
 
-from .prefs import ScfTable, TypeModel, WeakOrder, is_strategy_proof, weakly_prefers
+from .prefs import ScfTable, TypeModel, WeakOrder, is_strategy_proof
 from .gameform import (InfoSet, Mechanism, MechanismError, build_mechanism,
                        implemented_scf, implements, is_static, make_step,
                        mechanisms_equal, siblings_same_action, validate)

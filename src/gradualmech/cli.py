@@ -99,13 +99,14 @@ def _agent_index(spec, model):
 def _illumination_from_args(mech, model, args):
     agent = _agent_index(args.agent, model)
     k = args.infoset
-    if not (0 <= k < len(mech.infosets)) or mech.infosets[k].agent != agent:
+    iset = tr._own_set(mech, agent, k)
+    if iset is None:
         raise ParseError(f"agent {args.agent} has no information set {k}")
     try:
         part1 = tuple(int(x) for x in args.part.split(","))
     except ValueError:
         raise ParseError(f"--part wants comma-separated node ids, not {args.part!r}")
-    part2 = tuple(v for v in mech.infosets[k].nodes if v not in part1)
+    part2 = tuple(v for v in iset.nodes if v not in part1)
     return tr.Illuminate(agent, k, part1, part2)
 
 
@@ -194,13 +195,8 @@ def _transform_doc(t, preserving=None, fingerprint=None):
     doc = {"kind": type(t).__name__.lower()}
     for field in t.__dataclass_fields__:
         value = getattr(t, field)
-        if isinstance(value, frozenset):
-            value = sorted(value)
-        elif isinstance(value, tuple) and value and isinstance(value[0], frozenset):
-            value = [sorted(a) for a in value]
-        elif isinstance(value, tuple):
-            value = list(value)
-        doc[field] = value
+        # Chain steps are splits, coalesces and merges: ints and frozensets.
+        doc[field] = sorted(value) if isinstance(value, frozenset) else value
     if preserving is not None:
         doc["preserving"] = preserving
     if fingerprint is not None:

@@ -471,23 +471,16 @@ def build_rda(priorities, n):
     def top(t, pool):
         return _best(rankings[t], pool)
 
-    def owned_map(agents, items):
-        owner_of = {x: next(a for a in priorities[x] if a in agents) for x in items}
-        owned = {}
-        for x, a in owner_of.items():
-            owned.setdefault(a, set()).add(x)
-        return {a: frozenset(xs) for a, xs in owned.items()}
-
-    def feasible(options):
-        return [(label, act) for label, act in options if act]
-
     def expand(node, options, key_of, cur, exp, cont):
         """One simultaneous step; ``options`` maps each owner to her
-        [(label, action)] list, empty actions left out.  An owner with one
-        option takes it silently and gets no node: claim/renounce, partner
-        groups and asserted items each partition her current set, so that
-        one action is the whole set.  The others move at ``node``, and
-        ``cont(node2, cur2, exp2, labels)`` receives a label for every owner."""
+        (label, action) pairs, of which those with an empty action are
+        dropped.  An owner with one option left takes it silently and gets no
+        node: claim/renounce, partner groups and asserted items each
+        partition her current set, so that one action is the whole set.  The
+        others move at ``node``, and ``cont(node2, cur2, exp2, labels)``
+        receives a label for every owner."""
+        options = {o: [(label, act) for label, act in opts if act]
+                   for o, opts in options.items()}
         labels = {o: opts[0][0] for o, opts in options.items() if len(opts) == 1}
         movers = [o for o, opts in options.items() if len(opts) > 1]
         if not movers:
@@ -510,7 +503,10 @@ def build_rda(priorities, n):
         if not agents:
             sink.terminal(node, model.matching_index[tuple(matched[i] for i in range(n))])
             return
-        owned = owned_map(agents, items)
+        owned = {}
+        for x in items:
+            owned.setdefault(next(a for a in priorities[x] if a in agents), set()).add(x)
+        owned = {a: frozenset(xs) for a, xs in owned.items()}
         sig = tuple(sorted((a, tuple(sorted(xs))) for a, xs in owned.items()))
         actives = sorted(a for a in owned if a not in standing)
         if not actives:
@@ -518,7 +514,7 @@ def build_rda(priorities, n):
         options = {}
         for o in actives:
             claim = frozenset(t for t in cur[o] if top(t, items) in owned[o])
-            options[o] = feasible((("claim", claim), ("renounce", cur[o] - claim)))
+            options[o] = (("claim", claim), ("renounce", cur[o] - claim))
 
         def after_renounce(node2, cur2, exp2, labels):
             claimers = [o for o in actives if labels[o] == "claim"]
@@ -536,8 +532,8 @@ def build_rda(priorities, n):
         # Designation runs only when every active owner renounced, so none of
         # her types tops at her own items, and her current set is never empty:
         # she has no action towards herself and at least one towards a partner.
-        options = {o: feasible((p, frozenset(t for t in cur[o] if top(t, items) in owned[p]))
-                               for p in sorted(owned))
+        options = {o: [(p, frozenset(t for t in cur[o] if top(t, items) in owned[p]))
+                       for p in sorted(owned)]
                    for o in sorted(a for a in owned if a not in standing)}
 
         def after_designate(node2, cur2, exp2, labels):
@@ -553,29 +549,27 @@ def build_rda(priorities, n):
 
     def assert_phase(node, agents, items, standing, matched, cur, exp, queue, leavers):
         if not queue:
-            end_stage(node, agents, items, standing, matched, cur, exp, leavers)
+            # End of the stage: the leavers go with their items, and standing
+            # designations towards a leaver lapse.
+            agents2, items2 = set(agents), set(items)
+            matched2 = dict(matched)
+            stand2 = dict(standing)
+            for o, item in leavers:
+                matched2[o] = item
+                agents2.discard(o)
+                items2.discard(item)
+                stand2.pop(o, None)
+            for o in list(stand2):
+                if stand2[o][0] not in agents2:
+                    del stand2[o]
+            stage(node, frozenset(agents2), frozenset(items2), stand2, matched2, cur, exp)
             return
         (o, menu), rest = queue[0], queue[1:]
-        picks = feasible((x, frozenset(t for t in cur[o] if top(t, menu) == x))
-                         for x in sorted(menu))
+        picks = [(x, frozenset(t for t in cur[o] if top(t, menu) == x)) for x in sorted(menu)]
         expand(node, {o: picks}, lambda o: ("A", o, node), cur, exp,
                lambda node2, cur2, exp2, labels: assert_phase(
                    node2, agents, items, standing, matched, cur2, exp2,
                    rest, leavers + [(o, labels[o])]))
-
-    def end_stage(node, agents, items, standing, matched, cur, exp, leavers):
-        agents2, items2 = set(agents), set(items)
-        matched2 = dict(matched)
-        stand2 = dict(standing)
-        for o, item in leavers:
-            matched2[o] = item
-            agents2.discard(o)
-            items2.discard(item)
-            stand2.pop(o, None)
-        for o in list(stand2):
-            if stand2[o][0] not in agents2:
-                del stand2[o]
-        stage(node, frozenset(agents2), frozenset(items2), stand2, matched2, cur, exp)
 
     cur0 = {i: model.full_type_set(i) for i in range(n)}
     exp0 = {i: () for i in range(n)}
@@ -583,7 +577,7 @@ def build_rda(priorities, n):
         stage(0, frozenset(range(n)), frozenset(range(n)), {}, {}, cur0, exp0)
     finally:
         # As in ``build_gstar``: break the cycles through the closure cells.
-        del stage, designate, assert_phase, end_stage
+        del stage, designate, assert_phase
     return sink.build()
 
 

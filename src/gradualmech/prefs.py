@@ -139,11 +139,6 @@ class TypeModel:
                 f"outcomes={len(self.outcome_names)})")
 
 
-def weakly_prefers(model, agent, type_idx, x, y):
-    """True iff outcome x is weakly preferred to y by the given type."""
-    return model.weakly_prefers(agent, type_idx, x, y)
-
-
 class ScfTable:
     """A total map from complete type profiles to outcome ids, kept as one
     tuple of outcome ids indexed by profile rank (``TypeModel.rank``), so

@@ -10,9 +10,8 @@ import itertools
 import operator
 from dataclasses import dataclass
 
-from .checkers import Verdict, Witness, _coverage, _rank_table
-from .gameform import (MechanismError, build_mechanism, implements, is_static,
-                       make_step, validate)
+from .checkers import Verdict, Witness, _coverage, _rank_table, _require_valid
+from .gameform import MechanismError, build_mechanism, is_static, make_step, validate
 
 
 @dataclass(frozen=True)
@@ -63,6 +62,15 @@ def _raw_groups(mech):
     return [(s.agent, list(s.nodes)) for s in mech.infosets]
 
 
+def _own_set(mech, agent, k):
+    """The agent's information set ``k``, or None when ``k`` is no index of
+    ``mech.infosets`` (negative ids included) or names another agent's set.
+    Every record is checked through here before any set is read."""
+    if 0 <= k < len(mech.infosets) and mech.infosets[k].agent == agent:
+        return mech.infosets[k]
+    return None
+
+
 def _split_terminals(mech, k, action):
     """Terminals below information set k at which the agent's last decision
     was choosing ``action`` there: she makes no further decision afterwards,
@@ -79,9 +87,9 @@ def _split_terminals(mech, k, action):
 def apply_split(mech, t):
     """Splitting: the finer choice is appended at every terminal where the
     agent's accrued report equals ``action`` below the information set."""
-    if t.infoset >= len(mech.infosets) or mech.infosets[t.infoset].agent != t.agent:
+    iset = _own_set(mech, t.agent, t.infoset)
+    if iset is None:
         raise MechanismError("split: no such information set for that agent")
-    iset = mech.infosets[t.infoset]
     if t.action not in iset.actions:
         raise MechanismError("split: action not available at the information set")
     if (not t.part1 or not t.part2 or t.part1 & t.part2
@@ -106,11 +114,12 @@ def apply_split(mech, t):
 
 def coalesce_ready(mech, t):
     """Check the coalescing opportunity; return an error string or None."""
-    if t.infoset >= len(mech.infosets) or mech.infosets[t.infoset].agent != t.agent:
+    source = _own_set(mech, t.agent, t.infoset)
+    if source is None:
         return "coalesce: no such source information set for that agent"
-    if t.target >= len(mech.infosets) or mech.infosets[t.target].agent != t.agent:
+    if _own_set(mech, t.agent, t.target) is None:
         return "coalesce: no such target information set for that agent"
-    if t.action not in mech.infosets[t.infoset].actions:
+    if t.action not in source.actions:
         return "coalesce: action not available at the source information set"
     pred, action = mech.infoset_predecessor(t.target)
     if pred != t.infoset or action != t.action:
@@ -203,10 +212,11 @@ def apply_coalesce(mech, t):
 
 def _illumination_parts(mech, t, what):
     """The parts of ``t`` as sets, checked to split the agent's set in two."""
-    if t.infoset >= len(mech.infosets) or mech.infosets[t.infoset].agent != t.agent:
+    iset = _own_set(mech, t.agent, t.infoset)
+    if iset is None:
         raise MechanismError(f"{what}: no such information set for that agent")
     p1, p2 = set(t.part1), set(t.part2)
-    if not p1 or not p2 or (p1 & p2) or (p1 | p2) != set(mech.infosets[t.infoset].nodes):
+    if not p1 or not p2 or (p1 & p2) or (p1 | p2) != set(iset.nodes):
         raise MechanismError(f"{what}: parts must be a two-way partition of the set")
     return p1, p2
 
@@ -251,12 +261,9 @@ def apply_merge(mech, t):
     whose application round-trips.  ``merged`` is a regrouping of the
     input's tree, so both keep its node ids.
     """
-    if (t.first >= len(mech.infosets) or t.second >= len(mech.infosets)
-            or t.first == t.second):
-        raise MechanismError("merge: need two distinct information sets")
-    a, b = mech.infosets[t.first], mech.infosets[t.second]
-    if a.agent != t.agent or b.agent != t.agent:
-        raise MechanismError("merge: information sets belong to another agent")
+    a, b = _own_set(mech, t.agent, t.first), _own_set(mech, t.agent, t.second)
+    if a is None or b is None or t.first == t.second:
+        raise MechanismError("merge: no such pair of distinct information sets for that agent")
     if a.actions != b.actions:
         raise MechanismError("merge: the two sets offer different action menus")
     i = t.agent
@@ -324,9 +331,9 @@ class Uncoalesce:
 
 
 def unsplit_ready(mech, t):
-    if t.infoset >= len(mech.infosets) or mech.infosets[t.infoset].agent != t.agent:
+    iset = _own_set(mech, t.agent, t.infoset)
+    if iset is None:
         return "unsplit: no such information set for that agent"
-    iset = mech.infosets[t.infoset]
     for v in iset.nodes:
         for c in mech.children[v]:
             if len(mech.step[c]) != 1 or mech.step[c][0][0] != t.agent:
@@ -375,9 +382,9 @@ def apply_unsplit(mech, t):
 
 
 def apply_uncoalesce(mech, t):
-    if t.infoset >= len(mech.infosets) or mech.infosets[t.infoset].agent != t.agent:
+    iset = _own_set(mech, t.agent, t.infoset)
+    if iset is None:
         raise MechanismError("uncoalesce: no such information set for that agent")
-    iset = mech.infosets[t.infoset]
     chosen = tuple(t.actions)
     if len(chosen) < 2 or any(a not in iset.actions for a in chosen):
         raise MechanismError("uncoalesce: need two or more actions from the menu")
@@ -442,8 +449,6 @@ def iter_opportunities(mech, kind):
                 yield cand
     elif kind == "illuminate":
         for k, iset in enumerate(mech.infosets):
-            if len(iset.nodes) < 2:
-                continue
             for part1, part2 in _binary_partitions(iset.nodes):
                 yield Illuminate(iset.agent, k, part1, part2)
     elif kind == "merge":
@@ -456,8 +461,6 @@ def iter_opportunities(mech, kind):
                 yield cand
     elif kind == "uncoalesce":
         for k, iset in enumerate(mech.infosets):
-            if len(iset.actions) < 2:
-                continue
             for r in range(2, len(iset.actions) + 1):
                 for combo in itertools.combinations(iset.actions, r):
                     yield Uncoalesce(iset.agent, k, combo)
@@ -474,9 +477,11 @@ def _applicable_merges(mech):
         for x in range(len(ks)):
             for y in range(x + 1, len(ks)):
                 ka, kb = ks[x], ks[y]
+                # Equal menus imply equal current sets: the tree rules make
+                # each node's menu partition the agent's current set there
+                # (``_tree_rules``).  Where a tree rule fails, ``apply_merge``'s
+                # validate rejects, since a regrouping shares the tree's report.
                 if mech.infosets[ka].actions != mech.infosets[kb].actions:
-                    continue
-                if mech.theta_infoset(ka) != mech.theta_infoset(kb):
                     continue
                 cand = Merge(i, ka, kb)
                 try:
@@ -641,11 +646,7 @@ def reduce_to_direct(mech, f):
     forward illumination and its incentive-preservation verdict evaluated on
     the post-merge mechanism.
     """
-    problems = validate(mech)
-    if problems:
-        raise MechanismError("reduce: invalid input mechanism: " + problems[0])
-    if not implements(mech, f):
-        raise MechanismError("reduce: mechanism does not implement the given SCF")
+    _require_valid(mech, f)
 
     steps = []
     current = mech

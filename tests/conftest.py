@@ -1,5 +1,7 @@
+import io
 import random
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import gradualmech as gm
+from gradualmech.cli import main
 
 CORPUS_SEED = 418043
 N_RANDOM = 200
@@ -14,6 +17,20 @@ N_RANDOM = 200
 # corpus-wide checks: every seventh structure in lexicographic order plus the
 # last one, 32 in total.  The plain incentive checks run on all 216.
 RDA3_SUBSET_RULE = "lexicographic stride 7, plus the final structure"
+
+
+def run_argv(argv, text):
+    """Exit code, stdout and stderr of one in-process CLI call reading
+    ``text`` on stdin."""
+    old_stdin = sys.stdin
+    sys.stdin = io.StringIO(text)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = old_stdin
+    return code, out.getvalue(), err.getvalue()
 
 
 def rda3_subset():

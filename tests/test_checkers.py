@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 import gradualmech as gm
@@ -219,3 +221,53 @@ def test_ic_and_rp_witnesses_replay_with_explicit_strategies(full_corpus):
                                             mech.outcome[z1], mech.outcome[z2]), (name, w)
             replayed[w.kind] += 1
     assert replayed == {"ic": 51, "rp": 51}
+
+
+def first_witnesses(full_corpus):
+    """Per kind, the first IC, RP, IRP and illumination witness of the
+    corpus, in corpus order, with a node at which an agent outside the
+    witness's (agent, reactor) pair conflicts with its first history: a
+    terminal, or any node for IRP.  An IRP witness also needs a terminal
+    under its first history that keeps the pair the only conflicting
+    agents, since every agent is settled at a terminal."""
+    def witnesses(mech, f):
+        for check in (gm.is_ic, gm.is_rp, gm.is_irp):
+            yield check(mech, f).witness
+        for t in gm.find_opportunities(mech, "illuminate")[:5]:
+            yield gm.is_incentive_preserving(mech, t, f).witness
+
+    found = {}
+    for name, mech, model, f in full_corpus:
+        for w in witnesses(mech, f):
+            if w is None or w.kind in found:
+                continue
+            pair = {w.agent, w.reactor}
+            nodes = range(mech.n_nodes()) if w.kind == "irp" else mech.terminals
+            outsider = next((v for v in nodes if mech.conflict_agents(w.z1, v) - pair), None)
+            settled = next((z for z in mech.terminals_under(w.z1)
+                            if not mech.conflict_agents(z, w.z2) - pair), None)
+            if outsider is not None and (settled is not None or w.kind != "irp"):
+                found[w.kind] = name, mech, f, w, outsider, settled
+        if len(found) == 4:
+            return found
+    raise AssertionError(f"witness kinds found: {sorted(found)}")
+
+
+def test_verify_witness_rejects_each_tampered_field(full_corpus):
+    """Each field ``verify_witness`` checks, altered in a real witness,
+    makes it return False; an unknown kind raises."""
+    for kind, (name, mech, f, w, outsider, settled) in first_witnesses(full_corpus).items():
+        assert gm.verify_witness(mech, f, w), name
+        tampered = {"third conflicting agent": replace(w, z2=outsider)}
+        if kind in ("ic", "rp"):
+            tampered.update({
+                "swapped terminals": replace(w, z1=w.z2, z2=w.z1),
+                "non-truthful profile": replace(w, profile2=w.profile1),
+                "wrong outcome": replace(w, outcome2=w.outcome1),
+            })
+        if kind == "irp":
+            tampered["settled agent"] = replace(w, z1=settled)
+        for what, bad in tampered.items():
+            assert not gm.verify_witness(mech, f, bad), (name, kind, what)
+        with pytest.raises(ValueError, match="unknown witness kind"):
+            gm.verify_witness(mech, f, replace(w, kind="dsic"))

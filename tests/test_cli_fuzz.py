@@ -2,15 +2,12 @@
 argument lists: 0 when the property holds, 1 when it fails with a witness, 2
 for bad input, and never a traceback."""
 
-import io
 import json
-import sys
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from gradualmech.cli import main
+from conftest import run_argv
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DOCS = {p.name: p.read_text() for p in sorted(FIXTURES.glob("*.json"))}
@@ -41,19 +38,6 @@ def _paths(doc, prefix=()):
 
 
 PATHS = {name: list(_paths(json.loads(text))) for name, text in DOCS.items()}
-
-
-def run_argv(argv, text):
-    """Exit code, stdout and stderr of one ``main`` call reading ``text``."""
-    old_stdin = sys.stdin
-    sys.stdin = io.StringIO(text)
-    out, err = io.StringIO(), io.StringIO()
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
-    finally:
-        sys.stdin = old_stdin
-    return code, out.getvalue(), err.getvalue()
 
 
 def run(verb, text):

@@ -216,6 +216,26 @@ def test_rp_rows_before_the_witness_may_harm_only_a_later_sibling():
     assert gm.is_rp(mech, f, relaxed=True) == is_rp_oracle(mech, f, relaxed=True)
 
 
+def test_relaxed_rp_compares_whole_set_sequences():
+    """Illumination 14 of random mechanism 23, a three-agent median rule.
+    Reactor 0's sibling sets 3 and 2 hold the members 21 and 24, and agent
+    1's information-set sequences up to them, (4, 6) and (4, 7), share
+    their first entry and differ later.  So agent 1 tells the two histories
+    apart first, relaxed RP skips the pair for agent 2, and its witness
+    moves on to reactor 1's sets 6 and 7, where plain RP stops at the
+    skipped pair.  A divergence test that compared only the first entry
+    would check agent 2 there and report the plain witness."""
+    mech, f, *_ = gm.random_transformed_mechanism(random.Random(23))
+    mech = gm.apply_illuminate(mech, gm.find_opportunities(mech, "illuminate")[14])
+    assert [[k for k, _ in mech.experience[1][h]] for h in (21, 24)] == [[4, 6], [4, 7]]
+    plain = gm.is_rp(mech, f).witness
+    assert (plain.reactor, plain.infosets, plain.agent) == (0, (3, 2), 2)
+    verdict = gm.is_rp(mech, f, relaxed=True)
+    assert (verdict.witness.reactor, verdict.witness.infosets) == (1, (6, 7))
+    assert verdict == is_rp_oracle(mech, f, relaxed=True)
+    assert verdict == is_rp_pair_masks_oracle(mech, f, relaxed=True)
+
+
 def relabelled_voting():
     """Each voting mechanism and each of its illuminations, with its
     outcomes permuted, and the SCF it then implements.  The voter of ideal M

@@ -398,6 +398,7 @@ BAD_ARGS = {
     "ttc-agent-out-of-range": ["gen", "ttc", "--n", "2", "--priorities", "0,5;1,0"],
     "ttc-not-a-permutation": ["gen", "ttc", "--n", "2", "--priorities", "0,0;1,1"],
     "ttc-no-agents": ["gen", "ttc", "--n", "0"],
+    "ttc-priorities-not-ints": ["gen", "ttc", "--n", "2", "--priorities", "a,b;b,a"],
     "auction-no-bidders": ["gen", "auction", "--n", "0"],
     "auction-no-values": ["gen", "auction", "--m", "0"],
     "check-ill-part-not-int": ["check-ill", "-", "--agent", "voter2",
@@ -420,6 +421,8 @@ BAD_ARGS = {
                              "voter2", "--infoset", "2"],
     "unsplit-without-infoset": ["transform", "-", "--kind", "unsplit",
                                 "--agent", "voter2"],
+    "agent-index-out-of-range": ["transform", "-", "--kind", "unsplit",
+                                 "--agent", "7", "--infoset", "2"],
     "uncoalesce-without-action": ["transform", "-", "--kind", "uncoalesce",
                                   "--agent", "voter2", "--infoset", "2"],
     "read-directory": ["check-ic", "{dir}"],

@@ -64,6 +64,22 @@ def test_direct_mechanism_reduces_trivially(voting):
     assert gm.theorem1_verdict(chain)
 
 
+def test_reduce_shares_the_checkers_gate(voting):
+    """``reduce_to_direct`` refuses what the checkers refuse, an invalid
+    mechanism or one that does not implement the SCF, with their message."""
+    model, f, mechs = voting
+    g3 = mechs["g3"]
+    uncovered = g3.regroup([(s.agent, s.nodes) for s in g3.infosets[1:]])
+    _, other_f = gm.voting_model_and_scf(phantoms=(0,))
+    for mech, ff, fragment in ((uncovered, f, "invalid mechanism"),
+                               (g3, other_f, "does not implement")):
+        with pytest.raises(MechanismError, match=fragment) as checked:
+            gm.is_ic(mech, ff)
+        with pytest.raises(MechanismError) as reduced:
+            gm.reduce_to_direct(mech, ff)
+        assert str(reduced.value) == str(checked.value)
+
+
 # ---------------------------------------------------------------------------
 # Splitting
 # ---------------------------------------------------------------------------
