@@ -19,7 +19,7 @@ from itertools import islice, product
 from json.encoder import encode_basestring_ascii as _quote
 from operator import getitem
 
-from .gameform import MechanismError, build_mechanism, validate
+from .gameform import Mechanism, canonical_tree, validate
 from .prefs import ScfTable, TypeModel, WeakOrder
 
 FORMAT = "gm/1"
@@ -133,7 +133,7 @@ def serialize_mechanism(mech, f=None):
     def action_names(agent, action):
         return [model.type_names[agent][t] for t in sorted(action)]
 
-    # build_mechanism numbers nodes breadth-first, so every child has a
+    # canonical_tree numbers nodes breadth-first, so every child has a
     # larger id than its parent and one pass in descending id order writes
     # each node's children before the node.
     docs = [None] * mech.n_nodes()
@@ -243,9 +243,12 @@ def parse_scf(doc, model, type_index, out_index):
 def parse_mechanism(text):
     """Parse a document into (mechanism, model, scf-or-None).
 
-    Syntax problems raise ParseError with position information; semantic
-    violations of the mechanism rules are raised as ParseError quoting the
-    first entries of the validation report.
+    The tree is read breadth-first by ``canonical_tree``, whose handles are
+    the document's node objects: each node is checked when the pass reaches
+    it, and its document id is mapped to its canonical id in one dict, which
+    the outcomes and information sets are then read through.  Syntax and
+    shape problems raise ParseError naming the document's node ids and the
+    agents' names; the mechanism rules are left to ``validate``.
     """
     try:
         doc = json.loads(text)
@@ -265,55 +268,69 @@ def parse_mechanism(text):
     out_index = {name: k for k, name in enumerate(model.outcome_names)}
     f = parse_scf(doc, model, type_index, out_index)
 
-    nodes = {}
-    outcomes = {}
+    ids = {}  # document id -> canonical id
+    outcome = {}
+    actions = {}  # (agent name, *type names) -> (agent, type set), once checked
 
-    def walk(node_doc, parent, step):
-        _need(node_doc, dict, "a tree node")
+    def action(nid, agent_name, type_names, key):
+        """Check one agent's part of a step; remember it under ``key``."""
+        if agent_name not in agent_index:
+            _fail(f"node {nid}: unknown agent {agent_name!r}")
+        a = agent_index[agent_name]
+        if not _need(type_names, list, "an action"):
+            _fail(f"node {nid}: empty action for agent {agent_name}")
+        try:
+            pair = actions[key] = (a, frozenset(map(type_index[a].__getitem__, type_names)))
+        except KeyError as e:
+            _fail(f"node {nid}: unknown type {e} for agent {agent_name}")
+        except TypeError:
+            _fail(f"node {nid}: type names must be strings")
+        return pair
+
+    # The values the document's JSON gives are of exact types, so a ``type``
+    # test passes them and ``_need`` words the diagnostic of any other.
+    def edges(node_doc, v):
+        """Check the node ``v`` and return its (step, child node) edges."""
+        if type(node_doc) is not dict:
+            _need(node_doc, dict, "a tree node")
         if "id" not in node_doc:
             _fail("tree node without 'id'")
-        nid = _need(node_doc["id"], int, "a node id")
-        if nid in nodes:
+        nid = node_doc["id"]
+        if type(nid) is not int:
+            _need(nid, int, "a node id")
+        if nid in ids:
             _fail(f"duplicate node id {nid}")
-        nodes[nid] = (parent, step)
+        ids[nid] = v
         if "outcome" in node_doc:
             name = node_doc["outcome"]
             if not isinstance(name, str) or name not in out_index:
                 _fail(f"node {nid}: unknown outcome {name!r}")
-            outcomes[nid] = out_index[name]
-        for edge in _need(node_doc.get("children", []), list, "'children'"):
-            _need(edge, dict, "a child")
+            outcome[v] = out_index[name]
+        out = []
+        kids = node_doc.get("children", [])
+        if type(kids) is not list:
+            _need(kids, list, "'children'")
+        for edge in kids:
+            if type(edge) is not dict:
+                _need(edge, dict, "a child")
             step_doc = edge.get("step") or _fail(f"node {nid}: child without 'step'")
-            parts = {}
-            for agent_name, type_names in _need(step_doc, dict, "a 'step'").items():
-                if agent_name not in agent_index:
-                    _fail(f"node {nid}: unknown agent {agent_name!r}")
-                a = agent_index[agent_name]
-                _need(type_names, list, "an action")
+            if type(step_doc) is not dict:
+                _need(step_doc, dict, "a 'step'")
+            parts = []
+            for agent_name, type_names in step_doc.items():
+                # A part seen before was checked then; the first sight of one
+                # (a miss, or an unhashable name) checks it.
+                key = (agent_name, *type_names) if type(type_names) is list else None
                 try:
-                    parts[a] = frozenset(map(type_index[a].__getitem__, type_names))
-                except KeyError as e:
-                    _fail(f"node {nid}: unknown type {e} for agent {agent_name}")
-                except TypeError:
-                    _fail(f"node {nid}: type names must be strings")
+                    parts.append(actions[key])
+                except (KeyError, TypeError):
+                    parts.append(action(nid, agent_name, type_names, key))
             child = edge.get("node") or _fail(f"node {nid}: child without 'node'")
-            walk(child, nid, tuple(sorted(parts.items())))
+            parts.sort()
+            out.append((tuple(parts), child))
+        return out
 
-    tree = doc.get("tree") or _fail("missing 'tree'")
-    try:
-        walk(tree, None, None)
-    finally:
-        # ``walk`` refers to itself through its closure cell; emptying the
-        # cell breaks that cycle, so the raw nodes are freed by reference
-        # counting rather than left to the cycle collector.
-        del walk
-
-    ids = sorted(nodes)
-    remap = {nid: k for k, nid in enumerate(ids)}
-    raw = [None] * len(ids)
-    for nid, (parent, step) in nodes.items():
-        raw[remap[nid]] = (remap[parent] if parent is not None else None, step)
-    out2 = {remap[nid]: x for nid, x in outcomes.items()}
+    tree = canonical_tree(model, doc.get("tree") or _fail("missing 'tree'"), edges)
 
     groups = []
     for entry in _need(doc.get("infosets", []), list, "'infosets'"):
@@ -322,16 +339,12 @@ def parse_mechanism(text):
             _fail(f"information set for unknown agent {agent_name!r}")
         members = []
         for nid in _need(entry.get("nodes", []), list, "information set 'nodes'"):
-            if isinstance(nid, bool) or not isinstance(nid, int) or nid not in remap:
+            if isinstance(nid, bool) or not isinstance(nid, int) or nid not in ids:
                 _fail(f"information set references unknown node {nid}")
-            members.append(remap[nid])
-        groups.append((agent_index[agent_name], members))
-
-    try:
-        mech = build_mechanism(model, raw, groups, out2)
-    except MechanismError as e:
-        raise ParseError(str(e)) from None
-    return mech, model, f
+            members.append(ids[nid])
+        if members:
+            groups.append((agent_index[agent_name], members))
+    return Mechanism(model, tree, outcome, groups), model, f
 
 
 def load_mechanism(text, require_scf=False, require_valid=True):

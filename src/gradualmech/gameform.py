@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from collections import deque
+from operator import itemgetter
 
 from .prefs import ScfTable
 
@@ -50,65 +50,28 @@ class InfoSet:
 
 
 class Mechanism:
-    """Immutable game form over a TypeModel.  Use ``build_mechanism``.
+    """Immutable game form over a TypeModel.  Use ``build_mechanism`` or
+    ``parse_mechanism``.
 
     The tree tables depend on the history tree alone: ``parent``, ``step``,
-    ``outcome``, ``children``, ``terminals``, ``theta``, ``menus``,
-    ``acting``, and in ``_tree`` the step keys, which ``build_mechanism``
-    fills, then the fingerprint's tree text, the lazily built tables and the
-    tree-rule report, each built by whichever mechanism on the tree asks
-    first.  The partition tables depend on the information sets too:
-    ``infosets``, ``node_iset``, ``experience`` and the conflict maps.
-    ``regroup`` shares the first and builds only the second.
+    ``children`` (a ``range`` of ids per node), ``terminals``, ``theta``,
+    ``menus``, ``acting`` and in ``_tree`` the step keys, which
+    ``canonical_tree`` fills in its one pass; ``outcome``, which the caller
+    of the pass reads off its input; then the fingerprint's tree text, the
+    lazily built tables and the tree-rule report, each built by whichever
+    mechanism on the tree asks first.  The partition tables depend on the
+    information sets too: ``infosets``, ``node_iset``, ``experience`` and
+    the conflict maps.  ``regroup`` shares the first and builds only the
+    second.
     """
 
-    def __init__(self, model, parent, step, outcome, infoset_groups):
+    def __init__(self, model, tree, outcome, infoset_groups):
+        """``tree``: the tables ``canonical_tree`` returns; ``outcome`` and
+        ``infoset_groups`` in its canonical ids."""
         self.model = model
-        self.parent = tuple(parent)
-        self.step = tuple(step)
-        self.outcome = dict(outcome)
-        n = len(self.parent)
-        children = [[] for _ in range(n)]
-        for v in range(n):
-            p = self.parent[v]
-            if p is not None:
-                children[p].append(v)
-        self.children = tuple(tuple(c) for c in children)
-        self.terminals = tuple(v for v in range(n) if not children[v])
-
-        # Last reported set per (node, agent), the full type set until the
-        # agent's first action.  build_mechanism numbers nodes breadth-first,
-        # so every parent precedes its children and one pass in id order sees
-        # each parent's row before its children's.
-        theta = [tuple(model.full_type_set(i) for i in range(model.n_agents))]
-        for v in range(1, n):
-            row = list(theta[self.parent[v]])
-            for agent, action in self.step[v]:
-                row[agent] = action
-            theta.append(tuple(row))
-        self.theta = tuple(theta)
-
-        # Each node's menu, {acting agent: her distinct actions}, with the
-        # actions in the order step_key sorts them: the children's own order
-        # wherever they form the full product.  The children's (agent,
-        # action) pairs determine the menu, so nodes with equal pairs share
-        # one menu and one ``acting`` tuple; terminals share an empty one.
-        rows, shared = [], {None: ({}, ())}
-        for kids in children:
-            pairs = frozenset([p for c in kids for p in self.step[c]]) if kids else None
-            row = shared.get(pairs)
-            if row is None:
-                menu = {}
-                for agent, action in pairs:
-                    menu.setdefault(agent, []).append(action)
-                menu = {a: tuple(sorted(acts, key=sorted))
-                        for a, acts in sorted(menu.items())}
-                row = shared[pairs] = (menu, tuple(menu))
-            rows.append(row)
-        self.menus = tuple(menu for menu, _ in rows)
-        self.acting = tuple(agents for _, agents in rows)
-
-        self._tree = {}
+        (self.parent, self.step, self.children, self.terminals, self.theta,
+         self.menus, self.acting, self._tree) = tree
+        self.outcome = outcome
         self._partition(infoset_groups)
 
     def regroup(self, infoset_groups):
@@ -367,19 +330,92 @@ def mechanisms_equal(a, b):
     return a.model == b.model and a.canonical_form() == b.canonical_form()
 
 
+def canonical_tree(model, root, edges):
+    """The tree tables of a mechanism, built in one breadth-first pass.
+
+    ``edges(handle, v)`` is told that the caller's node ``handle`` has
+    canonical id ``v`` and returns its (step, child handle) edges, each step
+    in ``make_step``'s normal form.  The pass sorts them by step key, stably,
+    so ties keep the caller's order, and numbers the children in that order;
+    equal steps share the first one's tuple.  It fills the tables as it
+    goes and returns them as (``parent``, ``step``, ``children``,
+    ``terminals``, ``theta``, ``menus``, ``acting``, ``_tree``), ``_tree``
+    holding the step keys.
+
+    Breadth-first numbering gives each node's children consecutive ids: the
+    queue holds the numbered nodes not yet popped, in id order, and a popped
+    node's children are numbered together, with the next ids after every
+    node numbered so far.  So ``children[v]`` is a ``range``, and each parent
+    is numbered, and its ``theta`` row known, before its children.
+    """
+    full = tuple(model.full_type_set(i) for i in range(model.n_agents))
+    keyed = {}  # step -> (its step key, the first equal step seen, its number)
+    parent, step, keys, theta = [None], [None], [None], [full]
+    children, terminals, menus, acting = [], [], [], []
+    # Each node's menu, {acting agent: her distinct actions}, with the
+    # actions in the order step_key sorts them: the children's own order
+    # wherever they form the full product.  The children's steps determine
+    # the menu, so nodes whose children carry the same steps share one menu
+    # and one ``acting`` tuple, keyed by the steps' numbers; terminals share
+    # an empty one.
+    shared, no_menu = {}, {}
+    handles = [root]
+    for v, handle in enumerate(handles):  # ``handles`` grows as v advances
+        kids = []
+        for s, child in edges(handle, v):
+            e = keyed.get(s)
+            if e is None:
+                e = keyed[s] = (step_key(s), s, len(keyed))
+            kids.append((e, child))
+        first = len(parent)
+        children.append(range(first, first + len(kids)))
+        if not kids:
+            terminals.append(v)
+            menus.append(no_menu)
+            acting.append(())
+            continue
+        kids.sort(key=itemgetter(0))
+        row = theta[v]
+        for (key, s, _), child in kids:
+            parent.append(v)
+            step.append(s)
+            keys.append(key)
+            handles.append(child)
+            # Last reported set per agent, the full type set until her first
+            # action.
+            moved = list(row)
+            for agent, action in s:
+                moved[agent] = action
+            theta.append(tuple(moved))
+        steps = tuple([e[2] for e, _ in kids])
+        entry = shared.get(steps)
+        if entry is None:
+            menu = {}
+            for agent, action in frozenset([p for (_, s, _), _ in kids for p in s]):
+                menu.setdefault(agent, []).append(action)
+            menu = {a: tuple(sorted(acts, key=sorted)) for a, acts in sorted(menu.items())}
+            entry = shared[steps] = (menu, tuple(menu))
+        menus.append(entry[0])
+        acting.append(entry[1])
+    return (tuple(parent), tuple(step), tuple(children), tuple(terminals), tuple(theta),
+            tuple(menus), tuple(acting), {"keys": tuple(keys)})
+
+
 def build_mechanism(model, nodes, infoset_groups, outcomes):
     """Assemble and canonicalize a mechanism.
 
     ``nodes``: list of (parent_id, step) with ids arbitrary; step is None for
     the root and otherwise a hashable tuple of (agent, frozenset of type ids)
-    pairs, in any agent order.  Each distinct step is checked, normalized
-    with ``make_step`` and keyed once; every node carrying it gets the same
-    normalized tuple.
+    pairs, in any agent order.  Each distinct step is checked and normalized
+    with ``make_step`` once.
     ``infoset_groups``: iterable of (agent, [node ids]).
     ``outcomes``: {node id: outcome id} for terminals.
 
-    Only representability is enforced here; semantic rules are reported by
-    ``validate`` so that broken inputs diagnose rather than crash.
+    The nodes are numbered and the tree tables filled by ``canonical_tree``,
+    whose handles are the input ids; siblings with equal steps keep their
+    input order.  Only representability is enforced here; semantic rules are
+    reported by ``validate`` so that broken inputs diagnose rather than
+    crash.
     """
     n = len(nodes)
     if n == 0:
@@ -388,10 +424,8 @@ def build_mechanism(model, nodes, infoset_groups, outcomes):
     if len(roots) != 1:
         raise MechanismError(f"exactly one root required, found {len(roots)}")
     full = [model.full_type_set(a) for a in range(model.n_agents)]
-    normal = {}  # raw step -> (normalized step, its step key)
-    node_step = [None] * n
-    node_key = [None] * n
-    children = [[] for _ in range(n)]
+    normal = {}  # raw step -> normalized step
+    children = [[] for _ in range(n)]  # per input id, its (step, child) edges
     for k, (p, step) in enumerate(nodes):
         if p is None:
             continue
@@ -399,43 +433,35 @@ def build_mechanism(model, nodes, infoset_groups, outcomes):
             raise MechanismError(f"node {k}: dangling predecessor {p}")
         if not step:
             raise MechanismError(f"node {k}: missing action profile")
-        e = normal.get(step)
-        if e is None:
+        s = normal.get(step)
+        if s is None:
             for agent, action in step:
                 if not (0 <= agent < model.n_agents):
                     raise MechanismError(f"node {k}: unknown agent {agent}")
                 if not action or not full[agent].issuperset(action):
                     raise MechanismError(f"node {k}: bad action for agent {agent}")
-            s = make_step(dict(step))
-            e = normal[step] = (s, step_key(s))
-        node_step[k], node_key[k] = e
-        children[p].append(k)
+            s = normal[step] = make_step(dict(step))
+        children[p].append((s, k))
 
-    # Canonical ids: breadth-first, children sorted by the key of their
-    # normalized step; the sort is stable and children[v] ascends, so ties
-    # keep the input order.  Each node is in exactly one children list, its
-    # parent's, and the root in none, so the walk reaches each node at most
-    # once.  A parent cycle cannot contain the root, so its nodes are never
-    # reached and are reported as disconnected.
-    old_order = []
-    queue = deque(roots)
-    while queue:
-        v = queue.popleft()
-        old_order.append(v)
-        queue.extend(sorted(children[v], key=node_key.__getitem__))
-    if len(old_order) != n:
+    new = [None] * n  # input id -> canonical id
+
+    def edges(k, v):
+        new[k] = v
+        return children[k]
+
+    # Each input node is in exactly one edge list, its parent's, and the
+    # root in none, so the pass reaches each node at most once.  A parent
+    # cycle cannot contain the root, so its nodes are never reached.
+    tree = canonical_tree(model, roots[0], edges)
+    if None in new:
         raise MechanismError("disconnected nodes present")
-    old2new = {old: new for new, old in enumerate(old_order)}
-
-    parent = [None] + [old2new[nodes[old][0]] for old in old_order[1:]]
-    step = [node_step[old] for old in old_order]
     outcome = {}
     for old, x in outcomes.items():
         if not (0 <= old < n):
             raise MechanismError(f"outcome attached to unknown node {old}")
         if not (0 <= x < model.n_outcomes()):
             raise MechanismError(f"unknown outcome id {x}")
-        outcome[old2new[old]] = x
+        outcome[new[old]] = x
     groups = []
     for agent, members in infoset_groups:
         if not (0 <= agent < model.n_agents):
@@ -444,12 +470,10 @@ def build_mechanism(model, nodes, infoset_groups, outcomes):
         for v in members:
             if not (0 <= v < n):
                 raise MechanismError(f"information set references unknown node {v}")
-            ms.append(old2new[v])
+            ms.append(new[v])
         if ms:
             groups.append((agent, ms))
-    mech = Mechanism(model, parent, step, outcome, groups)
-    mech._tree["keys"] = tuple(node_key[old] for old in old_order)
-    return mech
+    return Mechanism(model, tree, outcome, groups)
 
 
 def validate(mech):
@@ -479,8 +503,8 @@ def _tree_rules(mech):
             report.append(f"non-terminal node {v} carries an outcome")
 
     # Simultaneous-move closure and action refinement, read off the menus.
-    # Every child has at least one acting agent, since build_mechanism
-    # refuses empty action profiles, so no node has an empty menu.
+    # Every child has at least one acting agent, since build_mechanism and
+    # the parser refuse empty action profiles, so no node has an empty menu.
     for v in range(n):
         if mech.is_terminal(v):
             continue

@@ -14,9 +14,11 @@ from gradualmech import (all_strategies, build_rda, make_step, play, ttc_scf,
                          unconditional_strategy)
 from gradualmech.checkers import (Verdict, Witness, _coverage, _first_harmed,
                                   _first_profile, _Harm, _require_valid, _Settled)
-from gradualmech.fileformat import serialize_mechanism
-from gradualmech.gameform import (MechanismError, build_mechanism, implements,
-                                  is_static, siblings_same_action, validate)
+from gradualmech.fileformat import (ParseError, _need, parse_model, parse_scf,
+                                    serialize_mechanism)
+from gradualmech.gameform import (Mechanism, MechanismError, build_mechanism,
+                                  implements, is_static, siblings_same_action,
+                                  validate)
 from gradualmech.transforms import (ChainStep, ReductionChain, apply_coalesce,
                                     apply_merge, apply_split, coalesce_ready,
                                     is_incentive_preserving, iter_opportunities)
@@ -875,6 +877,193 @@ def serialize_oracle(mech, f=None):
             for profile, x in sorted(f.items())
         ]
     return json.dumps(doc, indent=1)
+
+
+def build_mechanism_oracle(model, nodes, infoset_groups, outcomes):
+    """``build_mechanism`` and ``Mechanism.__init__`` as they were before
+    ``canonical_tree``: children lists from the parent ids, a breadth-first
+    sort by step key and a remap of every table, then the tree tables
+    derived from the remapped parents and steps in a second pass, children
+    as tuples."""
+    n = len(nodes)
+    if n == 0:
+        raise MechanismError("empty mechanism")
+    roots = [k for k, (p, _) in enumerate(nodes) if p is None]
+    if len(roots) != 1:
+        raise MechanismError(f"exactly one root required, found {len(roots)}")
+    full = [model.full_type_set(a) for a in range(model.n_agents)]
+    normal = {}  # raw step -> (normalized step, its step key)
+    node_step = [None] * n
+    node_key = [None] * n
+    children = [[] for _ in range(n)]
+    for k, (p, step) in enumerate(nodes):
+        if p is None:
+            continue
+        if not (0 <= p < n):
+            raise MechanismError(f"node {k}: dangling predecessor {p}")
+        if not step:
+            raise MechanismError(f"node {k}: missing action profile")
+        e = normal.get(step)
+        if e is None:
+            for agent, action in step:
+                if not (0 <= agent < model.n_agents):
+                    raise MechanismError(f"node {k}: unknown agent {agent}")
+                if not action or not full[agent].issuperset(action):
+                    raise MechanismError(f"node {k}: bad action for agent {agent}")
+            s = make_step(dict(step))
+            e = normal[step] = (s, tuple((a, tuple(sorted(act))) for a, act in s))
+        node_step[k], node_key[k] = e
+        children[p].append(k)
+    order = []
+    queue = deque(roots)
+    while queue:
+        v = queue.popleft()
+        order.append(v)
+        queue.extend(sorted(children[v], key=node_key.__getitem__))
+    if len(order) != n:
+        raise MechanismError("disconnected nodes present")
+    new = {old: k for k, old in enumerate(order)}
+    parent = tuple([None] + [new[nodes[old][0]] for old in order[1:]])
+    step = tuple(node_step[old] for old in order)
+    outcome = {}
+    for old, x in outcomes.items():
+        if not (0 <= old < n):
+            raise MechanismError(f"outcome attached to unknown node {old}")
+        if not (0 <= x < model.n_outcomes()):
+            raise MechanismError(f"unknown outcome id {x}")
+        outcome[new[old]] = x
+    groups = []
+    for agent, members in infoset_groups:
+        if not (0 <= agent < model.n_agents):
+            raise MechanismError(f"information set for unknown agent {agent}")
+        ms = []
+        for v in members:
+            if not (0 <= v < n):
+                raise MechanismError(f"information set references unknown node {v}")
+            ms.append(new[v])
+        if ms:
+            groups.append((agent, ms))
+
+    kids = [[] for _ in range(n)]
+    for v in range(1, n):
+        kids[parent[v]].append(v)
+    theta = [tuple(full)]
+    for v in range(1, n):
+        row = list(theta[parent[v]])
+        for agent, action in step[v]:
+            row[agent] = action
+        theta.append(tuple(row))
+    rows, shared = [], {None: ({}, ())}
+    for c in kids:
+        pairs = frozenset([p for k in c for p in step[k]]) if c else None
+        row = shared.get(pairs)
+        if row is None:
+            menu = {}
+            for agent, action in pairs:
+                menu.setdefault(agent, []).append(action)
+            menu = {a: tuple(sorted(acts, key=sorted)) for a, acts in sorted(menu.items())}
+            row = shared[pairs] = (menu, tuple(menu))
+        rows.append(row)
+    tree = (parent, step, tuple(map(tuple, kids)),
+            tuple(v for v in range(n) if not kids[v]), tuple(theta),
+            tuple(menu for menu, _ in rows), tuple(agents for _, agents in rows),
+            {"keys": tuple(node_key[old] for old in order)})
+    return Mechanism(model, tree, outcome, groups)
+
+
+def parse_mechanism_oracle(text):
+    """``parse_mechanism`` as it was before the tree was read breadth-first:
+    a recursive walk records each document node's parent and step, the
+    document ids are sorted and remapped to a raw node list, and
+    ``build_mechanism_oracle`` sorts and remaps it again.  It refuses an
+    empty action as the parser now does, so on a document with one fault
+    the two give the same diagnostic."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise ParseError("document nested too deeply") from None
+    _need(doc, dict, "the document")
+    if doc.get("format") != "gm/1":
+        raise ParseError(f"unsupported format {doc.get('format')!r}, want 'gm/1'")
+    model = parse_model(doc)
+    agent_index = {name: i for i, name in enumerate(model.agent_names)}
+    type_index = [{name: k for k, name in enumerate(names)} for names in model.type_names]
+    out_index = {name: k for k, name in enumerate(model.outcome_names)}
+    f = parse_scf(doc, model, type_index, out_index)
+
+    nodes = {}
+    outcomes = {}
+
+    def walk(node_doc, parent, step):
+        _need(node_doc, dict, "a tree node")
+        if "id" not in node_doc:
+            raise ParseError("tree node without 'id'")
+        nid = _need(node_doc["id"], int, "a node id")
+        if nid in nodes:
+            raise ParseError(f"duplicate node id {nid}")
+        nodes[nid] = (parent, step)
+        if "outcome" in node_doc:
+            name = node_doc["outcome"]
+            if not isinstance(name, str) or name not in out_index:
+                raise ParseError(f"node {nid}: unknown outcome {name!r}")
+            outcomes[nid] = out_index[name]
+        for edge in _need(node_doc.get("children", []), list, "'children'"):
+            _need(edge, dict, "a child")
+            step_doc = edge.get("step")
+            if not step_doc:
+                raise ParseError(f"node {nid}: child without 'step'")
+            parts = {}
+            for agent_name, type_names in _need(step_doc, dict, "a 'step'").items():
+                if agent_name not in agent_index:
+                    raise ParseError(f"node {nid}: unknown agent {agent_name!r}")
+                a = agent_index[agent_name]
+                if not _need(type_names, list, "an action"):
+                    raise ParseError(f"node {nid}: empty action for agent {agent_name}")
+                try:
+                    parts[a] = frozenset(map(type_index[a].__getitem__, type_names))
+                except KeyError as e:
+                    raise ParseError(
+                        f"node {nid}: unknown type {e} for agent {agent_name}") from None
+                except TypeError:
+                    raise ParseError(f"node {nid}: type names must be strings") from None
+            child = edge.get("node")
+            if not child:
+                raise ParseError(f"node {nid}: child without 'node'")
+            walk(child, nid, tuple(sorted(parts.items())))
+
+    tree = doc.get("tree")
+    if not tree:
+        raise ParseError("missing 'tree'")
+    try:
+        walk(tree, None, None)
+    finally:
+        del walk
+
+    ids = sorted(nodes)
+    remap = {nid: k for k, nid in enumerate(ids)}
+    raw = [None] * len(ids)
+    for nid, (parent, step) in nodes.items():
+        raw[remap[nid]] = (remap[parent] if parent is not None else None, step)
+
+    groups = []
+    for entry in _need(doc.get("infosets", []), list, "'infosets'"):
+        agent_name = _need(entry, dict, "an information set").get("agent")
+        if not isinstance(agent_name, str) or agent_name not in agent_index:
+            raise ParseError(f"information set for unknown agent {agent_name!r}")
+        members = []
+        for nid in _need(entry.get("nodes", []), list, "information set 'nodes'"):
+            if isinstance(nid, bool) or not isinstance(nid, int) or nid not in remap:
+                raise ParseError(f"information set references unknown node {nid}")
+            members.append(remap[nid])
+        groups.append((agent_index[agent_name], members))
+    try:
+        mech = build_mechanism_oracle(
+            model, raw, groups, {remap[nid]: x for nid, x in outcomes.items()})
+    except MechanismError as e:
+        raise ParseError(str(e)) from None
+    return mech, model, f
 
 
 def gen_ttc_oracle(priorities, n):

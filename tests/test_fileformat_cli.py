@@ -27,10 +27,11 @@ def test_roundtrip_voting(voting):
         assert serialize_mechanism(m2, f2) == text
 
 
-def test_roundtrip_survives_renumbering(voting):
+def renumbered_g3(voting):
+    """g3's document with every node id raised by 100, so document ids
+    differ from canonical ones."""
     model, f, mechs = voting
-    text = serialize_mechanism(mechs["g3"], f)
-    doc = json.loads(text)
+    doc = json.loads(serialize_mechanism(mechs["g3"], f))
 
     def bump(node):
         node["id"] += 100
@@ -40,8 +41,12 @@ def test_roundtrip_survives_renumbering(voting):
     bump(doc["tree"])
     for entry in doc["infosets"]:
         entry["nodes"] = [v + 100 for v in entry["nodes"]]
-    m2, _, f2 = parse_mechanism(json.dumps(doc))
-    assert gm.mechanisms_equal(m2, mechs["g3"])
+    return doc
+
+
+def test_roundtrip_survives_renumbering(voting):
+    m2, _, f2 = parse_mechanism(json.dumps(renumbered_g3(voting)))
+    assert gm.mechanisms_equal(m2, voting[2]["g3"])
 
 
 def test_parse_reports_syntax_position():
@@ -131,10 +136,18 @@ MALFORMED = {
     "step-unknown-type": (("tree", "children", 0, "step", "voter1"), ["Q"]),
     "root-id-true": (("tree", "id"), True),
     "infoset-node-false": (("infosets", 0, "nodes"), [False]),
+    "step-empty-action": (("tree", "children", 0, "step", "voter1"), []),
+    "preferences-outcome-twice": (("preferences", 0, 0), [["L"], ["M", "L"], ["R"]]),
+    "infoset-unknown-agent": (("infosets", 0, "agent"), "voter9"),
+    "step-unknown-agent": (("tree", "children", 0, "step"), {"voter9": ["L"]}),
+    "node-without-id": (("tree", "children", 0, "node"), {"outcome": "L"}),
+    "node-int": (("tree", "children", 0, "node"), 5),
+    "child-int": (("tree", "children", 0), 5),
 }
 
 # The exact diagnostics of the cases read with ``map`` (SCF profiles and step
-# actions); ``map`` would stop silently at a short profile, so they are pinned.
+# actions), since ``map`` would stop silently at a short profile, and of the
+# tree's cases, whose shape tests the parser makes inline.
 MALFORMED_MESSAGES = {
     "scf-row-int": "scf row 5: want [profile, outcome]",
     "scf-row-of-three": "scf row [['L', 'L'], 'L', 'L']: want [profile, outcome]",
@@ -147,6 +160,15 @@ MALFORMED_MESSAGES = {
     # JSON booleans are not node ids, although Python's bool subclasses int.
     "root-id-true": "a node id must be of type int, not bool",
     "infoset-node-false": "information set references unknown node False",
+    # The parser refuses an empty action itself, naming the document's node
+    # and the agent's name.
+    "step-empty-action": "node 0: empty action for agent voter1",
+    "preferences-outcome-twice": "agent voter1 type L: outcome 0 appears in two levels",
+    "infoset-unknown-agent": "information set for unknown agent 'voter9'",
+    "step-unknown-agent": "node 0: unknown agent 'voter9'",
+    "node-without-id": "tree node without 'id'",
+    "node-int": "a tree node must be of type dict, not int",
+    "child-int": "a child must be of type dict, not int",
 }
 
 
@@ -169,6 +191,61 @@ def test_cli_malformed_document_exits_two(case, voting, capsys):
     assert err.startswith("error:") and "Traceback" not in err
     if case in MALFORMED_MESSAGES:
         assert err == f"error: {MALFORMED_MESSAGES[case]}\n"
+
+
+def test_empty_action_names_the_document_node_and_agent(voting, capsys):
+    doc = renumbered_g3(voting)
+    doc["tree"]["children"][1]["node"]["children"][2]["step"]["voter2"] = []
+    code, _ = run_cli(["check-ic", "-"], json.dumps(doc))
+    assert code == 2
+    assert capsys.readouterr().err == "error: node 102: empty action for agent voter2\n"
+
+
+def test_bad_outcome_at_the_deepest_leaf(capsys):
+    """The only fault sits at the leaf read last in either walk order."""
+    model, f = gm.second_price_scf(2, 3)
+    doc = json.loads(serialize_mechanism(gm.build_gstar(2, 3), f))
+    node = doc["tree"]
+    while "children" in node:
+        node = node["children"][-1]["node"]
+    node["outcome"] = "Z"
+    code, _ = run_cli(["check-ic", "-"], json.dumps(doc))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: node {node['id']}: unknown outcome 'Z'\n"
+
+
+def test_duplicate_node_ids_in_sibling_subtrees(voting, capsys):
+    doc = renumbered_g3(voting)
+    doc["tree"]["children"][2]["node"]["children"][0]["node"]["id"] = 104
+    code, _ = run_cli(["check-ic", "-"], json.dumps(doc))
+    assert code == 2
+    assert capsys.readouterr().err == "error: duplicate node id 104\n"
+
+
+def test_duplicate_sibling_steps_keep_document_order(voting, capsys):
+    """Siblings with equal steps are numbered in document order, whatever
+    their document ids, so a report naming a node below them names the one
+    read first."""
+    doc = renumbered_g3(voting)
+    kids = doc["tree"]["children"]
+    kids[2]["step"]["voter1"] = ["M"]
+    kids[1]["node"]["id"], kids[2]["node"]["id"] = 103, 102
+    del kids[1]["node"]["children"][0]["node"]["outcome"]
+    code, out = run_cli(["validate", "-"], json.dumps(doc))
+    assert code == 1
+    assert out.splitlines() == [
+        "terminal node 7 has no outcome",
+        "node 0: duplicate action profiles",
+        "node 0: agent 0 actions do not partition her current set",
+    ]
+
+
+def test_overlapping_information_sets_are_reported(voting):
+    doc = renumbered_g3(voting)
+    doc["infosets"].append({"agent": "voter2", "nodes": [101]})
+    code, out = run_cli(["validate", "-"], json.dumps(doc))
+    assert code == 1
+    assert out == "agent 1: information sets overlap\n"
 
 
 def g3_document(voting):
@@ -442,10 +519,10 @@ def test_cli_bad_arguments_exit_two(case, tmp_path, capsys):
 
 
 def test_recursive_walks_leave_no_cyclic_garbage():
-    """Parsing, serializing and the recursive generators clear their nested
-    walks on exit, so what they leave behind is freed by reference counting:
-    with the collector off, a collection after each call, its result
-    dropped, finds nothing."""
+    """Parsing (a breadth-first loop), serializing and the recursive
+    generators, which clear their nested walks on exit, leave nothing that
+    reference counting does not free: with the collector off, a collection
+    after each call, its result dropped, finds nothing."""
     text = serialize_mechanism(gm.build_gstar(4, 4), gm.second_price_scf(4, 4)[1])
     g33 = gm.build_gstar(3, 3)
     pr = gm.all_priority_structures(3)[0]
