@@ -50,8 +50,9 @@ class InfoSet:
 
 
 class Mechanism:
-    """Immutable game form over a TypeModel.  Use ``build_mechanism`` or
-    ``parse_mechanism``.
+    """Immutable game form over a TypeModel.  Raw input is built with
+    ``build_mechanism`` or ``parse_mechanism``; the tree rewrites copy a
+    valid mechanism through ``canonical_tree`` directly.
 
     The tree tables depend on the history tree alone: ``parent``, ``step``,
     ``children`` (a ``range`` of ids per node), ``terminals``, ``theta``,
@@ -402,7 +403,9 @@ def canonical_tree(model, root, edges):
 
 
 def build_mechanism(model, nodes, infoset_groups, outcomes):
-    """Assemble and canonicalize a mechanism.
+    """Assemble and canonicalize a mechanism from raw input: the
+    generators' ``_TreeSink``, tests and callers outside the package.  The
+    parser and the tree rewrites call ``canonical_tree`` themselves.
 
     ``nodes``: list of (parent_id, step) with ids arbitrary; step is None for
     the root and otherwise a hashable tuple of (agent, frozenset of type ids)
@@ -494,25 +497,25 @@ def validate(mech):
 
 def _tree_rules(mech):
     report = []
-    n = mech.n_nodes()
-    for v in range(n):
-        if mech.is_terminal(v):
-            if v not in mech.outcome:
+    step, theta, menus, outcome = mech.step, mech.theta, mech.menus, mech.outcome
+    for v, kids in enumerate(mech.children):
+        if not kids:
+            if v not in outcome:
                 report.append(f"terminal node {v} has no outcome")
-        elif v in mech.outcome:
+        elif v in outcome:
             report.append(f"non-terminal node {v} carries an outcome")
 
     # Simultaneous-move closure and action refinement, read off the menus.
     # Every child has at least one acting agent, since build_mechanism and
     # the parser refuse empty action profiles, so no node has an empty menu.
-    for v in range(n):
-        if mech.is_terminal(v):
+    for v, kids in enumerate(mech.children):
+        if not kids:
             continue
-        menu, kids = mech.menus[v], mech.children[v]
-        if any(len(mech.step[c]) != len(menu) for c in kids):
+        menu = menus[v]
+        if any(len(step[c]) != len(menu) for c in kids):
             report.append(f"node {v}: children disagree on the acting agents")
             continue
-        combos = {mech.step[c] for c in kids}
+        combos = {step[c] for c in kids}
         if len(kids) != len(combos):
             report.append(f"node {v}: duplicate action profiles")
         if len(combos) != math.prod(len(acts) for acts in menu.values()):
@@ -521,11 +524,11 @@ def _tree_rules(mech):
             union = frozenset().union(*acts)
             if sum(map(len, acts)) != len(union):
                 report.append(f"node {v}: agent {a} has overlapping actions")
-            if union != mech.theta[v][a]:
+            if union != theta[v][a]:
                 report.append(
                     f"node {v}: agent {a} actions do not partition her current set")
 
-    if not mech.is_terminal(0) and mech.acting[0] != tuple(range(mech.model.n_agents)):
+    if mech.children[0] and mech.acting[0] != tuple(range(mech.model.n_agents)):
         report.append("root: every agent must be active at the initial history")
 
     # No separate check that the terminals partition the profile space: the

@@ -11,7 +11,8 @@ import operator
 from dataclasses import dataclass
 
 from .checkers import Verdict, Witness, _coverage, _rank_table, _require_valid
-from .gameform import MechanismError, build_mechanism, is_static, make_step, validate
+from .gameform import (Mechanism, MechanismError, canonical_tree, is_static, make_step,
+                       validate)
 
 
 @dataclass(frozen=True)
@@ -54,12 +55,43 @@ class Merge:
     second: int
 
 
-def _raw_nodes(mech):
-    return [(mech.parent[v], mech.step[v]) for v in range(mech.n_nodes())]
+def _copy(mech, root, edges):
+    """The mechanism ``canonical_tree`` builds from ``root``, where
+    ``edges(handle)`` returns the handle's origin, a node of ``mech`` or
+    None, and its (step, child handle) edges, steps in normal form.
 
+    A terminal copy takes its origin's outcome.  An agent acting at a copy
+    joins her information set at the origin; where she has none she is at a
+    new decision, and her new decisions form one new set.  Sets left empty
+    are dropped.  ``mech`` must be valid: by its cover rule (an agent's
+    information sets cover exactly her decision nodes, ``_partition_rules``)
+    each acting agent has a set at each decision node, so an agent who acts
+    both at a copy and at its origin keeps her set.
 
-def _raw_groups(mech):
-    return [(s.agent, list(s.nodes)) for s in mech.infosets]
+    ``edges`` must not call itself: a closure that refers to itself is a
+    reference cycle, which keeps ``mech`` alive until the cycle collector
+    runs."""
+    origins = []  # per canonical id, its origin
+
+    def visit(handle, v):
+        origin, out = edges(handle)
+        origins.append(origin)
+        return out
+
+    tree = canonical_tree(mech.model, root, visit)
+    terminals, acting = tree[3], tree[6]
+    outcome = {z: mech.outcome[origins[z]] for z in terminals}
+    members = [[] for _ in mech.infosets]
+    fresh = {}  # agent -> her new decisions
+    for v, agents in enumerate(acting):
+        for a in agents:
+            k = mech.node_iset.get((a, origins[v]))
+            if k is None:
+                fresh.setdefault(a, []).append(v)
+            else:
+                members[k].append(v)
+    groups = [(s.agent, ms) for s, ms in zip(mech.infosets, members) if ms]
+    return Mechanism(mech.model, tree, outcome, groups + list(fresh.items()))
 
 
 def _own_set(mech, agent, k):
@@ -95,21 +127,20 @@ def apply_split(mech, t):
     if (not t.part1 or not t.part2 or t.part1 & t.part2
             or (t.part1 | t.part2) != t.action):
         raise MechanismError("split: parts must be a two-way partition of the action")
-    below = _split_terminals(mech, t.infoset, t.action)
+    below = set(_split_terminals(mech, t.infoset, t.action))
     if not below:
         raise MechanismError(
             "split: the agent decides again after that action (no terminal keeps it)")
+    finals = [make_step({t.agent: part}) for part in (t.part1, t.part2)]
 
-    nodes = _raw_nodes(mech)
-    outcomes = dict(mech.outcome)
-    for z in below:
-        x = outcomes.pop(z)
-        for part in (t.part1, t.part2):
-            nodes.append((z, make_step({t.agent: part})))
-            outcomes[len(nodes) - 1] = x
-    groups = _raw_groups(mech)
-    groups.append((t.agent, list(below)))
-    return build_mechanism(mech.model, nodes, groups, outcomes)
+    def edges(v):
+        if type(v) is tuple:  # a final choice below terminal v[0]
+            return v[0], ()
+        if v in below:
+            return v, [(s, (v,)) for s in finals]
+        return v, [(mech.step[c], c) for c in mech.children[v]]
+
+    return _copy(mech, 0, edges)
 
 
 def coalesce_ready(mech, t):
@@ -136,7 +167,7 @@ def apply_coalesce(mech, t):
     that still move there, so the target set is left empty and dropped.
 
     ``mech`` must be valid; every caller validates first.  Validity leaves
-    the walk nothing to check beyond ``coalesce_ready``:
+    the copy nothing to check beyond ``coalesce_ready``:
 
     - The members of one information set lie on no common path (perfect
       recall) and share the agent's current set.  The terminal type boxes
@@ -155,59 +186,36 @@ def apply_coalesce(mech, t):
     source_nodes = set(mech.infosets[t.infoset].nodes)
     target_nodes = set(mech.infosets[t.target].nodes)
     new_actions = mech.infosets[t.target].actions
+    children, step = mech.children, mech.step
 
-    nodes = []
-    outcomes = {}
-    groups = [[] for _ in mech.infosets]  # per input set, its copied members
-
-    def add(parent_new, step, old, movers):
-        new = len(nodes)
-        nodes.append((parent_new, step))
-        for a in movers:
-            groups[mech.node_iset[a, old]].append(new)
-        return new
-
-    def copy(old, parent_new, step, branch):
-        """Copy the subtree at ``old``.  ``branch`` is the agent's pending
+    def edges(handle):
+        """``handle`` is (node, branch): ``branch`` is the agent's pending
         choice between the source action and the target nodes, else None.
 
         Perfect recall puts no member of the source set below a source or a
         target node, so source actions are expanded wherever ``branch`` is
         None, and a target node is met only with a branch pending."""
-        if branch is not None and old in target_nodes:
-            kept = [c for c in mech.children[old] if (i, branch) in mech.step[c]]
-            if mech.acting[old] == (i,):
-                # The agent moved alone there: splice her step out entirely.
-                copy(kept[0], parent_new, step, None)
-                return
-            new = add(parent_new, step, old, [a for a in mech.acting[old] if a != i])
-            for c in kept:
-                copy(c, new, tuple(p for p in mech.step[c] if p[0] != i), None)
-            return
-        new = add(parent_new, step, old, mech.acting[old])
-        if old in mech.outcome:
-            outcomes[new] = mech.outcome[old]
-        in_source = branch is None and old in source_nodes
-        for c in mech.children[old]:
-            cstep = dict(mech.step[c])
-            if in_source and cstep.get(i) == t.action:
+        v, branch = handle
+        if branch is not None and v in target_nodes:
+            kept = [c for c in children[v] if (i, branch) in step[c]]
+            if mech.acting[v] != (i,):
+                return v, [(tuple(p for p in step[c] if p[0] != i), (c, None))
+                           for c in kept]
+            # The agent moved alone there: splice her step out entirely.
+            v, branch = kept[0], None
+        out = []
+        in_source = branch is None and v in source_nodes
+        for c in children[v]:
+            if in_source and (i, t.action) in step[c]:
+                cstep = dict(step[c])
                 for b in new_actions:
                     cstep[i] = b
-                    copy(c, new, make_step(cstep), b)
+                    out.append((make_step(cstep), (c, b)))
             else:
-                copy(c, new, mech.step[c], branch)
+                out.append((step[c], (c, branch)))
+        return v, out
 
-    try:
-        copy(0, None, None, None)
-    finally:
-        # The walk refers to itself through its closure cell; emptying the
-        # cell breaks that cycle, so the input is freed by reference counting
-        # rather than left to the cycle collector.
-        del add, copy
-
-    return build_mechanism(mech.model, nodes,
-                           [(s.agent, members) for s, members in zip(mech.infosets, groups)],
-                           outcomes)
+    return _copy(mech, (0, None), edges)
 
 
 def _illumination_parts(mech, t, what):
@@ -361,24 +369,14 @@ def apply_unsplit(mech, t):
     problem = unsplit_ready(mech, t)
     if problem:
         raise MechanismError(problem)
-    iset = mech.infosets[t.infoset]
-    drop = {c for v in iset.nodes for c in mech.children[v]}
-    keep = [v for v in range(mech.n_nodes()) if v not in drop]
-    nodes = []
-    remap = {}
-    for v in keep:
-        remap[v] = len(nodes)
-        nodes.append((None if mech.parent[v] is None else remap[mech.parent[v]],
-                      mech.step[v]))
-    outcomes = {remap[v]: x for v, x in mech.outcome.items() if v in remap}
-    for v in iset.nodes:
-        outcomes[remap[v]] = mech.outcome[mech.children[v][0]]
-    groups = []
-    for k, s in enumerate(mech.infosets):
-        if k == t.infoset:
-            continue
-        groups.append((s.agent, [remap[v] for v in s.nodes]))
-    return build_mechanism(mech.model, nodes, groups, outcomes)
+    forgotten = set(mech.infosets[t.infoset].nodes)
+
+    def edges(v):
+        if v in forgotten:  # a terminal now, with its children's one outcome
+            return mech.children[v][0], ()
+        return v, [(mech.step[c], c) for c in mech.children[v]]
+
+    return _copy(mech, 0, edges)
 
 
 def apply_uncoalesce(mech, t):
@@ -390,28 +388,25 @@ def apply_uncoalesce(mech, t):
         raise MechanismError("uncoalesce: need two or more actions from the menu")
     i = t.agent
     union = frozenset().union(*chosen)
-    chosen_set = set(chosen)
+    chosen_set, members = set(chosen), set(iset.nodes)
 
-    nodes = _raw_nodes(mech)
-    new_infoset = []
-    for v in iset.nodes:
-        by_rest = {}  # the other agents' moves -> [(child, the agent's action)]
-        for c in mech.children[v]:
+    def edges(h):
+        if type(h) is list:  # a middle node: the agent's deferred choices
+            return None, [(make_step({i: act}), c) for c, act in h]
+        if h not in members:
+            return h, [(mech.step[c], c) for c in mech.children[h]]
+        out, by_rest = [], {}  # the other agents' moves -> [(child, the agent's action)]
+        for c in mech.children[h]:
             act = dict(mech.step[c]).get(i)
             if act in chosen_set:
                 rest = tuple(p for p in mech.step[c] if p[0] != i)
                 by_rest.setdefault(rest, []).append((c, act))
-        # The middle nodes under v have distinct steps, so build_mechanism
-        # numbers them the same whatever order they are added in.
-        for rest, kids in by_rest.items():
-            mid = len(nodes)
-            nodes.append((v, make_step({**dict(rest), i: union})))
-            new_infoset.append(mid)
-            for c, act in kids:
-                nodes[c] = (mid, make_step({i: act}))
-    groups = _raw_groups(mech)
-    groups.append((i, new_infoset))
-    return build_mechanism(mech.model, nodes, groups, mech.outcome)
+            else:
+                out.append((mech.step[c], c))
+        out.extend((make_step({**dict(rest), i: union}), kids) for rest, kids in by_rest.items())
+        return h, out
+
+    return _copy(mech, 0, edges)
 
 
 def _binary_partitions(items):

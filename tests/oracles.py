@@ -19,9 +19,11 @@ from gradualmech.fileformat import (ParseError, _need, parse_model, parse_scf,
 from gradualmech.gameform import (Mechanism, MechanismError, build_mechanism,
                                   implements, is_static, siblings_same_action,
                                   validate)
-from gradualmech.transforms import (ChainStep, ReductionChain, apply_coalesce,
-                                    apply_merge, apply_split, coalesce_ready,
-                                    is_incentive_preserving, iter_opportunities)
+from gradualmech.transforms import (ChainStep, ReductionChain, _own_set,
+                                    _split_terminals, apply_coalesce, apply_merge,
+                                    apply_split, coalesce_ready,
+                                    is_incentive_preserving, iter_opportunities,
+                                    unsplit_ready)
 from gradualmech.generators import _best
 
 
@@ -684,6 +686,173 @@ def apply_coalesce_oracle(mech, t):
     groups = [(mech.infosets[k].agent, members)
               for k, members in sorted(group_map.items())]
     return build_mechanism(mech.model, nodes, groups, outcomes)
+
+
+def _raw_nodes(mech):
+    return [(mech.parent[v], mech.step[v]) for v in range(mech.n_nodes())]
+
+
+def _raw_groups(mech):
+    return [(s.agent, list(s.nodes)) for s in mech.infosets]
+
+
+def apply_split_oracle(mech, t):
+    """``apply_split`` as it was before the rewrites copied through
+    ``canonical_tree``: the new final choices appended to a raw
+    ``(parent, step)`` list, which ``build_mechanism`` numbers."""
+    iset = _own_set(mech, t.agent, t.infoset)
+    if iset is None:
+        raise MechanismError("split: no such information set for that agent")
+    if t.action not in iset.actions:
+        raise MechanismError("split: action not available at the information set")
+    if (not t.part1 or not t.part2 or t.part1 & t.part2
+            or (t.part1 | t.part2) != t.action):
+        raise MechanismError("split: parts must be a two-way partition of the action")
+    below = _split_terminals(mech, t.infoset, t.action)
+    if not below:
+        raise MechanismError(
+            "split: the agent decides again after that action (no terminal keeps it)")
+
+    nodes = _raw_nodes(mech)
+    outcomes = dict(mech.outcome)
+    for z in below:
+        x = outcomes.pop(z)
+        for part in (t.part1, t.part2):
+            nodes.append((z, make_step({t.agent: part})))
+            outcomes[len(nodes) - 1] = x
+    groups = _raw_groups(mech)
+    groups.append((t.agent, list(below)))
+    return build_mechanism(mech.model, nodes, groups, outcomes)
+
+
+def apply_coalesce_walk_oracle(mech, t):
+    """``apply_coalesce`` as one recursive walk that appends to a raw
+    ``(parent, step)`` list, which ``build_mechanism`` numbers, as it was
+    before the rewrites copied through ``canonical_tree``.  ``mech`` must be
+    valid."""
+    problem = coalesce_ready(mech, t)
+    if problem:
+        raise MechanismError(problem)
+    i = t.agent
+    source_nodes = set(mech.infosets[t.infoset].nodes)
+    target_nodes = set(mech.infosets[t.target].nodes)
+    new_actions = mech.infosets[t.target].actions
+
+    nodes = []
+    outcomes = {}
+    groups = [[] for _ in mech.infosets]  # per input set, its copied members
+
+    def add(parent_new, step, old, movers):
+        new = len(nodes)
+        nodes.append((parent_new, step))
+        for a in movers:
+            groups[mech.node_iset[a, old]].append(new)
+        return new
+
+    def copy(old, parent_new, step, branch):
+        """Copy the subtree at ``old``.  ``branch`` is the agent's pending
+        choice between the source action and the target nodes, else None.
+
+        Perfect recall puts no member of the source set below a source or a
+        target node, so source actions are expanded wherever ``branch`` is
+        None, and a target node is met only with a branch pending."""
+        if branch is not None and old in target_nodes:
+            kept = [c for c in mech.children[old] if (i, branch) in mech.step[c]]
+            if mech.acting[old] == (i,):
+                # The agent moved alone there: splice her step out entirely.
+                copy(kept[0], parent_new, step, None)
+                return
+            new = add(parent_new, step, old, [a for a in mech.acting[old] if a != i])
+            for c in kept:
+                copy(c, new, tuple(p for p in mech.step[c] if p[0] != i), None)
+            return
+        new = add(parent_new, step, old, mech.acting[old])
+        if old in mech.outcome:
+            outcomes[new] = mech.outcome[old]
+        in_source = branch is None and old in source_nodes
+        for c in mech.children[old]:
+            cstep = dict(mech.step[c])
+            if in_source and cstep.get(i) == t.action:
+                for b in new_actions:
+                    cstep[i] = b
+                    copy(c, new, make_step(cstep), b)
+            else:
+                copy(c, new, mech.step[c], branch)
+
+    try:
+        copy(0, None, None, None)
+    finally:
+        # The walk refers to itself through its closure cell; emptying the
+        # cell breaks that cycle, so the input is freed by reference counting
+        # rather than left to the cycle collector.
+        del add, copy
+
+    return build_mechanism(mech.model, nodes,
+                           [(s.agent, members) for s, members in zip(mech.infosets, groups)],
+                           outcomes)
+
+
+def apply_unsplit_oracle(mech, t):
+    """``apply_unsplit`` as it was before the rewrites copied through
+    ``canonical_tree``: the kept nodes remapped into a raw ``(parent, step)``
+    list, which ``build_mechanism`` numbers."""
+    problem = unsplit_ready(mech, t)
+    if problem:
+        raise MechanismError(problem)
+    iset = mech.infosets[t.infoset]
+    drop = {c for v in iset.nodes for c in mech.children[v]}
+    keep = [v for v in range(mech.n_nodes()) if v not in drop]
+    nodes = []
+    remap = {}
+    for v in keep:
+        remap[v] = len(nodes)
+        nodes.append((None if mech.parent[v] is None else remap[mech.parent[v]],
+                      mech.step[v]))
+    outcomes = {remap[v]: x for v, x in mech.outcome.items() if v in remap}
+    for v in iset.nodes:
+        outcomes[remap[v]] = mech.outcome[mech.children[v][0]]
+    groups = []
+    for k, s in enumerate(mech.infosets):
+        if k == t.infoset:
+            continue
+        groups.append((s.agent, [remap[v] for v in s.nodes]))
+    return build_mechanism(mech.model, nodes, groups, outcomes)
+
+
+def apply_uncoalesce_oracle(mech, t):
+    """``apply_uncoalesce`` as it was before the rewrites copied through
+    ``canonical_tree``: the middle nodes appended to a raw ``(parent, step)``
+    list, which ``build_mechanism`` numbers."""
+    iset = _own_set(mech, t.agent, t.infoset)
+    if iset is None:
+        raise MechanismError("uncoalesce: no such information set for that agent")
+    chosen = tuple(t.actions)
+    if len(chosen) < 2 or any(a not in iset.actions for a in chosen):
+        raise MechanismError("uncoalesce: need two or more actions from the menu")
+    i = t.agent
+    union = frozenset().union(*chosen)
+    chosen_set = set(chosen)
+
+    nodes = _raw_nodes(mech)
+    new_infoset = []
+    for v in iset.nodes:
+        by_rest = {}  # the other agents' moves -> [(child, the agent's action)]
+        for c in mech.children[v]:
+            act = dict(mech.step[c]).get(i)
+            if act in chosen_set:
+                rest = tuple(p for p in mech.step[c] if p[0] != i)
+                by_rest.setdefault(rest, []).append((c, act))
+        # The middle nodes under v have distinct steps, so build_mechanism
+        # numbers them the same whatever order they are added in.
+        for rest, kids in by_rest.items():
+            mid = len(nodes)
+            nodes.append((v, make_step({**dict(rest), i: union})))
+            new_infoset.append(mid)
+            for c, act in kids:
+                nodes[c] = (mid, make_step({i: act}))
+    groups = _raw_groups(mech)
+    groups.append((i, new_infoset))
+    return build_mechanism(mech.model, nodes, groups, mech.outcome)
 
 
 def replay_ic_witness(mech, w):

@@ -152,14 +152,16 @@ def test_reduction_keys_fewer_steps_than_it_builds_nodes(monkeypatch, step_key_c
     model, f = gm.ttc_scf(pr, 3)
     mech = gm.build_rda(pr, 3)
     built = [0]
-    real = transforms.build_mechanism
+    real = transforms.canonical_tree
 
+    # Every tree a rewrite builds comes out of one ``canonical_tree`` pass;
+    # its first table, ``parent``, has one entry per node.
     def counted(*args):
-        out = real(*args)
-        built[0] += out.n_nodes()
-        return out
+        tree = real(*args)
+        built[0] += len(tree[0])
+        return tree
 
-    monkeypatch.setattr(transforms, "build_mechanism", counted)
+    monkeypatch.setattr(transforms, "canonical_tree", counted)
     step_key_calls[0] = 0
     gm.reduce_to_direct(mech, f)
     assert 0 < step_key_calls[0] < built[0]

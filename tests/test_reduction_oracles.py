@@ -1,6 +1,6 @@
 """The one-pass ``Mechanism`` tables, the reduction that keeps each merge
-probe's result, the mask-driven incentive-preservation scan and the one-walk
-coalesce, against the code they replace (``tests/oracles.py``).  Each step
+probe's result, the mask-driven incentive-preservation scan and the
+coalesce copy, against the code they replace (``tests/oracles.py``).  Each step
 of a reduction chain and every illumination must give a valid mechanism:
 ``apply_coalesce``, ``apply_illuminate`` and ``reduce_to_direct`` rely on
 validity being kept and do not check their results.

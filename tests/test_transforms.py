@@ -138,18 +138,30 @@ def test_coalesce_degenerate_root_step(voting):
     assert gm.is_static(after)
 
 
-@pytest.mark.parametrize("name", ["g1", "g4"])
-def test_coalesce_frees_its_input_by_reference_counting(name):
-    """With the cycle collector off, a coalesced input is freed as soon as
-    its last reference goes: the rewrite leaves no reference cycle behind."""
-    mech = gm.voting_examples()[2][name]
-    t = next(gm.iter_opportunities(mech, "coalesce"))
+@pytest.mark.parametrize("kind, name", [
+    ("split", "g1"), ("coalesce", "g1"), ("coalesce", "g4"), ("unsplit", "g1"),
+    ("uncoalesce", "g1"), ("reduce", "g1"),
+], ids=lambda x: x)
+def test_rewrite_frees_its_input_by_reference_counting(kind, name):
+    """With the cycle collector off, a rewritten or reduced input is freed as
+    soon as its last reference goes: no rewrite leaves a reference cycle
+    behind, such as a copy callback that calls itself."""
+    _, f, mechs = gm.voting_examples()
+    mech = mechs.pop(name)
+    if kind == "reduce":
+        def rewrite(m):
+            return gm.reduce_to_direct(m, f).final
+    else:
+        t = next(gm.iter_opportunities(mech, kind))
+
+        def rewrite(m):
+            return gm.apply_transformation(m, t)
     enabled = gc.isenabled()
     gc.disable()
     try:
         ref = weakref.ref(mech)
-        result = gm.apply_coalesce(mech, t)
-        del mech
+        result = rewrite(mech)
+        del mech, mechs
         assert ref() is None
         assert gm.validate(result) == []
     finally:
