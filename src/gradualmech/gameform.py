@@ -64,6 +64,15 @@ class Mechanism:
     information sets too: ``infosets``, ``node_iset``, ``experience`` and
     the conflict maps.  ``regroup`` shares the first and builds only the
     second.
+
+    A node's menu lists the distinct actions in its children's steps, so
+    nodes whose children carry equal steps have equal menus, and
+    ``validate`` decides the rules that read only the steps and the menu
+    once per tuple of children's steps.  The menu object is no such key:
+    ``canonical_tree`` shares one menu among nodes with equal children's
+    steps, but a builder may share it among all nodes with equal menus,
+    whose children can still differ.  ``experience`` holds one list per
+    agent, indexed by node id.
     """
 
     def __init__(self, model, tree, outcome, infoset_groups):
@@ -95,20 +104,24 @@ class Mechanism:
                 self.node_iset[(iset.agent, v)] = k
 
         # Own-experience chains ((information set, action), ...) strictly
-        # before each node, built in id order as theta is.
-        self.experience = [{0: ()} for _ in range(self.model.n_agents)]
-        for v in range(1, len(self.parent)):
-            p = self.parent[v]
-            for exp in self.experience:
+        # before each node: one list per agent, indexed by node id and
+        # filled in id order, as theta is, so each parent's entry is there
+        # before its children's.
+        n = len(self.parent)
+        parent, step, get = self.parent, self.step, self.node_iset.get
+        self.experience = experience = [[()] * n for _ in range(self.model.n_agents)]
+        for v in range(1, n):
+            p = parent[v]
+            for exp in experience:
                 exp[v] = exp[p]
-            for agent, action in self.step[v]:
-                k = self.node_iset.get((agent, p))
+            for agent, action in step[v]:
+                k = get((agent, p))
                 if k is not None:
-                    exp = self.experience[agent]
+                    exp = experience[agent]
                     exp[v] = exp[p] + ((k, action),)
 
         self._other_action = None
-        self._conflict_masks = [None] * len(self.parent)
+        self._conflict_masks = [None] * n
         self._valid_report = None
 
     # -- structure helpers ------------------------------------------------
@@ -495,7 +508,38 @@ def validate(mech):
     return mech._valid_report
 
 
+def _local_rules(steps, menu):
+    """The local rules that depend on a node's children's steps alone:
+    the messages, without the node's name, of the rules that fail, and per
+    acting agent in menu order (agent, whether her actions overlap, their
+    union).  ``menu`` is the menu of a node with these children."""
+    if any(len(s) != len(menu) for s in steps):
+        return ("children disagree on the acting agents",), ()
+    failed = []
+    combos = set(steps)
+    if len(steps) != len(combos):
+        failed.append("duplicate action profiles")
+    if len(combos) != math.prod(len(acts) for acts in menu.values()):
+        failed.append("children are not the full product of available actions")
+    agents = []
+    for a, acts in menu.items():
+        union = frozenset().union(*acts)
+        agents.append((a, sum(map(len, acts)) != len(union), union))
+    return tuple(failed), tuple(agents)
+
+
 def _tree_rules(mech):
+    """Outcome placement, the local rules and root activity.
+
+    Closure, duplicate profiles, the full product and overlapping actions
+    depend only on the children's steps and on the menu, which lists the
+    distinct actions in those steps, so they are decided once per distinct
+    tuple of children's steps; per node remain only the node's name in
+    their messages and the test that each agent's actions cover her
+    current set there.  The memo is keyed on the steps, not on the menu
+    object: a builder may share one menu among nodes whose children differ
+    (all four products below one node, three below another), and those
+    nodes break different rules."""
     report = []
     step, theta, menus, outcome = mech.step, mech.theta, mech.menus, mech.outcome
     for v, kids in enumerate(mech.children):
@@ -508,23 +552,22 @@ def _tree_rules(mech):
     # Simultaneous-move closure and action refinement, read off the menus.
     # Every child has at least one acting agent, since build_mechanism and
     # the parser refuse empty action profiles, so no node has an empty menu.
+    decided = {}  # children's steps -> _local_rules of them
     for v, kids in enumerate(mech.children):
         if not kids:
             continue
-        menu = menus[v]
-        if any(len(step[c]) != len(menu) for c in kids):
-            report.append(f"node {v}: children disagree on the acting agents")
-            continue
-        combos = {step[c] for c in kids}
-        if len(kids) != len(combos):
-            report.append(f"node {v}: duplicate action profiles")
-        if len(combos) != math.prod(len(acts) for acts in menu.values()):
-            report.append(f"node {v}: children are not the full product of available actions")
-        for a, acts in menu.items():
-            union = frozenset().union(*acts)
-            if sum(map(len, acts)) != len(union):
+        steps = step[kids[0]:kids[-1] + 1]  # siblings have consecutive ids
+        rules = decided.get(steps)
+        if rules is None:
+            rules = decided[steps] = _local_rules(steps, menus[v])
+        failed, agents = rules
+        for text in failed:
+            report.append(f"node {v}: {text}")
+        row = theta[v]
+        for a, overlap, union in agents:
+            if overlap:
                 report.append(f"node {v}: agent {a} has overlapping actions")
-            if union != theta[v][a]:
+            if union != row[a]:
                 report.append(
                     f"node {v}: agent {a} actions do not partition her current set")
 
@@ -544,20 +587,37 @@ def _tree_rules(mech):
 
 def _partition_rules(mech):
     report = []
-    # Information sets: exact partition of each agent's decision nodes.
-    for i in range(mech.model.n_agents):
-        covered = [v for s in mech.infosets if s.agent == i for v in s.nodes]
-        if len(covered) != len(set(covered)):
+    # Information sets: exact partition of each agent's decision nodes, which
+    # are read off ``acting`` in one pass.
+    n_agents = mech.model.n_agents
+    decides = [set() for _ in range(n_agents)]
+    for v, agents in enumerate(mech.acting):
+        for a in agents:
+            decides[a].add(v)
+    covered = [[] for _ in range(n_agents)]
+    for s in mech.infosets:
+        covered[s.agent].extend(s.nodes)
+    for i, (members, nodes) in enumerate(zip(covered, decides)):
+        distinct = set(members)
+        if len(members) != len(distinct):
             report.append(f"agent {i}: information sets overlap")
-        if set(covered) != {v for v, menu in enumerate(mech.menus) if i in menu}:
+        if distinct != nodes:
             report.append(f"agent {i}: information sets do not cover exactly her decision nodes")
 
-    # Uniform menus and perfect recall within each information set.
+    # Uniform menus and perfect recall within each information set: every
+    # member's menu and experience chain equal the first member's.
+    menus = mech.menus
     for k, iset in enumerate(mech.infosets):
-        if len({mech.menus[v].get(iset.agent) for v in iset.nodes}) > 1:
+        nodes = iset.nodes
+        if len(nodes) == 1:
+            continue
+        a, first = iset.agent, nodes[0]
+        menu = menus[first].get(a)
+        if any(menus[v].get(a) != menu for v in nodes):
             report.append(f"information set {k}: nodes offer different action menus")
-        exps = {mech.experience[iset.agent][v] for v in iset.nodes}
-        if len(exps) > 1:
+        exp = mech.experience[a]
+        chain = exp[first]
+        if any(exp[v] != chain for v in nodes):
             report.append(f"information set {k}: members violate perfect recall")
 
     return report

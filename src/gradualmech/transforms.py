@@ -229,12 +229,10 @@ def _illumination_parts(mech, t, what):
     return p1, p2
 
 
-def apply_illuminate(mech, t):
-    """Illumination: the tree is unchanged; the information set splits in two
-    and every successor set of the same agent splits by which part precedes
-    each node.  The result is a regrouping of the input's tree.
-
-    ``mech`` must be valid; every caller validates first."""
+def _illuminated_groups(mech, t):
+    """The (agent, nodes) groups of the information sets that illuminating
+    ``mech`` by ``t`` leaves, each group's nodes in ascending order.
+    ``mech`` must be valid."""
     p1, p2 = _illumination_parts(mech, t, "illuminate")
     i = t.agent
     # Perfect recall puts no member of a set below another member of the
@@ -257,7 +255,16 @@ def apply_illuminate(mech, t):
             groups.extend((i, side) for side in sides if side)
         else:
             groups.append((i, list(other.nodes)))
-    return mech.regroup(groups)
+    return groups
+
+
+def apply_illuminate(mech, t):
+    """Illumination: the tree is unchanged; the information set splits in two
+    and every successor set of the same agent splits by which part precedes
+    each node.  The result is a regrouping of the input's tree.
+
+    ``mech`` must be valid; every caller validates first."""
+    return mech.regroup(_illuminated_groups(mech, t))
 
 
 def apply_merge(mech, t):
@@ -310,11 +317,11 @@ def apply_merge(mech, t):
     # The united set is exactly a | b on unchanged ids; validate ruled out
     # overlapping sets, so it is the one holding a's first node.
     forward = Illuminate(i, merged.node_iset[(i, a.nodes[0])], a.nodes, b.nodes)
-    again = apply_illuminate(merged, forward)
-    # mech, merged and again share one tree, so they are equal iff their
-    # information sets are.
-    if ([(s.agent, s.nodes) for s in again.infosets]
-            != [(s.agent, s.nodes) for s in mech.infosets]):
+    # mech and the illuminated result share one tree, so they are equal iff
+    # their information sets are.  mech's sets are disjoint, so sorting the
+    # groups by their nodes orders them as mech.infosets are.
+    again = sorted((agent, tuple(nodes)) for agent, nodes in _illuminated_groups(merged, forward))
+    if again != [(s.agent, s.nodes) for s in mech.infosets]:
         raise MechanismError("merge: illuminating the result does not reproduce the original")
     return merged, forward
 

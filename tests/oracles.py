@@ -152,6 +152,81 @@ def validate_oracle(mech):
     return report
 
 
+def tree_rules_oracle(mech):
+    """``validate``'s tree rules as they were before the local rules were
+    decided once per tuple of children's steps: every rule at every node."""
+    report = []
+    step, theta, menus, outcome = mech.step, mech.theta, mech.menus, mech.outcome
+    for v, kids in enumerate(mech.children):
+        if not kids:
+            if v not in outcome:
+                report.append(f"terminal node {v} has no outcome")
+        elif v in outcome:
+            report.append(f"non-terminal node {v} carries an outcome")
+
+    # Simultaneous-move closure and action refinement, read off the menus.
+    # Every child has at least one acting agent, since build_mechanism and
+    # the parser refuse empty action profiles, so no node has an empty menu.
+    for v, kids in enumerate(mech.children):
+        if not kids:
+            continue
+        menu = menus[v]
+        if any(len(step[c]) != len(menu) for c in kids):
+            report.append(f"node {v}: children disagree on the acting agents")
+            continue
+        combos = {step[c] for c in kids}
+        if len(kids) != len(combos):
+            report.append(f"node {v}: duplicate action profiles")
+        if len(combos) != math.prod(len(acts) for acts in menu.values()):
+            report.append(f"node {v}: children are not the full product of available actions")
+        for a, acts in menu.items():
+            union = frozenset().union(*acts)
+            if sum(map(len, acts)) != len(union):
+                report.append(f"node {v}: agent {a} has overlapping actions")
+            if union != theta[v][a]:
+                report.append(
+                    f"node {v}: agent {a} actions do not partition her current set")
+
+    if mech.children[0] and mech.acting[0] != tuple(range(mech.model.n_agents)):
+        report.append("root: every agent must be active at the initial history")
+
+    # No separate check that the terminals partition the profile space: the
+    # tree rules above imply it.  At a node that passes them, every acting
+    # agent's actions partition her current set and the children are the
+    # full product of the menus without duplicates, so the children's type
+    # boxes are disjoint and cover the node's box.  By induction from the
+    # root, whose box is the whole profile space, the terminal boxes
+    # partition that space and every profile has exactly one truthful path.
+    # When a local rule fails, its own message diagnoses the input.
+    return report
+
+
+def partition_rules_oracle(mech):
+    """``validate``'s partition rules as they were before each agent's
+    decision nodes were read off ``acting`` in one pass and each member
+    compared with the first: one pass over the menus per agent, and a set
+    of the members' menus and of their experience chains per information
+    set."""
+    report = []
+    # Information sets: exact partition of each agent's decision nodes.
+    for i in range(mech.model.n_agents):
+        covered = [v for s in mech.infosets if s.agent == i for v in s.nodes]
+        if len(covered) != len(set(covered)):
+            report.append(f"agent {i}: information sets overlap")
+        if set(covered) != {v for v, menu in enumerate(mech.menus) if i in menu}:
+            report.append(f"agent {i}: information sets do not cover exactly her decision nodes")
+
+    # Uniform menus and perfect recall within each information set.
+    for k, iset in enumerate(mech.infosets):
+        if len({mech.menus[v].get(iset.agent) for v in iset.nodes}) > 1:
+            report.append(f"information set {k}: nodes offer different action menus")
+        exps = {mech.experience[iset.agent][v] for v in iset.nodes}
+        if len(exps) > 1:
+            report.append(f"information set {k}: members violate perfect recall")
+
+    return report
+
+
 def rebuild_oracle(mech):
     """``mech`` built afresh from its raw nodes, information-set groups and
     outcomes, as illumination and merge built their results before they
@@ -185,7 +260,8 @@ def mechanism_tables_oracle(mech):
     breadth-first: ``theta`` along an explicit breadth-first walk, one
     experience pass per agent along the same walk, and each information
     set's menu from all of its members (the first member's when they
-    differ).  Returns (theta, experience, menus)."""
+    differ).  Returns (theta, experience, menus), ``experience`` as one
+    list per agent indexed by node id."""
     model = mech.model
     n = mech.n_nodes()
     order = []
@@ -208,7 +284,7 @@ def mechanism_tables_oracle(mech):
             row[agent] = action
         theta[v] = tuple(row)
 
-    experience = [dict() for _ in range(model.n_agents)]
+    experience = [[None] * n for _ in range(model.n_agents)]
     for i in range(model.n_agents):
         exp = experience[i]
         exp[0] = ()

@@ -143,6 +143,7 @@ MALFORMED = {
     "node-without-id": (("tree", "children", 0, "node"), {"outcome": "L"}),
     "node-int": (("tree", "children", 0, "node"), 5),
     "child-int": (("tree", "children", 0), 5),
+    "types-one-short": (("types",), [["L", "M", "R"]]),
 }
 
 # The exact diagnostics of the cases read with ``map`` (SCF profiles and step
@@ -169,6 +170,7 @@ MALFORMED_MESSAGES = {
     "node-without-id": "tree node without 'id'",
     "node-int": "a tree node must be of type dict, not int",
     "child-int": "a child must be of type dict, not int",
+    "types-one-short": "'types' and 'preferences' must list one entry per agent",
 }
 
 
@@ -360,6 +362,19 @@ def test_cli_ttc_gen_with_priorities(tmp_path):
     pr = ((0, 1), (1, 0))
     model, f = gm.ttc_scf(pr, 2)
     assert gm.mechanisms_equal(m2, gm.build_rda(pr, 2))
+
+
+def test_cli_ttc_gen_without_priorities():
+    """Without ``--priorities`` every item ranks the agents 0..n-1."""
+    code, out = run_cli(["gen", "ttc", "--n", "2"])
+    assert code == 0
+    assert gm.mechanisms_equal(parse_mechanism(out)[0], gm.build_rda(((0, 1), (0, 1)), 2))
+
+
+def test_cli_sd_gen_names_only_good_or_bad(capsys):
+    code, out = run_cli(["gen", "sd", "--which", "other"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: --which must be good or bad\n"
 
 
 def test_fixture_documents_load(voting, sd_pair):
