@@ -148,32 +148,28 @@ class _Settled:
     outcome x, ``_common`` holds the outcomes that every type of hers puts
     on x's level, read off the types' rank tables over single outcomes; the
     history settles her iff its mask lies inside that mask for its lowest
-    outcome.  Memoized per (agent, history)."""
+    outcome."""
 
     def __init__(self, mech):
         self.model = mech.model
         self.under = mech.outcome_masks()
         self._common = {}
-        self._memo = {}
 
     def __call__(self, j, h):
-        out = self._memo.get((j, h))
-        if out is None:
-            common = self._common.get(j)
-            if common is None:
-                model = self.model
-                each = {x: 1 << x for x in range(model.n_outcomes())}
-                common = self._common[j] = [~0] * len(each)
-                for t in model.all_types(j):
-                    levels = model.levels(j, t)
-                    ranked = _rank_table(model, j, t, each)
-                    for x in each:
-                        k = levels[x]
-                        common[x] &= ranked[k + 1] ^ ranked[k]
-            mask = self.under[h]
-            low = (mask & -mask).bit_length() - 1
-            out = self._memo[j, h] = not mask & ~common[low]
-        return out
+        common = self._common.get(j)
+        if common is None:
+            model = self.model
+            each = {x: 1 << x for x in range(model.n_outcomes())}
+            common = self._common[j] = [~0] * len(each)
+            for t in model.all_types(j):
+                levels = model.levels(j, t)
+                ranked = _rank_table(model, j, t, each)
+                for x in each:
+                    k = levels[x]
+                    common[x] &= ranked[k + 1] ^ ranked[k]
+        mask = self.under[h]
+        low = (mask & -mask).bit_length() - 1
+        return not mask & ~common[low]
 
 
 def _first_harmed(mech, kind, agents, reactor, z1, z2, infosets, detail):

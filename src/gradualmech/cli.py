@@ -19,7 +19,8 @@ import sys
 from . import transforms as tr
 from .checkers import is_ic, is_irp, is_rp
 from .dot import export_dot
-from .fileformat import ParseError, dumps, load_mechanism, serialize_mechanism
+from .fileformat import (ParseError, dumps, load_mechanism, parse_mechanism,
+                         serialize_mechanism)
 from .gameform import MechanismError, implemented_scf, validate
 from .generators import (build_gstar, build_rda, direct_mechanism,
                          random_transformed_mechanism, serial_dictatorship_pair,
@@ -111,7 +112,7 @@ def _illumination_from_args(mech, model, args):
 
 
 def cmd_validate(args):
-    mech, model, _ = load_mechanism(_read(args.file), require_valid=False)
+    mech, model, _ = parse_mechanism(_read(args.file))
     problems = validate(mech)
     if problems:
         for p in problems:
@@ -191,7 +192,7 @@ def cmd_transform(args):
     return 0
 
 
-def _transform_doc(t, preserving=None, fingerprint=None):
+def _transform_doc(t, preserving, fingerprint):
     doc = {"kind": type(t).__name__.lower()}
     for field in t.__dataclass_fields__:
         value = getattr(t, field)
@@ -199,8 +200,7 @@ def _transform_doc(t, preserving=None, fingerprint=None):
         doc[field] = sorted(value) if isinstance(value, frozenset) else value
     if preserving is not None:
         doc["preserving"] = preserving
-    if fingerprint is not None:
-        doc["fingerprint"] = fingerprint
+    doc["fingerprint"] = fingerprint
     return doc
 
 

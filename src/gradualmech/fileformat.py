@@ -347,13 +347,12 @@ def parse_mechanism(text):
     return Mechanism(model, tree, outcome, groups), model, f
 
 
-def load_mechanism(text, require_scf=False, require_valid=True):
+def load_mechanism(text, require_scf=False):
     """Parse and validate; used by the command-line front end."""
     mech, model, f = parse_mechanism(text)
-    if require_valid:
-        problems = validate(mech)
-        if problems:
-            raise ParseError("invalid mechanism: " + "; ".join(problems))
+    problems = validate(mech)
+    if problems:
+        raise ParseError("invalid mechanism: " + "; ".join(problems))
     if require_scf and f is None:
         raise ParseError("document carries no 'scf' table")
     return mech, model, f

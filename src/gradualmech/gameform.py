@@ -58,11 +58,11 @@ class Mechanism:
     ``children`` (a ``range`` of ids per node), ``terminals``, ``theta``,
     ``menus``, ``acting`` and in ``_tree`` the step keys, which
     ``canonical_tree`` fills in its one pass; ``outcome``, which the caller
-    of the pass reads off its input; then the fingerprint's tree text, the
-    lazily built tables and the tree-rule report, each built by whichever
-    mechanism on the tree asks first.  The partition tables depend on the
-    information sets too: ``infosets``, ``node_iset``, ``experience`` and
-    the conflict maps.  ``regroup`` shares the first and builds only the
+    of the pass reads off its input; then the fingerprint's tree text and
+    the lazily built tables, each built by whichever mechanism on the tree
+    asks first.  The partition tables depend on the information sets too:
+    ``infosets``, ``node_iset``, ``experience``, the conflict maps and the
+    ``validate`` report.  ``regroup`` shares the first and builds only the
     second.
 
     A node's menu lists the distinct actions in its children's steps, so
@@ -494,17 +494,14 @@ def build_mechanism(model, nodes, infoset_groups, outcomes):
 
 def validate(mech):
     """Return a list of violation strings; empty iff the mechanism satisfies
-    every structural rule.  The tree rules (outcomes at the terminals,
+    every structural rule: the tree rules (outcomes at the terminals,
     closure of simultaneous moves, refined disjoint actions, root activity)
-    run once per tree, their report shared by every regrouping; the
-    partition rules (exact cover of decision nodes, uniform menus, perfect
-    recall) once per mechanism.  Together they imply that the terminal type
-    sets partition the type-profile space, which is not checked separately."""
+    and the partition rules (exact cover of decision nodes, uniform menus,
+    perfect recall), run once per mechanism.  Together they imply that the
+    terminal type sets partition the type-profile space, which is not
+    checked separately."""
     if mech._valid_report is None:
-        tree = mech._tree.get("report")
-        if tree is None:
-            tree = mech._tree["report"] = _tree_rules(mech)
-        mech._valid_report = tree + _partition_rules(mech)
+        mech._valid_report = _tree_rules(mech) + _partition_rules(mech)
     return mech._valid_report
 
 

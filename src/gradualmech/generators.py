@@ -12,7 +12,7 @@ from fractions import Fraction
 from .gameform import MechanismError, build_mechanism, make_step
 from .prefs import ScfTable, TypeModel, WeakOrder
 from .transforms import (Illuminate, apply_illuminate, apply_transformation,
-                         find_opportunities, unsplit_outcome_constant)
+                         find_opportunities)
 
 
 class _TreeSink:
@@ -619,9 +619,10 @@ def random_transformed_mechanism(rng, steps=None):
         rng.shuffle(order)
         done = False
         for kind in order:
+            # Every rewrite keeps the SCF the mechanism implements, f, and
+            # an unsplit is ready only where each member has one outcome
+            # below it, so forgetting a refinement keeps f too.
             ops = find_opportunities(mech, kind)
-            if kind == "unsplit":
-                ops = [t for t in ops if unsplit_outcome_constant(mech, t, f)]
             if not ops:
                 continue
             t = ops[rng.randrange(len(ops))]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .checkers import Verdict, Witness, _coverage, _rank_table, _require_valid
 from .gameform import (Mechanism, MechanismError, canonical_tree, is_static, make_step,
-                       validate)
+                       validate)  # noqa: F401  (perfbench's tracer rebinds it in every module)
 
 
 @dataclass(frozen=True)
@@ -229,10 +229,12 @@ def _illumination_parts(mech, t, what):
     return p1, p2
 
 
-def _illuminated_groups(mech, t):
-    """The (agent, nodes) groups of the information sets that illuminating
-    ``mech`` by ``t`` leaves, each group's nodes in ascending order.
-    ``mech`` must be valid."""
+def apply_illuminate(mech, t):
+    """Illumination: the tree is unchanged; the information set splits in two
+    and every successor set of the same agent splits by which part precedes
+    each node.  The result is a regrouping of the input's tree.
+
+    ``mech`` must be valid; every caller validates first."""
     p1, p2 = _illumination_parts(mech, t, "illuminate")
     i = t.agent
     # Perfect recall puts no member of a set below another member of the
@@ -255,74 +257,95 @@ def _illuminated_groups(mech, t):
             groups.extend((i, side) for side in sides if side)
         else:
             groups.append((i, list(other.nodes)))
-    return groups
+    return mech.regroup(groups)
 
 
-def apply_illuminate(mech, t):
-    """Illumination: the tree is unchanged; the information set splits in two
-    and every successor set of the same agent splits by which part precedes
-    each node.  The result is a regrouping of the input's tree.
+def _merge_classes(mech, t):
+    """``(problem, classes)``: why merge ``t`` is refused, else None and the
+    agent's new information sets that unite two or more of hers, as lists
+    of her set indices; her other sets stay as they are.  ``mech`` must be
+    valid.
 
-    ``mech`` must be valid; every caller validates first."""
-    return mech.regroup(_illuminated_groups(mech, t))
+    Each of the agent's sets gets a class: the two merged sets share one; a
+    set whose chain passes neither keeps its own; a set below them takes the
+    class of (its predecessor set's class, the action taken there, its
+    menu).  Uniting each class gives the merged mechanism.  The merge is
+    refused where that mechanism is invalid or illuminating it does not give
+    back ``mech``, and on a valid input both are decided from the chains,
+    before anything is built:
+
+    - Every class but the united one has equal menus and equal chains
+      through the classes, and the classes partition her decision nodes.  So
+      the partition rules (``_partition_rules``) can fail only at the united
+      set, by perfect recall, and they do exactly when the two sets' chains
+      differ: a chain through neither set maps one to one onto classes, and
+      a chain through the other set is the longer one.
+    - With equal chains, each set below the two passes exactly one of them,
+      and the forward illumination splits each class into the sets below the
+      first and those below the second.  So the round trip fails exactly when
+      one class holds two sets whose chains pass the same one of the two.
+
+    Canonical ids are breadth-first, so a set's predecessor, whose members
+    are ancestors of its members, has a smaller first member and comes
+    before it in ``mech.infosets``."""
+    a, b = _own_set(mech, t.agent, t.first), _own_set(mech, t.agent, t.second)
+    if a is None or b is None or t.first == t.second:
+        return "merge: no such pair of distinct information sets for that agent", None
+    if a.actions != b.actions:
+        return "merge: the two sets offer different action menus", None
+    exp = mech.experience[t.agent]
+    chain = exp[a.nodes[0]]
+    if exp[b.nodes[0]] != chain:
+        return ("merge: result is not a valid mechanism: "
+                "the united set's members violate perfect recall"), None
+    depth, pair = len(chain), (t.first, t.second)
+    class_of = dict.fromkeys(pair, 0)  # set index -> class, for the two and the sets below
+    keys = {}  # (predecessor's class, action, menu) -> class
+    classes = [list(pair)]
+    sides = set()  # (class, which of the two its members pass)
+    for k in mech.agent_infosets(t.agent):
+        iset = mech.infosets[k]
+        past = exp[iset.nodes[0]]
+        if len(past) <= depth or past[depth][0] not in pair:
+            continue
+        pred, action = past[-1]
+        c = keys.setdefault((class_of[pred], action, iset.actions), len(classes))
+        if c == len(classes):
+            classes.append([])
+        side = (c, past[depth][0])
+        if side in sides:
+            return "merge: illuminating the result does not reproduce the original", None
+        sides.add(side)
+        class_of[k] = c
+        classes[c].append(k)
+    return None, [ks for ks in classes if len(ks) > 1]
+
+
+def merge_ready(mech, t):
+    """Check the merge opportunity; return an error string or None."""
+    return _merge_classes(mech, t)[0]
 
 
 def apply_merge(mech, t):
-    """Inverse illumination.  Reunites two information sets (and recursively
-    the successor partitions they induced), then checks that illuminating the
-    result reproduces the original mechanism.
+    """Inverse illumination.  Reunites two information sets and the
+    successor sets that illuminating the result tells apart again; refuses
+    a merge whose result is invalid or does not illuminate back to ``mech``
+    (``_merge_classes``), so it regroups only a merge it keeps.
 
     Returns ``(merged, forward)`` where ``forward`` is the Illuminate record
     whose application round-trips.  ``merged`` is a regrouping of the
-    input's tree, so both keep its node ids.
+    input's tree, so both keep its node ids.  ``mech`` must be valid.
     """
-    a, b = _own_set(mech, t.agent, t.first), _own_set(mech, t.agent, t.second)
-    if a is None or b is None or t.first == t.second:
-        raise MechanismError("merge: no such pair of distinct information sets for that agent")
-    if a.actions != b.actions:
-        raise MechanismError("merge: the two sets offer different action menus")
-    i = t.agent
-    merged_ids = {t.first, t.second}
-
-    ks = mech.agent_infosets(i)
-    by_depth = sorted(ks, key=lambda k: len(mech.experience[i][mech.infosets[k].nodes[0]]))
-    new_class = {}
-
-    def chain_sig(k):
-        v = mech.infosets[k].nodes[0]
-        return tuple((new_class[kk], act) for kk, act in mech.experience[i][v])
-
-    for k in by_depth:
-        v = mech.infosets[k].nodes[0]
-        past = {kk for kk, _ in mech.experience[i][v]}
-        if k in merged_ids:
-            new_class[k] = ("merged", min(merged_ids))
-        elif past & merged_ids:
-            new_class[k] = ("sig", chain_sig(k), mech.infosets[k].actions)
-        else:
-            new_class[k] = ("keep", k)
-
-    unions = {}
-    for k in ks:
-        unions.setdefault(new_class[k], []).extend(mech.infosets[k].nodes)
-    groups = [(s.agent, list(s.nodes)) for s in mech.infosets if s.agent != i]
-    for _, members in sorted(unions.items(), key=lambda kv: min(kv[1])):
-        groups.append((i, members))
+    problem, classes = _merge_classes(mech, t)
+    if problem:
+        raise MechanismError(problem)
+    united = {k for ks in classes for k in ks}
+    groups = [(s.agent, s.nodes) for k, s in enumerate(mech.infosets) if k not in united]
+    for ks in classes:
+        groups.append((t.agent, [v for k in ks for v in mech.infosets[k].nodes]))
     merged = mech.regroup(groups)
-    # Only the partition rules run here: the tree-rule report is the input's.
-    problems = validate(merged)
-    if problems:
-        raise MechanismError("merge: result is not a valid mechanism: " + problems[0])
-
-    # The united set is exactly a | b on unchanged ids; validate ruled out
-    # overlapping sets, so it is the one holding a's first node.
-    forward = Illuminate(i, merged.node_iset[(i, a.nodes[0])], a.nodes, b.nodes)
-    # mech and the illuminated result share one tree, so they are equal iff
-    # their information sets are.  mech's sets are disjoint, so sorting the
-    # groups by their nodes orders them as mech.infosets are.
-    again = sorted((agent, tuple(nodes)) for agent, nodes in _illuminated_groups(merged, forward))
-    if again != [(s.agent, s.nodes) for s in mech.infosets]:
-        raise MechanismError("merge: illuminating the result does not reproduce the original")
+    a, b = mech.infosets[t.first], mech.infosets[t.second]
+    forward = Illuminate(t.agent, merged.node_iset[(t.agent, a.nodes[0])], a.nodes, b.nodes)
     return merged, forward
 
 
@@ -358,18 +381,6 @@ def unsplit_ready(mech, t):
         if len({mech.outcome[c] for c in mech.children[v]}) != 1:
             return "unsplit: outcomes differ across the refinement"
     return None
-
-
-def unsplit_outcome_constant(mech, t, f):
-    """Whether forgetting the refinement still implements f (f constant on
-    each collapsed terminal's accrued information)."""
-    iset = mech.infosets[t.infoset]
-    for v in iset.nodes:
-        want = mech.outcome[mech.children[v][0]]
-        for profile in mech.theta_profiles(v):
-            if f[profile] != want:
-                return False
-    return True
 
 
 def apply_unsplit(mech, t):
@@ -454,8 +465,13 @@ def iter_opportunities(mech, kind):
             for part1, part2 in _binary_partitions(iset.nodes):
                 yield Illuminate(iset.agent, k, part1, part2)
     elif kind == "merge":
-        for cand, _, _ in _applicable_merges(mech):
-            yield cand
+        for i in range(mech.model.n_agents):
+            ks = mech.agent_infosets(i)
+            for x, first in enumerate(ks):
+                for second in ks[x + 1:]:
+                    cand = Merge(i, first, second)
+                    if merge_ready(mech, cand) is None:
+                        yield cand
     elif kind == "unsplit":
         for k, iset in enumerate(mech.infosets):
             cand = Unsplit(iset.agent, k)
@@ -468,29 +484,6 @@ def iter_opportunities(mech, kind):
                     yield Uncoalesce(iset.agent, k, combo)
     else:
         raise ValueError(f"unknown transformation kind {kind!r}")
-
-
-def _applicable_merges(mech):
-    """Each applicable merge, canonical (agent, set index) order, with the
-    ``(merged, forward)`` result of the ``apply_merge`` call that found it
-    applicable."""
-    for i in range(mech.model.n_agents):
-        ks = mech.agent_infosets(i)
-        for x in range(len(ks)):
-            for y in range(x + 1, len(ks)):
-                ka, kb = ks[x], ks[y]
-                # Equal menus imply equal current sets: the tree rules make
-                # each node's menu partition the agent's current set there
-                # (``_tree_rules``).  Where a tree rule fails, ``apply_merge``'s
-                # validate rejects, since a regrouping shares the tree's report.
-                if mech.infosets[ka].actions != mech.infosets[kb].actions:
-                    continue
-                cand = Merge(i, ka, kb)
-                try:
-                    merged, forward = apply_merge(mech, cand)
-                except MechanismError:
-                    continue
-                yield cand, merged, forward
 
 
 def find_opportunities(mech, kind):
@@ -665,11 +658,11 @@ def reduce_to_direct(mech, f):
             current = apply_coalesce(current, t)
             steps.append(ChainStep(t, current.fingerprint()))
             continue
-        probe = next(_applicable_merges(current), None)
-        if probe is None:
+        t = next(iter_opportunities(current, "merge"), None)
+        if t is None:
             raise MechanismError(
                 "reduce: non-static mechanism with no coalesce or merge opportunity")
-        t, merged, forward = probe
+        merged, forward = apply_merge(current, t)
         preserving = bool(is_incentive_preserving(merged, forward, f))
         current = merged
         steps.append(ChainStep(t, current.fingerprint(), preserving=preserving))
@@ -680,5 +673,5 @@ def reduce_to_direct(mech, f):
     # coalesce puts the target's menu, which partitions ``action``, in place
     # of ``action`` at the source; each copy keeps its original's sets and
     # moves, and the members of every set have their chains fused alike.
-    # A merge validates its own result.
+    # A merge keeps only a result that is valid (``_merge_classes``).
     return ReductionChain(mech.fingerprint(), steps, current)

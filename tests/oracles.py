@@ -19,9 +19,9 @@ from gradualmech.fileformat import (ParseError, _need, parse_model, parse_scf,
 from gradualmech.gameform import (Mechanism, MechanismError, build_mechanism,
                                   implements, is_static, siblings_same_action,
                                   validate)
-from gradualmech.transforms import (ChainStep, ReductionChain, _own_set,
-                                    _split_terminals, apply_coalesce, apply_merge,
-                                    apply_split, coalesce_ready,
+from gradualmech.transforms import (ChainStep, Illuminate, ReductionChain, _own_set,
+                                    _split_terminals, apply_coalesce, apply_illuminate,
+                                    apply_merge, apply_split, coalesce_ready,
                                     is_incentive_preserving, iter_opportunities,
                                     unsplit_ready)
 from gradualmech.generators import _best
@@ -676,6 +676,54 @@ def reduce_chain_oracle(mech, f):
     if final_problems:
         raise MechanismError("reduce: final mechanism invalid: " + final_problems[0])
     return ReductionChain(mech.fingerprint(), steps, current), illuminations
+
+
+def apply_merge_oracle(mech, t):
+    """``apply_merge`` as it was before it decided a merge from the chains:
+    it regroups every probe, runs ``validate`` on the regrouping and
+    illuminates it again to compare with ``mech``."""
+    a, b = _own_set(mech, t.agent, t.first), _own_set(mech, t.agent, t.second)
+    if a is None or b is None or t.first == t.second:
+        raise MechanismError("merge: no such pair of distinct information sets for that agent")
+    if a.actions != b.actions:
+        raise MechanismError("merge: the two sets offer different action menus")
+    i = t.agent
+    merged_ids = {t.first, t.second}
+
+    ks = mech.agent_infosets(i)
+    by_depth = sorted(ks, key=lambda k: len(mech.experience[i][mech.infosets[k].nodes[0]]))
+    new_class = {}
+
+    def chain_sig(k):
+        v = mech.infosets[k].nodes[0]
+        return tuple((new_class[kk], act) for kk, act in mech.experience[i][v])
+
+    for k in by_depth:
+        v = mech.infosets[k].nodes[0]
+        past = {kk for kk, _ in mech.experience[i][v]}
+        if k in merged_ids:
+            new_class[k] = ("merged", min(merged_ids))
+        elif past & merged_ids:
+            new_class[k] = ("sig", chain_sig(k), mech.infosets[k].actions)
+        else:
+            new_class[k] = ("keep", k)
+
+    unions = {}
+    for k in ks:
+        unions.setdefault(new_class[k], []).extend(mech.infosets[k].nodes)
+    groups = [(s.agent, list(s.nodes)) for s in mech.infosets if s.agent != i]
+    for _, members in sorted(unions.items(), key=lambda kv: min(kv[1])):
+        groups.append((i, members))
+    merged = mech.regroup(groups)
+    problems = validate(merged)
+    if problems:
+        raise MechanismError("merge: result is not a valid mechanism: " + problems[0])
+
+    forward = Illuminate(i, merged.node_iset[(i, a.nodes[0])], a.nodes, b.nodes)
+    again = apply_illuminate(merged, forward)
+    if [(s.agent, s.nodes) for s in again.infosets] != [(s.agent, s.nodes) for s in mech.infosets]:
+        raise MechanismError("merge: illuminating the result does not reproduce the original")
+    return merged, forward
 
 
 def apply_coalesce_oracle(mech, t):

@@ -14,7 +14,6 @@ script to check every illumination and every reduction:
 import itertools
 
 import gradualmech as gm
-from gradualmech.transforms import _applicable_merges
 from oracles import mechanism_tables_oracle, rebuild_oracle, validate_oracle
 
 ILLUMINATIONS_PER_ENTRY = 8
@@ -47,7 +46,8 @@ def check_illuminations(name, mech, cap):
 
 def check_merges(name, mech):
     checked = 0
-    for t, merged, forward in _applicable_merges(mech):
+    for t in gm.iter_opportunities(mech, "merge"):
+        merged, forward = gm.apply_merge(mech, t)
         check_rebuild((name, t), merged)
         check_rebuild((name, forward), gm.apply_illuminate(merged, forward))
         checked += 1

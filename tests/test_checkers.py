@@ -159,10 +159,16 @@ def test_scans_count_rank_tables_and_settled_tests(monkeypatch):
         assert 0 < len(harm._tables) <= tables
     histories = {h for _, k1, k2 in gm.siblings_same_action(mech)
                  for k in (k1, k2) for h in mech.infosets[k].nodes}
+    tests, settled = [], checkers._Settled.__call__
+
+    def counted(self, j, h):
+        tests.append((j, h))
+        return settled(self, j, h)
+    monkeypatch.setattr(checkers._Settled, "__call__", counted)
     made.clear()
     assert gm.is_irp(mech, f).holds
-    (settled,) = made
-    assert 0 < len(settled._memo) <= model.n_agents * len(histories)
+    assert len(made) == 1
+    assert 0 < len(tests) <= model.n_agents * len(histories)
 
 
 def test_passing_scans_read_preferences_by_model_size(monkeypatch):

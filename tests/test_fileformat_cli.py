@@ -377,6 +377,15 @@ def test_cli_sd_gen_names_only_good_or_bad(capsys):
     assert capsys.readouterr().err == "error: --which must be good or bad\n"
 
 
+def test_cli_sd_gen_good_passes_check_ic(tmp_path, sd_pair):
+    path = tmp_path / "good.json"
+    assert run_cli(["gen", "sd", "--which", "good", "-o", str(path)]) == (0, "")
+    good, bad, model, f = sd_pair
+    assert gm.mechanisms_equal(parse_mechanism(path.read_text())[0], good)
+    code, out = run_cli(["check-ic", str(path)])
+    assert code == 0 and "holds" in out
+
+
 def test_fixture_documents_load(voting, sd_pair):
     from pathlib import Path
     fixtures = Path(__file__).parent / "fixtures"
@@ -555,3 +564,26 @@ def test_recursive_walks_leave_no_cyclic_garbage():
             assert gc.collect() == 0, name
         finally:
             gc.enable()
+
+
+# Input checks whose whole error line is pinned; "{g3}" stands for the
+# voting g3 document on stdin.
+PINNED_ERRORS = {
+    "unknown-type-name": (["transform", "-", "--kind", "split", "--agent", "voter2",
+                           "--infoset", "2", "--action", "L,X", "--part", "L"],
+                          "{g3}", "unknown type name 'X' for agent voter2"),
+    "unknown-agent": (["transform", "-", "--kind", "unsplit", "--agent", "nobody",
+                       "--infoset", "2"],
+                      "{g3}", "unknown agent 'nobody'"),
+    "voting-which": (["gen", "voting", "--which", "g9"],
+                     "", "--which must be one of ['direct', 'g1', 'g2', 'g3', 'g4']"),
+    "nested-too-deeply": (["check-ic", "-"], "[" * 100000, "document nested too deeply"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_ERRORS))
+def test_cli_input_checks_name_their_error(case, capsys):
+    argv, text, message = PINNED_ERRORS[case]
+    code, out = run_cli(argv, G3_TEXT if text == "{g3}" else text)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"

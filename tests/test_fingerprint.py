@@ -18,7 +18,6 @@ import pytest
 
 import gradualmech as gm
 from gradualmech import gameform, transforms
-from gradualmech.transforms import _applicable_merges
 from oracles import fingerprint_oracle
 
 
@@ -35,14 +34,15 @@ def rebuild(mech, order=tuple):
 
 
 def regroupings(mech):
-    """Each illumination and each applicable merge probe of ``mech``, with
+    """Each illumination and each ready merge of ``mech``, with
     the merge's forward illumination."""
     for t in gm.iter_opportunities(mech, "illuminate"):
         try:
             yield t, gm.apply_illuminate(mech, t)
         except gm.MechanismError:
             continue
-    for t, merged, forward in _applicable_merges(mech):
+    for t in gm.iter_opportunities(mech, "merge"):
+        merged, forward = gm.apply_merge(mech, t)
         yield t, merged
         yield forward, gm.apply_illuminate(merged, forward)
 
@@ -186,7 +186,8 @@ def acquired_count(mech, agent, nodes):
 def test_incentive_preservation_looks_each_row_up_once(full_corpus):
     checked = 0
     for name, mech, model, f in full_corpus:
-        for t, merged, forward in _applicable_merges(mech):
+        for t in gm.iter_opportunities(mech, "merge"):
+            merged, forward = gm.apply_merge(mech, t)
             counting = CountingScf(f)
             verdict = gm.is_incentive_preserving(merged, forward, counting)
             assert verdict == gm.is_incentive_preserving(merged, forward, f), (name, t)

@@ -185,6 +185,35 @@ def test_bad_type_ids_are_build_errors():
             build_mechanism(model, [(None, None), (0, ((0, action),))], [], {})
 
 
+BOTH = make_step({0: ALL, 1: ALL})
+ROOT_FAN = [(None, None), (0, BOTH)]
+
+# case -> (nodes, information sets, outcomes, the message); the tiny model
+# has two agents and three outcomes.
+BUILD_REJECTIONS = {
+    "empty": ([], [], {}, "empty mechanism"),
+    "no-root": ([(0, BOTH)], [], {}, "exactly one root required, found 0"),
+    "two-roots": ([(None, None), (None, None)], [], {}, "exactly one root required, found 2"),
+    "missing-profile": ([(None, None), (0, ())], [], {}, "node 1: missing action profile"),
+    "unknown-agent": ([(None, None), (0, ((2, ALL),))], [], {}, "node 1: unknown agent 2"),
+    "outcome-on-unknown-node": (ROOT_FAN, [(0, [0]), (1, [0])], {1: 1, 5: 1},
+                                "outcome attached to unknown node 5"),
+    "unknown-outcome": (ROOT_FAN, [(0, [0]), (1, [0])], {1: 3}, "unknown outcome id 3"),
+    "set-of-unknown-agent": (ROOT_FAN, [(0, [0]), (2, [0])], {1: 1},
+                             "information set for unknown agent 2"),
+    "set-with-unknown-node": (ROOT_FAN, [(0, [0]), (1, [0, 9])], {1: 1},
+                              "information set references unknown node 9"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUILD_REJECTIONS))
+def test_build_mechanism_rejects_raw_input(case):
+    nodes, groups, outcomes, message = BUILD_REJECTIONS[case]
+    with pytest.raises(MechanismError) as e:
+        build_mechanism(tiny_model(), nodes, groups, outcomes)
+    assert str(e.value) == message
+
+
 def test_theta_at_root_and_after_actions(voting):
     model, f, mechs = voting
     g3 = mechs["g3"]

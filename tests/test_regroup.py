@@ -1,12 +1,12 @@
-"""``Mechanism.regroup`` and the split of ``validate`` into tree rules,
-checked once per tree, and partition rules, checked once per mechanism.
+"""``Mechanism.regroup``: one tree, many partitions.
 
-A regrouping shares its source's tree tables, lazily built ones and the
-tree-rule report included, so it must give the same answers whether it was
-made before or after the source built them: its conflict agents equal
-``conflict_agents_oracle``, its tables equal ``mechanism_tables_oracle``
-and ``node_menus_oracle``, and ``validate`` equals the single-pass
-``validate_oracle``, report order included.
+A regrouping shares its source's tree tables, lazily built ones included,
+and builds its own partition tables and ``validate`` report, so it must
+give the same answers whether it was made before or after the source built
+them: its conflict agents equal ``conflict_agents_oracle``, its tables
+equal ``mechanism_tables_oracle`` and ``node_menus_oracle``, and
+``validate`` equals the single-pass ``validate_oracle``, report order
+included.
 
 The suite regroups the entries of ``full_corpus`` outside ``rda3-*`` and
 compares conflict agents on every node pair of trees up to
@@ -17,7 +17,6 @@ every node pair: ``PYTHONPATH=src python tests/test_regroup.py``.
 import itertools
 
 import gradualmech as gm
-from gradualmech.transforms import _applicable_merges
 from oracles import (conflict_agents_oracle, mechanism_tables_oracle,
                      node_menus_oracle, rebuild_oracle, validate_oracle)
 
@@ -30,7 +29,7 @@ def groups_of(mech):
 
 def regroupings(mech):
     """Partitions of ``mech``'s tree to regroup onto: its own, its first
-    illumination's and its first applicable merge's."""
+    illumination's and its first ready merge's."""
     out = [groups_of(mech)]
     for t in gm.iter_opportunities(mech, "illuminate"):
         try:
@@ -38,15 +37,15 @@ def regroupings(mech):
             break
         except gm.MechanismError:
             continue
-    probe = next(_applicable_merges(mech), None)
-    if probe is not None:
-        out.append(groups_of(probe[1]))
+    t = next(gm.iter_opportunities(mech, "merge"), None)
+    if t is not None:
+        out.append(groups_of(gm.apply_merge(mech, t)[0]))
     return out
 
 
 def build_tree_tables(mech):
     """Build every lazily built table of ``mech``: tree tables, the
-    tree-rule report and the per-node conflict masks."""
+    ``validate`` report and the per-node conflict masks."""
     gm.validate(mech)
     mech.children_by_step(0)
     mech.outcome_masks()
