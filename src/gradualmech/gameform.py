@@ -56,14 +56,14 @@ class Mechanism:
 
     The tree tables depend on the history tree alone: ``parent``, ``step``,
     ``children`` (a ``range`` of ids per node), ``terminals``, ``theta``,
-    ``menus``, ``acting`` and in ``_tree`` the step keys, which
-    ``canonical_tree`` fills in its one pass; ``outcome``, which the caller
-    of the pass reads off its input; then the fingerprint's tree text and
-    the lazily built tables, each built by whichever mechanism on the tree
-    asks first.  The partition tables depend on the information sets too:
-    ``infosets``, ``node_iset``, ``experience``, the conflict maps and the
-    ``validate`` report.  ``regroup`` shares the first and builds only the
-    second.
+    ``menus``, ``acting`` and in ``_tree`` each node's step number with the
+    distinct step keys, which ``canonical_tree`` fills in its one pass;
+    ``outcome``, which the caller of the pass reads off its input; then the
+    fingerprint's tree text and the lazily built tables, each built by
+    whichever mechanism on the tree asks first.  The partition tables depend
+    on the information sets too: ``infosets``, ``node_iset``,
+    ``experience``, the conflict maps and the ``validate`` report.
+    ``regroup`` shares the first and builds only the second.
 
     A node's menu lists the distinct actions in its children's steps, so
     nodes whose children carry equal steps have equal menus, and
@@ -212,17 +212,6 @@ class Mechanism:
         iset = self.infosets[k]
         return self.theta[iset.nodes[0]][iset.agent]
 
-    def theta_minus(self, k):
-        """Information acquired at an information set: the union over member
-        nodes of the product of the other agents' current sets, as tuples in
-        ascending agent order."""
-        iset = self.infosets[k]
-        others = [j for j in range(self.model.n_agents) if j != iset.agent]
-        out = set()
-        for v in iset.nodes:
-            out.update(itertools.product(*(self.theta[v][j] for j in others)))
-        return out
-
     def theta_profiles(self, v):
         return itertools.product(*(sorted(s) for s in self.theta[v]))
 
@@ -313,9 +302,10 @@ class Mechanism:
     # -- identity ------------------------------------------------------------
 
     def canonical_form(self):
+        """(parent, per node its step key, outcomes, information sets)."""
         return (
             self.parent,
-            self._tree["keys"],
+            tuple(map(self._tree["keys"].__getitem__, self._tree["ids"])),
             tuple(sorted(self.outcome.items())),
             tuple((s.agent, s.nodes) for s in self.infosets),
         )
@@ -323,13 +313,18 @@ class Mechanism:
     def fingerprint(self):
         """Hash of ``repr((canonical_form(), type_names, outcome_names))``.
         The repr of a tuple of two or more items is "(" + their reprs joined
-        by ", " + ")", so that text is the tree's part, written once per tree
-        and shared by every regrouping, followed by the information sets and
-        the model's names, which each mechanism writes itself."""
+        by ", " + ")", and of one item "(" + its repr + ",)".  So that text
+        is the tree's part, written once per tree and shared by every
+        regrouping, followed by the information sets and the model's names,
+        which each mechanism writes itself.  In the tree's part, each
+        distinct step key is written once and its text joined per node."""
         head = self._tree.get("text")
         if head is None:
-            head = self._tree["text"] = "((" + ", ".join(
-                map(repr, self.canonical_form()[:3])) + ", "
+            texts, ids = list(map(repr, self._tree["keys"])), self._tree["ids"]
+            keys = ", ".join(map(texts.__getitem__, ids)) + ("," if len(ids) == 1 else "")
+            head = self._tree["text"] = "".join((
+                "((", repr(self.parent), ", (", keys, "), ",
+                repr(tuple(sorted(self.outcome.items()))), ", "))
         text = "".join((head, repr(tuple((s.agent, s.nodes) for s in self.infosets)),
                         "), ", repr(self.model.type_names), ", ",
                         repr(self.model.outcome_names), ")"))
@@ -353,8 +348,11 @@ def canonical_tree(model, root, edges):
     so ties keep the caller's order, and numbers the children in that order;
     equal steps share the first one's tuple.  It fills the tables as it
     goes and returns them as (``parent``, ``step``, ``children``,
-    ``terminals``, ``theta``, ``menus``, ``acting``, ``_tree``), ``_tree``
-    holding the step keys.
+    ``terminals``, ``theta``, ``menus``, ``acting``, ``_tree``).  Each
+    distinct step gets a number when first met, and ``_tree`` holds per
+    node its step's number (``ids``) and per number its step key (``keys``),
+    the root's number 0 with the key None: a tree has few distinct steps, so
+    the fingerprint writes each key's text once.
 
     Breadth-first numbering gives each node's children consecutive ids: the
     queue holds the numbered nodes not yet popped, in id order, and a popped
@@ -364,7 +362,8 @@ def canonical_tree(model, root, edges):
     """
     full = tuple(model.full_type_set(i) for i in range(model.n_agents))
     keyed = {}  # step -> (its step key, the first equal step seen, its number)
-    parent, step, keys, theta = [None], [None], [None], [full]
+    keys = [None]  # per step number, its step key; 0 is the root's None
+    parent, step, ids, theta = [None], [None], [0], [full]
     children, terminals, menus, acting = [], [], [], []
     # Each node's menu, {acting agent: her distinct actions}, with the
     # actions in the order step_key sorts them: the children's own order
@@ -379,7 +378,8 @@ def canonical_tree(model, root, edges):
         for s, child in edges(handle, v):
             e = keyed.get(s)
             if e is None:
-                e = keyed[s] = (step_key(s), s, len(keyed))
+                e = keyed[s] = (step_key(s), s, len(keys))
+                keys.append(e[0])
             kids.append((e, child))
         first = len(parent)
         children.append(range(first, first + len(kids)))
@@ -390,10 +390,10 @@ def canonical_tree(model, root, edges):
             continue
         kids.sort(key=itemgetter(0))
         row = theta[v]
-        for (key, s, _), child in kids:
+        for (_, s, number), child in kids:
             parent.append(v)
             step.append(s)
-            keys.append(key)
+            ids.append(number)
             handles.append(child)
             # Last reported set per agent, the full type set until her first
             # action.
@@ -412,7 +412,7 @@ def canonical_tree(model, root, edges):
         menus.append(entry[0])
         acting.append(entry[1])
     return (tuple(parent), tuple(step), tuple(children), tuple(terminals), tuple(theta),
-            tuple(menus), tuple(acting), {"keys": tuple(keys)})
+            tuple(menus), tuple(acting), {"ids": tuple(ids), "keys": tuple(keys)})
 
 
 def build_mechanism(model, nodes, infoset_groups, outcomes):

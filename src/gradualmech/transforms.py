@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -144,18 +145,33 @@ def apply_split(mech, t):
 
 
 def coalesce_ready(mech, t):
-    """Check the coalescing opportunity; return an error string or None."""
+    """Check the coalescing opportunity; return an error string or None.
+
+    The agent learns nothing between the two decisions when the two sets'
+    ``theta_minus`` (the other agents' type tuples at their members) are
+    equal.  On a valid ``mech`` that is decided by volume: the members'
+    boxes of the other agents' types are disjoint, and each target member
+    lies below a source member, so the target's boxes lie inside the
+    source's (see ``apply_coalesce``).  The two unions are then equal
+    exactly when their sums of box sizes are."""
     source = _own_set(mech, t.agent, t.infoset)
+    target = _own_set(mech, t.agent, t.target)
     if source is None:
         return "coalesce: no such source information set for that agent"
-    if _own_set(mech, t.agent, t.target) is None:
+    if target is None:
         return "coalesce: no such target information set for that agent"
     if t.action not in source.actions:
         return "coalesce: action not available at the source information set"
     pred, action = mech.infoset_predecessor(t.target)
     if pred != t.infoset or action != t.action:
         return "coalesce: target does not immediately follow the source through that action"
-    if mech.theta_minus(t.infoset) != mech.theta_minus(t.target):
+    theta, i = mech.theta, t.agent
+
+    def volume(iset):
+        return sum(math.prod(len(s) for j, s in enumerate(theta[v]) if j != i)
+                   for v in iset.nodes)
+
+    if volume(source) != volume(target):
         return "coalesce: the agent acquires information between the two decisions"
     return None
 
@@ -172,10 +188,12 @@ def apply_coalesce(mech, t):
     - The members of one information set lie on no common path (perfect
       recall) and share the agent's current set.  The terminal type boxes
       partition the profile space (``_tree_rules``), so the members' boxes
-      of the other agents' types are disjoint.  Hence ``coalesce_ready``'s
-      equal ``theta_minus`` means that the target members below each source
-      member cover its box, and every history below the source action meets
-      a target member before a terminal.
+      of the other agents' types are disjoint, and a target member's box
+      lies inside the box of the source member above it.  Hence
+      ``coalesce_ready``'s equal volumes, and so equal ``theta_minus``, mean
+      that the target members below each source member cover its box, and
+      every history below the source action meets a target member before a
+      terminal.
     - Menus are uniform, so the pending branch is on every target member's
       menu.  The agent's actions partition her set, so where she moves
       alone exactly one child takes the branch."""
@@ -441,7 +459,12 @@ def _binary_partitions(items):
 
 def iter_opportunities(mech, kind):
     """Lazily enumerate applicable transformations of one kind, canonical
-    (agent, node id) order."""
+    (agent, node id) order.
+
+    Merges are probed only between two of an agent's sets with the same
+    menu and the same chain at their first members, in canonical pair
+    order: ``_merge_classes`` refuses every other pair before any other
+    work."""
     if kind == "split":
         for k, iset in enumerate(mech.infosets):
             for action in iset.actions:
@@ -466,12 +489,15 @@ def iter_opportunities(mech, kind):
                 yield Illuminate(iset.agent, k, part1, part2)
     elif kind == "merge":
         for i in range(mech.model.n_agents):
-            ks = mech.agent_infosets(i)
-            for x, first in enumerate(ks):
-                for second in ks[x + 1:]:
-                    cand = Merge(i, first, second)
-                    if merge_ready(mech, cand) is None:
-                        yield cand
+            exp, peers = mech.experience[i], {}
+            for k in mech.agent_infosets(i):
+                iset = mech.infosets[k]
+                peers.setdefault((iset.actions, exp[iset.nodes[0]]), []).append(k)
+            for first, second in sorted(
+                    pair for ks in peers.values() for pair in itertools.combinations(ks, 2)):
+                cand = Merge(i, first, second)
+                if merge_ready(mech, cand) is None:
+                    yield cand
     elif kind == "unsplit":
         for k, iset in enumerate(mech.infosets):
             cand = Unsplit(iset.agent, k)

@@ -1,0 +1,137 @@
+"""Time ``reduce_to_direct`` on the ascending auctions and count the work
+each chain does, on this tree and, side by side, on another checkout.
+
+Usage, from the repository root::
+
+    python tests/bench_reduce.py [--parent DIR] [--runs 3] [--out BENCH_reduce.json]
+
+``DIR`` is the root of another checkout, for example the parent commit
+unpacked with ``git archive``; without it only this tree is measured.  Each
+measurement runs in a fresh ``python -B`` process that imports
+``gradualmech`` from the measured tree's ``src``, builds the auction and
+times one reduction.  Per auction the runs alternate between the trees, the
+parent first on even runs.  One more process per tree reduces the auction
+once with counting wrappers, for the counts that do not depend on the
+machine: copies (``transforms._copy``), ``coalesce_ready``, ``merge_ready``
+and ``is_incentive_preserving`` calls, regroupings (``Mechanism.regroup``),
+the tree texts ``fingerprint`` writes, and the step-key ``repr`` texts in
+them, ``len(_tree["keys"])`` per tree text: one per node where that table
+holds a key per node, one per distinct step where it holds the distinct
+keys.  The script checks that both trees give the same chain: the same
+steps, fingerprints and preservation verdicts.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+AUCTIONS = ((3, 3), (4, 4), (5, 3), (4, 5), (5, 4))
+COUNTED = ("_copy", "coalesce_ready", "merge_ready", "is_incentive_preserving")
+
+
+def reduce_once(n, m, count):
+    """In a child process: reduce the (n, m) auction once and return its
+    steps, the chain's digest and either the seconds or the counts."""
+    import gradualmech as gm
+    from gradualmech import gameform, transforms
+
+    mech = gm.build_gstar(n, m)
+    _, f = gm.second_price_scf(n, m)
+    counts = dict.fromkeys(COUNTED + ("regroups", "tree_texts", "key_texts"), 0)
+    if count:
+        def counted(name, real):
+            def wrapper(*args):
+                counts[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name in COUNTED:
+            setattr(transforms, name, counted(name, getattr(transforms, name)))
+        gameform.Mechanism.regroup = counted("regroups", gameform.Mechanism.regroup)
+        fingerprint = gameform.Mechanism.fingerprint
+
+        def fingerprint_counted(self):
+            if "text" not in self._tree:
+                counts["tree_texts"] += 1
+                counts["key_texts"] += len(self._tree["keys"])
+            return fingerprint(self)
+
+        gameform.Mechanism.fingerprint = fingerprint_counted
+    start = time.perf_counter()
+    chain = gm.reduce_to_direct(mech, f)
+    seconds = time.perf_counter() - start
+    record = repr([(s.transform, s.fingerprint, s.preserving) for s in chain.steps])
+    out = {"steps": len(chain.steps),
+           "digest": hashlib.sha256(record.encode()).hexdigest()[:16]}
+    out.update({"counts": counts} if count else {"seconds": seconds})
+    return out
+
+
+def measure(tree, n, m, count=False):
+    """``reduce_once`` in a fresh process importing ``tree``'s package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tree) / "src"))
+    argv = [sys.executable, "-B", __file__, "--child", str(n), str(m)]
+    if count:
+        argv.append("--count")
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", help="root of the checkout to compare with")
+    ap.add_argument("--runs", type=int, default=3)
+    ap.add_argument("--out", default=str(ROOT / "BENCH_reduce.json"))
+    ap.add_argument("--child", nargs=2, type=int, help=argparse.SUPPRESS)
+    ap.add_argument("--count", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.child:
+        print(json.dumps(reduce_once(*args.child, args.count)))
+        return
+    trees = {"change": ROOT}
+    if args.parent:
+        trees = {"parent": Path(args.parent).resolve(), "change": ROOT}
+    result = {
+        "command": "python tests/bench_reduce.py"
+                   + (" --parent DIR" if args.parent else "") + f" --runs {args.runs}",
+        "host": {"python": platform.python_version(), "machine": platform.machine(),
+                 "cpus": os.cpu_count()},
+        "runs": args.runs,
+        "auctions": {},
+    }
+    for n, m in AUCTIONS:
+        seconds = {label: [] for label in trees}
+        chains = set()
+        for r in range(args.runs):
+            for label in (list(trees) if r % 2 == 0 else list(trees)[::-1]):
+                got = measure(trees[label], n, m)
+                seconds[label].append(got["seconds"])
+                chains.add((got["steps"], got["digest"]))
+        row = {}
+        for label, tree in trees.items():
+            got = measure(tree, n, m, count=True)
+            chains.add((got["steps"], got["digest"]))
+            row[label] = {"seconds_median": statistics.median(seconds[label]),
+                          "seconds": seconds[label], "counts": got["counts"]}
+        assert len(chains) == 1, (n, m, chains)
+        (steps, digest), = chains
+        entry = {"steps": steps, "chain_digest": digest, **row}
+        if args.parent:
+            entry["parent_over_change_median"] = (row["parent"]["seconds_median"]
+                                                  / row["change"]["seconds_median"])
+        result["auctions"][f"{n}x{m}"] = entry
+        print(f"({n},{m}) {steps} steps: " + "; ".join(
+            f"{label} {r['seconds_median']:.2f} s, {r['counts']}" for label, r in row.items()))
+    Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -9,6 +9,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import gradualmech as gm
+from gradualmech import transforms
 from gradualmech.cli import main
 
 CORPUS_SEED = 418043
@@ -17,6 +18,9 @@ N_RANDOM = 200
 # corpus-wide checks: every seventh structure in lexicographic order plus the
 # last one, 32 in total.  The plain incentive checks run on all 216.
 RDA3_SUBSET_RULE = "lexicographic stride 7, plus the final structure"
+# Of those, the reductions whose every probed mechanism the rewrite oracles
+# check in the suite; the script modes check all.
+RDA3_PROBE_STRIDE = 4
 
 
 def run_argv(argv, text):
@@ -95,6 +99,33 @@ def build_full_corpus():
                             make_random_corpus())
 
 
+def reduction_probes(corpus, rda3_stride=1):
+    """(name, mechanism, kinds) for every mechanism at which a reduction of
+    a corpus entry looks for a rewrite, with the kinds it looks for there,
+    in chain order.  Of the ``rda3-*`` entries only every ``rda3_stride``-th
+    is reduced.  The mechanisms are recorded by wrapping
+    ``transforms.iter_opportunities`` for the length of each reduction."""
+    out = []
+    real = transforms.iter_opportunities
+
+    def recorded(mech, kind):
+        if not out or out[-1][1] is not mech:
+            out.append((name, mech, []))
+        out[-1][2].append(kind)
+        return real(mech, kind)
+
+    rda3 = [entry for entry in corpus if entry[0].startswith("rda3-")]
+    picked = [entry for entry in corpus if not entry[0].startswith("rda3-")]
+    picked += rda3[::rda3_stride]
+    try:
+        transforms.iter_opportunities = recorded
+        for name, mech, model, f in picked:
+            gm.reduce_to_direct(mech, f)
+    finally:
+        transforms.iter_opportunities = real
+    return out
+
+
 @pytest.fixture(scope="session")
 def voting():
     model, f, mechs = gm.voting_examples()
@@ -126,3 +157,10 @@ def full_corpus(voting, sd_pair, gstar_instances, rda_instances, random_corpus):
     """The acceptance corpus: named (mechanism, model, f) triples."""
     return make_full_corpus(voting, sd_pair, gstar_instances, rda_instances,
                             random_corpus)
+
+
+@pytest.fixture(scope="session")
+def corpus_probes(full_corpus):
+    """``reduction_probes`` of the acceptance corpus, every fourth rda3
+    entry reduced."""
+    return reduction_probes(full_corpus, rda3_stride=RDA3_PROBE_STRIDE)

@@ -19,11 +19,11 @@ from gradualmech.fileformat import (ParseError, _need, parse_model, parse_scf,
 from gradualmech.gameform import (Mechanism, MechanismError, build_mechanism,
                                   implements, is_static, siblings_same_action,
                                   validate)
-from gradualmech.transforms import (ChainStep, Illuminate, ReductionChain, _own_set,
-                                    _split_terminals, apply_coalesce, apply_illuminate,
-                                    apply_merge, apply_split, coalesce_ready,
+from gradualmech.transforms import (ChainStep, Coalesce, Illuminate, Merge, ReductionChain,
+                                    _own_set, _split_terminals, apply_coalesce,
+                                    apply_illuminate, apply_merge, apply_split, coalesce_ready,
                                     is_incentive_preserving, iter_opportunities,
-                                    unsplit_ready)
+                                    merge_ready, unsplit_ready)
 from gradualmech.generators import _best
 
 
@@ -637,9 +637,11 @@ def is_incentive_preserving_oracle(mech, t, f):
 
 
 def reduce_chain_oracle(mech, f):
-    """``reduce_to_direct`` with each merge found by ``iter_opportunities``
-    and then applied a second time.  Returns the chain and, per merge step,
-    the merged mechanism with its forward illumination."""
+    """``reduce_to_direct`` with each coalesce and merge found by the scans
+    that ``iter_opportunities`` replaced (``coalesce_ready_oracle`` on every
+    candidate, ``merge_opportunities_oracle``) and each merge then applied a
+    second time.  Returns the chain and, per merge step, the merged
+    mechanism with its forward illumination."""
     problems = validate(mech)
     if problems:
         raise MechanismError("reduce: invalid input mechanism: " + problems[0])
@@ -657,12 +659,13 @@ def reduce_chain_oracle(mech, f):
         steps.append(ChainStep(t, current.fingerprint()))
 
     while not is_static(current):
-        t = next(iter_opportunities(current, "coalesce"), None)
+        t = next((cand for cand in coalesce_candidates(current)
+                  if coalesce_ready_oracle(current, cand) is None), None)
         if t is not None:
             current = apply_coalesce(current, t)
             steps.append(ChainStep(t, current.fingerprint()))
             continue
-        t = next(iter_opportunities(current, "merge"), None)
+        t = next(iter(merge_opportunities_oracle(current)), None)
         if t is None:
             raise MechanismError(
                 "reduce: non-static mechanism with no coalesce or merge opportunity")
@@ -676,6 +679,59 @@ def reduce_chain_oracle(mech, f):
     if final_problems:
         raise MechanismError("reduce: final mechanism invalid: " + final_problems[0])
     return ReductionChain(mech.fingerprint(), steps, current), illuminations
+
+
+def theta_minus_oracle(mech, k):
+    """Information acquired at information set ``k``: the union over its
+    member nodes of the product of the other agents' current sets, as
+    tuples in ascending agent order."""
+    iset = mech.infosets[k]
+    others = [j for j in range(mech.model.n_agents) if j != iset.agent]
+    out = set()
+    for v in iset.nodes:
+        out.update(itertools.product(*(mech.theta[v][j] for j in others)))
+    return out
+
+
+def coalesce_candidates(mech):
+    """``Coalesce(agent, predecessor set, action taken there, set)`` for each
+    information set that has a predecessor, in set order."""
+    for k, iset in enumerate(mech.infosets):
+        pred, action = mech.infoset_predecessor(k)
+        if pred is not None:
+            yield Coalesce(iset.agent, pred, action, k)
+
+
+def coalesce_ready_oracle(mech, t):
+    """``coalesce_ready`` as it was before it compared volumes: the last
+    test builds both sets' ``theta_minus`` and compares them."""
+    source = _own_set(mech, t.agent, t.infoset)
+    if source is None:
+        return "coalesce: no such source information set for that agent"
+    if _own_set(mech, t.agent, t.target) is None:
+        return "coalesce: no such target information set for that agent"
+    if t.action not in source.actions:
+        return "coalesce: action not available at the source information set"
+    pred, action = mech.infoset_predecessor(t.target)
+    if pred != t.infoset or action != t.action:
+        return "coalesce: target does not immediately follow the source through that action"
+    if theta_minus_oracle(mech, t.infoset) != theta_minus_oracle(mech, t.target):
+        return "coalesce: the agent acquires information between the two decisions"
+    return None
+
+
+def merge_opportunities_oracle(mech):
+    """``iter_opportunities(mech, "merge")`` as it was before it grouped the
+    sets by menu and chain: every pair of one agent's sets, in canonical
+    order, probed with ``merge_ready``."""
+    out = []
+    for i in range(mech.model.n_agents):
+        ks = mech.agent_infosets(i)
+        for x, first in enumerate(ks):
+            for second in ks[x + 1:]:
+                if merge_ready(mech, Merge(i, first, second)) is None:
+                    out.append(Merge(i, first, second))
+    return out
 
 
 def apply_merge_oracle(mech, t):
@@ -1260,8 +1316,17 @@ def build_mechanism_oracle(model, nodes, infoset_groups, outcomes):
     tree = (parent, step, tuple(map(tuple, kids)),
             tuple(v for v in range(n) if not kids[v]), tuple(theta),
             tuple(menu for menu, _ in rows), tuple(agents for _, agents in rows),
-            {"keys": tuple(node_key[old] for old in order)})
+            _step_tables(node_key[old] for old in order))
     return Mechanism(model, tree, outcome, groups)
+
+
+def _step_tables(node_keys):
+    """``canonical_tree``'s step tables from each node's step key in id
+    order: per node its step's number, numbered in order of first
+    appearance from 1, the root's 0, and per number its key."""
+    numbers = {None: 0}
+    ids = tuple(numbers.setdefault(key, len(numbers)) for key in node_keys)
+    return {"ids": ids, "keys": tuple(numbers)}
 
 
 def parse_mechanism_oracle(text):

