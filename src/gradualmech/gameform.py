@@ -57,7 +57,10 @@ class Mechanism:
     The tree tables depend on the history tree alone: ``parent``, ``step``,
     ``children`` (a ``range`` of ids per node), ``terminals``, ``theta``,
     ``menus``, ``acting`` and in ``_tree`` each node's step number with the
-    distinct step keys, which ``canonical_tree`` fills in its one pass;
+    step table (numbers, keys and the keys' texts), which ``canonical_tree``
+    fills in its one pass; a rewrite's copy starts from a copy of its
+    input's step table and shares with its input the rows, steps and menus
+    of the children it keeps.  Then
     ``outcome``, which the caller of the pass reads off its input; then the
     fingerprint's tree text and the lazily built tables, each built by
     whichever mechanism on the tree asks first.  The partition tables depend
@@ -69,10 +72,10 @@ class Mechanism:
     nodes whose children carry equal steps have equal menus, and
     ``validate`` decides the rules that read only the steps and the menu
     once per tuple of children's steps.  The menu object is no such key:
-    ``canonical_tree`` shares one menu among nodes with equal children's
-    steps, but a builder may share it among all nodes with equal menus,
-    whose children can still differ.  ``experience`` holds one list per
-    agent, indexed by node id.
+    ``canonical_tree`` shares one menu among the nodes with equal children's
+    steps that one pass keys, but a builder may share it among all nodes
+    with equal menus, whose children can still differ.  ``experience``
+    holds one list per agent, indexed by node id.
     """
 
     def __init__(self, model, tree, outcome, infoset_groups):
@@ -316,11 +319,15 @@ class Mechanism:
         by ", " + ")", and of one item "(" + its repr + ",)".  So that text
         is the tree's part, written once per tree and shared by every
         regrouping, followed by the information sets and the model's names,
-        which each mechanism writes itself.  In the tree's part, each
-        distinct step key is written once and its text joined per node."""
+        which each mechanism writes itself.  In the tree's part, each step
+        key's text is joined per node from the step table's ``texts``, which
+        a rewrite's copy inherits with the table (``canonical_tree``), so
+        along a chain each key's text is written once."""
         head = self._tree.get("text")
         if head is None:
-            texts, ids = list(map(repr, self._tree["keys"])), self._tree["ids"]
+            texts, keys, ids = self._tree["texts"], self._tree["keys"], self._tree["ids"]
+            if len(texts) < len(keys):
+                texts = self._tree["texts"] = texts + tuple(map(repr, keys[len(texts):]))
             keys = ", ".join(map(texts.__getitem__, ids)) + ("," if len(ids) == 1 else "")
             head = self._tree["text"] = "".join((
                 "((", repr(self.parent), ", (", keys, "), ",
@@ -339,20 +346,40 @@ def mechanisms_equal(a, b):
     return a.model == b.model and a.canonical_form() == b.canonical_form()
 
 
-def canonical_tree(model, root, edges):
+def _moved(row, s):
+    """``row`` with each agent acting in step ``s`` at her action there: the
+    last reported set per agent, the full type set until her first action."""
+    moved = list(row)
+    for agent, action in s:
+        moved[agent] = action
+    return tuple(moved)
+
+
+def canonical_tree(model, root, edges, origin=None):
     """The tree tables of a mechanism, built in one breadth-first pass.
 
     ``edges(handle, v)`` is told that the caller's node ``handle`` has
-    canonical id ``v`` and returns its (step, child handle) edges, each step
-    in ``make_step``'s normal form.  The pass sorts them by step key, stably,
-    so ties keep the caller's order, and numbers the children in that order;
-    equal steps share the first one's tuple.  It fills the tables as it
-    goes and returns them as (``parent``, ``step``, ``children``,
-    ``terminals``, ``theta``, ``menus``, ``acting``, ``_tree``).  Each
-    distinct step gets a number when first met, and ``_tree`` holds per
-    node its step's number (``ids``) and per number its step key (``keys``),
-    the root's number 0 with the key None: a tree has few distinct steps, so
-    the fingerprint writes each key's text once.
+    canonical id ``v`` and returns its (step, child handle) edges as a list,
+    each step in ``make_step``'s normal form.  The pass sorts them by step
+    key, stably, so ties keep the caller's order, and numbers the children
+    in that order; equal steps share the first one's tuple.  It fills the
+    tables as it goes and returns them as (``parent``, ``step``,
+    ``children``, ``terminals``, ``theta``, ``menus``, ``acting``,
+    ``_tree``).  Each distinct step gets a number when first met.  ``_tree``
+    holds per node its step's number (``ids``) and the step table: per
+    number its step key (``keys``), the root's number 0 with the key None,
+    the keys' texts as far as a fingerprint has written them (``texts``) and
+    each step's entry (``numbers``).
+
+    ``origin``, a mechanism the tree is copied from (``transforms._copy``),
+    lends the pass its work in two ways.  The copy starts from a copy of the
+    origin's step table and numbers its new steps on from there, so every
+    origin number keeps its key, and along a chain of rewrites each
+    distinct step is keyed and its text written once.  And ``edges`` may
+    return, in place of the list, a pair (o, handles): the node's children
+    are node o's children in ``origin``, with their steps and in their
+    order, and ``handles`` holds one handle per child.  The copy holds no
+    reference to ``origin`` itself.
 
     Breadth-first numbering gives each node's children consecutive ids: the
     queue holds the numbered nodes not yet popped, in id order, and a popped
@@ -361,8 +388,11 @@ def canonical_tree(model, root, edges):
     is numbered, and its ``theta`` row known, before its children.
     """
     full = tuple(model.full_type_set(i) for i in range(model.n_agents))
-    keyed = {}  # step -> (its step key, the first equal step seen, its number)
-    keys = [None]  # per step number, its step key; 0 is the root's None
+    # The step table, a fresh one or a copy of the origin's: step -> (its
+    # step key, the first equal step seen, its number); per number its step
+    # key; the texts of the first keys, as far as a fingerprint wrote them.
+    table = {"numbers": {}, "keys": (None,), "texts": ()} if origin is None else origin._tree
+    keyed, keys, texts = dict(table["numbers"]), list(table["keys"]), table["texts"]
     parent, step, ids, theta = [None], [None], [0], [full]
     children, terminals, menus, acting = [], [], [], []
     # Each node's menu, {acting agent: her distinct actions}, with the
@@ -374,8 +404,32 @@ def canonical_tree(model, root, edges):
     shared, no_menu = {}, {}
     handles = [root]
     for v, handle in enumerate(handles):  # ``handles`` grows as v advances
+        out = edges(handle, v)
+        if type(out) is tuple:
+            o, out = out
+            kids = origin.children[o]
+            if kids:
+                # The origin numbered o's children breadth-first from these
+                # steps, so sorting them again gives the same order and the
+                # same menu, and the inherited step numbers give every child
+                # the same key, so ``canonical_form`` and the fingerprint are
+                # unchanged.  An equal parent row with equal steps gives
+                # equal child rows.
+                lo, hi, first = kids[0], kids[-1] + 1, len(parent)
+                children.append(range(first, first + len(kids)))
+                parent += [v] * len(kids)
+                step += origin.step[lo:hi]
+                ids += table["ids"][lo:hi]
+                handles += out
+                row = theta[v]
+                theta += (origin.theta[lo:hi] if row == origin.theta[o]
+                          else [_moved(row, s) for s in origin.step[lo:hi]])
+                menus.append(origin.menus[o])
+                acting.append(origin.acting[o])
+                continue
+            out = []
         kids = []
-        for s, child in edges(handle, v):
+        for s, child in out:
             e = keyed.get(s)
             if e is None:
                 e = keyed[s] = (step_key(s), s, len(keys))
@@ -395,9 +449,7 @@ def canonical_tree(model, root, edges):
             step.append(s)
             ids.append(number)
             handles.append(child)
-            # Last reported set per agent, the full type set until her first
-            # action.
-            moved = list(row)
+            moved = list(row)  # ``_moved`` inline: this runs for every node parsed
             for agent, action in s:
                 moved[agent] = action
             theta.append(tuple(moved))
@@ -412,7 +464,8 @@ def canonical_tree(model, root, edges):
         menus.append(entry[0])
         acting.append(entry[1])
     return (tuple(parent), tuple(step), tuple(children), tuple(terminals), tuple(theta),
-            tuple(menus), tuple(acting), {"ids": tuple(ids), "keys": tuple(keys)})
+            tuple(menus), tuple(acting),
+            {"ids": tuple(ids), "numbers": keyed, "keys": tuple(keys), "texts": texts})
 
 
 def build_mechanism(model, nodes, infoset_groups, outcomes):

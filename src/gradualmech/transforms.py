@@ -57,9 +57,15 @@ class Merge:
 
 
 def _copy(mech, root, edges):
-    """The mechanism ``canonical_tree`` builds from ``root``, where
-    ``edges(handle)`` returns the handle's origin, a node of ``mech`` or
-    None, and its (step, child handle) edges, steps in normal form.
+    """The mechanism ``canonical_tree`` builds from ``root`` with ``mech`` as
+    its origin, where ``edges(handle)`` returns the handle's origin, a node
+    of ``mech`` or None, and its edges as the pass takes them: a list of
+    (step, child handle) pairs, steps in normal form, or, where the children
+    are the origin's own with their steps, the pair (origin, child handles).
+    The pass takes those children's tables from ``mech`` whole, and numbers
+    the copy's steps on from ``mech``'s step table, so the fingerprint
+    writes only the texts of step keys that the chain meets for the first
+    time.  The copy shares values, never ``mech`` itself.
 
     A terminal copy takes its origin's outcome.  An agent acting at a copy
     joins her information set at the origin; where she has none she is at a
@@ -79,7 +85,7 @@ def _copy(mech, root, edges):
         origins.append(origin)
         return out
 
-    tree = canonical_tree(mech.model, root, visit)
+    tree = canonical_tree(mech.model, root, visit, mech)
     terminals, acting = tree[3], tree[6]
     outcome = {z: mech.outcome[origins[z]] for z in terminals}
     members = [[] for _ in mech.infosets]
@@ -136,10 +142,10 @@ def apply_split(mech, t):
 
     def edges(v):
         if type(v) is tuple:  # a final choice below terminal v[0]
-            return v[0], ()
+            return v[0], []
         if v in below:
             return v, [(s, (v,)) for s in finals]
-        return v, [(mech.step[c], c) for c in mech.children[v]]
+        return v, (v, mech.children[v])
 
     return _copy(mech, 0, edges)
 
@@ -221,16 +227,17 @@ def apply_coalesce(mech, t):
                            for c in kept]
             # The agent moved alone there: splice her step out entirely.
             v, branch = kept[0], None
+        if branch is not None or v not in source_nodes:
+            return v, (v, [(c, branch) for c in children[v]])
         out = []
-        in_source = branch is None and v in source_nodes
         for c in children[v]:
-            if in_source and (i, t.action) in step[c]:
+            if (i, t.action) in step[c]:
                 cstep = dict(step[c])
                 for b in new_actions:
                     cstep[i] = b
                     out.append((make_step(cstep), (c, b)))
             else:
-                out.append((step[c], (c, branch)))
+                out.append((step[c], (c, None)))
         return v, out
 
     return _copy(mech, (0, None), edges)
@@ -409,8 +416,8 @@ def apply_unsplit(mech, t):
 
     def edges(v):
         if v in forgotten:  # a terminal now, with its children's one outcome
-            return mech.children[v][0], ()
-        return v, [(mech.step[c], c) for c in mech.children[v]]
+            return mech.children[v][0], []
+        return v, (v, mech.children[v])
 
     return _copy(mech, 0, edges)
 
@@ -430,7 +437,7 @@ def apply_uncoalesce(mech, t):
         if type(h) is list:  # a middle node: the agent's deferred choices
             return None, [(make_step({i: act}), c) for c, act in h]
         if h not in members:
-            return h, [(mech.step[c], c) for c in mech.children[h]]
+            return h, (h, mech.children[h])
         out, by_rest = [], {}  # the other agents' moves -> [(child, the agent's action)]
         for c in mech.children[h]:
             act = dict(mech.step[c]).get(i)
@@ -544,7 +551,9 @@ def is_incentive_preserving(mech, t, f):
     Per first row, the second rows that may harm it are one mask over their
     terminals, built as in ``is_ic``: the terminals at which at most one
     other agent conflicts, ANDed per checked agent j with the terminals of
-    the rows whose value j's type ranks strictly above the first row's.
+    the rows whose value j's type ranks strictly above the first row's, read
+    off a rank table, or, where the second side has at most two values, ORed
+    directly.
     Rows are keyed by the value ``f`` gives them, not by their terminal's
     outcome, because ``f`` need not be the SCF the mechanism implements; two
     rows may then share a terminal and differ in value, so the mask may be a
@@ -600,10 +609,18 @@ def is_incentive_preserving(mech, t, f):
                     harmful = 0
                     for j in others:
                         tj = prof1[j]
-                        rank = ranked.get((b, ti2, j, tj))
-                        if rank is None:
-                            rank = ranked[b, ti2, j, tj] = _rank_table(model, j, tj, by_x)
-                        harmful |= (masks[j] | ~once) & rank[model.levels(j, tj)[x1]]
+                        levels = model.levels(j, tj)
+                        if len(by_x) <= 2:  # cheaper than a rank table
+                            above, level = 0, levels[x1]
+                            for x, mask in by_x.items():
+                                if levels[x] < level:
+                                    above |= mask
+                        else:
+                            rank = ranked.get((b, ti2, j, tj))
+                            if rank is None:
+                                rank = ranked[b, ti2, j, tj] = _rank_table(model, j, tj, by_x)
+                            above = rank[levels[x1]]
+                        harmful |= (masks[j] | ~once) & above
                     harmful &= ~twice
                     if not harmful:
                         continue

@@ -3,7 +3,7 @@ each chain does, on this tree and, side by side, on another checkout.
 
 Usage, from the repository root::
 
-    python tests/bench_reduce.py [--parent DIR] [--runs 3] [--out BENCH_reduce.json]
+    python tests/bench_reduce.py [--parent DIR] [--runs 5] [--out BENCH_reduce.json]
 
 ``DIR`` is the root of another checkout, for example the parent commit
 unpacked with ``git archive``; without it only this tree is measured.  Each
@@ -14,11 +14,15 @@ parent first on even runs.  One more process per tree reduces the auction
 once with counting wrappers, for the counts that do not depend on the
 machine: copies (``transforms._copy``), ``coalesce_ready``, ``merge_ready``
 and ``is_incentive_preserving`` calls, regroupings (``Mechanism.regroup``),
-the tree texts ``fingerprint`` writes, and the step-key ``repr`` texts in
-them, ``len(_tree["keys"])`` per tree text: one per node where that table
-holds a key per node, one per distinct step where it holds the distinct
-keys.  The script checks that both trees give the same chain: the same
-steps, fingerprints and preservation verdicts.
+the tree texts ``fingerprint`` writes, and the step-key ``repr`` texts it
+writes for them: the growth of the step table's ``texts``, which a copy
+inherits from its input, or, in a checkout whose trees keep no texts,
+``len(_tree["keys"])`` per tree text.  The child nodes of the trees
+``canonical_tree`` builds are counted as taken from the origin, where the
+pass takes a kept node's children from the input's tables, or as keyed
+afresh.  The script checks that
+both trees give the same chain: the same steps, fingerprints and
+preservation verdicts.
 """
 
 import argparse
@@ -45,7 +49,8 @@ def reduce_once(n, m, count):
 
     mech = gm.build_gstar(n, m)
     _, f = gm.second_price_scf(n, m)
-    counts = dict.fromkeys(COUNTED + ("regroups", "tree_texts", "key_texts"), 0)
+    counts = dict.fromkeys(COUNTED + ("regroups", "tree_texts", "key_texts",
+                                      "nodes_taken", "nodes_keyed"), 0)
     if count:
         def counted(name, real):
             def wrapper(*args):
@@ -59,12 +64,32 @@ def reduce_once(n, m, count):
         fingerprint = gameform.Mechanism.fingerprint
 
         def fingerprint_counted(self):
-            if "text" not in self._tree:
-                counts["tree_texts"] += 1
+            if "text" in self._tree:
+                return fingerprint(self)
+            counts["tree_texts"] += 1
+            texts = self._tree.get("texts")
+            if texts is None:
                 counts["key_texts"] += len(self._tree["keys"])
-            return fingerprint(self)
+                return fingerprint(self)
+            out = fingerprint(self)  # it replaces the tuple of texts by a longer one
+            counts["key_texts"] += len(self._tree["texts"]) - len(texts)
+            return out
 
         gameform.Mechanism.fingerprint = fingerprint_counted
+        canonical_tree = transforms.canonical_tree
+
+        def canonical_tree_counted(model, root, edges, *origin):
+            def counted_edges(handle, v):
+                out = edges(handle, v)
+                if origin and type(out) is tuple:
+                    counts["nodes_taken"] += len(origin[0].children[out[0]])
+                else:
+                    counts["nodes_keyed"] += len(out)
+                return out
+
+            return canonical_tree(model, root, counted_edges, *origin)
+
+        transforms.canonical_tree = canonical_tree_counted
     start = time.perf_counter()
     chain = gm.reduce_to_direct(mech, f)
     seconds = time.perf_counter() - start
@@ -88,7 +113,7 @@ def measure(tree, n, m, count=False):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", help="root of the checkout to compare with")
-    ap.add_argument("--runs", type=int, default=3)
+    ap.add_argument("--runs", type=int, default=5)
     ap.add_argument("--out", default=str(ROOT / "BENCH_reduce.json"))
     ap.add_argument("--child", nargs=2, type=int, help=argparse.SUPPRESS)
     ap.add_argument("--count", action="store_true", help=argparse.SUPPRESS)

@@ -10,8 +10,8 @@ import json
 import math
 from collections import deque
 
-from gradualmech import (all_strategies, build_rda, make_step, play, ttc_scf,
-                         unconditional_strategy)
+from gradualmech import (all_strategies, build_rda, make_step, play, transforms,
+                         ttc_scf, unconditional_strategy)
 from gradualmech.checkers import (Verdict, Witness, _coverage, _first_harmed,
                                   _first_profile, _Harm, _require_valid, _Settled)
 from gradualmech.fileformat import (ParseError, _need, parse_model, parse_scf,
@@ -21,7 +21,8 @@ from gradualmech.gameform import (Mechanism, MechanismError, build_mechanism,
                                   validate)
 from gradualmech.transforms import (ChainStep, Coalesce, Illuminate, Merge, ReductionChain,
                                     _own_set, _split_terminals, apply_coalesce,
-                                    apply_illuminate, apply_merge, apply_split, coalesce_ready,
+                                    apply_illuminate, apply_merge, apply_split,
+                                    apply_transformation, coalesce_ready,
                                     is_incentive_preserving, iter_opportunities,
                                     merge_ready, unsplit_ready)
 from gradualmech.generators import _best
@@ -1316,17 +1317,54 @@ def build_mechanism_oracle(model, nodes, infoset_groups, outcomes):
     tree = (parent, step, tuple(map(tuple, kids)),
             tuple(v for v in range(n) if not kids[v]), tuple(theta),
             tuple(menu for menu, _ in rows), tuple(agents for _, agents in rows),
-            _step_tables(node_key[old] for old in order))
+            _step_tables((node_step[old], node_key[old]) for old in order))
     return Mechanism(model, tree, outcome, groups)
 
 
-def _step_tables(node_keys):
-    """``canonical_tree``'s step tables from each node's step key in id
-    order: per node its step's number, numbered in order of first
-    appearance from 1, the root's 0, and per number its key."""
-    numbers = {None: 0}
-    ids = tuple(numbers.setdefault(key, len(numbers)) for key in node_keys)
-    return {"ids": ids, "keys": tuple(numbers)}
+def _step_tables(node_steps):
+    """``canonical_tree``'s step tables from each node's (step, step key) in
+    id order: per node its step's number, numbered in order of first
+    appearance from 1, the root's 0, and the step table a copy inherits:
+    per number its key, per step its (key, first equal step, number), and
+    no key text written yet."""
+    numbers, keys, ids = {}, [None], []
+    for s, key in node_steps:
+        if s is None:
+            ids.append(0)
+            continue
+        e = numbers.get(s)
+        if e is None:
+            e = numbers[s] = (key, s, len(keys))
+            keys.append(key)
+        ids.append(e[2])
+    return {"ids": tuple(ids), "numbers": numbers, "keys": tuple(keys), "texts": ()}
+
+
+def plain_copy_oracle(mech, t):
+    """``apply_transformation(mech, t)`` for a split, coalesce, unsplit or
+    uncoalesce, with the copy built as before a copy started from its
+    origin: the rewrite's own ``edges`` through ``canonical_tree`` with no
+    origin.  Where ``edges`` names an origin node whose children the copy
+    keeps, the children are written out as (step, handle) edges from the
+    origin's tables, so the pass keys, sorts and fills every node afresh,
+    in a step table of its own."""
+    real = transforms.canonical_tree
+
+    def plain(model, root, edges, origin):
+        def written_out(handle, v):
+            out = edges(handle, v)
+            if type(out) is tuple:
+                o, handles = out
+                return list(zip(map(origin.step.__getitem__, origin.children[o]), handles))
+            return out
+
+        return real(model, root, written_out)
+
+    transforms.canonical_tree = plain
+    try:
+        return apply_transformation(mech, t)
+    finally:
+        transforms.canonical_tree = real
 
 
 def parse_mechanism_oracle(text):
