@@ -12,8 +12,7 @@ from .gameform import (InfoSet, Mechanism, MechanismError, build_mechanism,
                        mechanisms_equal, siblings_same_action, validate)
 from .strategies import (all_strategies, common_strategy_exists,
                          consistent_profile_pairs, play, strategy_space_size,
-                         truthful_profile, truthful_terminal,
-                         unconditional_strategy)
+                         truthful_terminal, unconditional_strategy)
 from .checkers import Verdict, Witness, is_ic, is_irp, is_rp, verify_witness
 from .transforms import (ChainStep, Coalesce, Illuminate, Merge, ReductionChain,
                          Split, Uncoalesce, Unsplit, apply_coalesce,

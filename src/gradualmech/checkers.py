@@ -395,26 +395,21 @@ def is_irp(mech, f):
 
 def verify_witness(mech, f, w):
     """Independently re-check a witness through play/preference primitives."""
-    model = mech.model
-    if w.kind in ("ic", "rp"):
-        if mech.conflict_agents(w.z1, w.z2) - {w.agent, w.reactor if w.reactor is not None else w.agent}:
-            return False
+    if w.kind not in ("ic", "rp", "irp", "ill"):
+        raise ValueError(f"unknown witness kind {w.kind}")
+    # Every kind names a pair on which at most the harmed agent and the
+    # reactor, if there is one, have conflicting choices.
+    if mech.conflict_agents(w.z1, w.z2) - {w.agent, w.reactor}:
+        return False
+    if w.kind == "irp":
+        settled = _Settled(mech)
+        return not settled(w.agent, w.z1) and not settled(w.agent, w.z2)
+    if w.kind != "ill":
         if mech.truthful_terminal(w.profile1) != w.z1:
             return False
         if mech.truthful_terminal(w.profile2) != w.z2:
             return False
         if f[w.profile1] != w.outcome1 or f[w.profile2] != w.outcome2:
             return False
-        return not model.weakly_prefers(w.agent, w.profile1[w.agent],
-                                        w.outcome1, w.outcome2)
-    if w.kind == "irp":
-        if mech.conflict_agents(w.z1, w.z2) - {w.agent, w.reactor}:
-            return False
-        settled = _Settled(mech)
-        return not settled(w.agent, w.z1) and not settled(w.agent, w.z2)
-    if w.kind == "ill":
-        if mech.conflict_agents(w.z1, w.z2) - {w.agent, w.reactor}:
-            return False
-        return not model.weakly_prefers(w.agent, w.profile1[w.agent],
-                                        w.outcome1, w.outcome2)
-    raise ValueError(f"unknown witness kind {w.kind}")
+    return not mech.model.weakly_prefers(w.agent, w.profile1[w.agent],
+                                         w.outcome1, w.outcome2)

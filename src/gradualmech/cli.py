@@ -306,12 +306,10 @@ def cmd_gen(args):
     elif kind == "ttc":
         out = build_rda(_priorities(args.priorities, args.n), args.n)
         f = implemented_scf(out)
-    elif kind == "random":
+    else:  # "random": the parser's choices admit no other kind
         rng = random.Random(args.seed)
         out, f, model, _tag, _applied = random_transformed_mechanism(
             rng, steps=args.steps)
-    else:
-        raise ParseError(f"unknown generator {kind}")
     _emit(serialize_mechanism(out, f), args.output)
     return 0
 

@@ -143,13 +143,6 @@ class Mechanism:
             v = self.parent[v]
         return out[::-1]
 
-    def children_by_step(self, v):
-        table = self._tree.get("children_by_step")
-        if table is None:
-            table = self._tree["children_by_step"] = [
-                {self.step[c]: c for c in kids} for kids in self.children]
-        return table[v]
-
     def terminals_under(self, v):
         under = self._tree.get("terminals_under")
         if under is None:

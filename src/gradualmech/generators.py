@@ -26,8 +26,7 @@ class _TreeSink:
         self.model = model
         self.nodes = [(None, None)]
         self.outcomes = {}
-        self.groups = {}        # key -> [node ids]
-        self.group_agent = {}   # key -> agent
+        self.groups = {}        # key -> (agent, [node ids])
 
     def child(self, parent, parts):
         if parent == 0:
@@ -40,16 +39,15 @@ class _TreeSink:
         return len(self.nodes) - 1
 
     def decision(self, key, agent, node):
-        self.groups.setdefault(key, []).append(node)
-        self.group_agent[key] = agent
+        self.groups.setdefault(key, (agent, []))[1].append(node)
 
     def terminal(self, node, outcome_id):
         self.outcomes[node] = outcome_id
 
     def build(self):
-        groups = [(self.group_agent[k], vs) for k, vs in self.groups.items()]
+        groups = list(self.groups.values())
         if len(self.nodes) > 1:
-            rooted = {self.group_agent[k] for k, vs in self.groups.items() if 0 in vs}
+            rooted = {a for a, vs in groups if 0 in vs}
             for a in range(self.model.n_agents):
                 if a not in rooted:
                     groups.append((a, [0]))
@@ -460,9 +458,18 @@ def build_rda(priorities, n):
     owners, then (only when every one of them renounced) a simultaneous
     partner designation, then sequential item assertions by the stage's
     leavers.  Active owners observe only which owners hold which remaining
-    items; designations stay hidden until the trade happens.  Moves with a
-    single feasible option are resolved silently rather than materialized as
-    degenerate nodes.
+    items; designations stay hidden until the trade happens.  An asserting
+    owner observes, besides her own history, the stage's ownership, who
+    trades in the stage and what the earlier leavers took, so the standing
+    designations of owners outside the trading cycle stay hidden from her
+    too.  Moves with a single feasible option are resolved silently rather
+    than materialized as degenerate nodes.
+
+    For n <= 3 the tree is IC, RP and IRP on every priority structure.  At
+    n = 4 it is IC and RP on every structure of the tests' samples (a stride
+    of 17, and the structure on which a tree whose assertions see every
+    earlier move fails IC), and IRP on 14 of the stride's 17; a sweep of all
+    four-agent structures has not been run on this tree.
     """
     model = matching_model(n)
     rankings = model.rankings
@@ -521,7 +528,7 @@ def build_rda(priorities, n):
             if claimers:
                 queue = [(o, owned[o]) for o in claimers]
                 assert_phase(node2, agents, items, standing, matched, cur2, exp2,
-                             queue, [])
+                             sig, queue, [])
             else:
                 designate(node2, agents, items, standing, matched, cur2, exp2,
                           owned, sig)
@@ -543,11 +550,11 @@ def build_rda(priorities, n):
             cycle = _pointer_cycles({o: pm for o, (pm, _) in stand2.items()})
             queue = [(o, stand2[o][1]) for o in sorted(cycle)]
             assert_phase(node2, agents, items, stand2, matched, cur2, exp2,
-                         queue, [])
+                         sig, queue, [])
 
         expand(node, options, lambda o: ("D", o, sig, exp[o]), cur, exp, after_designate)
 
-    def assert_phase(node, agents, items, standing, matched, cur, exp, queue, leavers):
+    def assert_phase(node, agents, items, standing, matched, cur, exp, sig, queue, leavers):
         if not queue:
             # End of the stage: the leavers go with their items, and standing
             # designations towards a leaver lapse.
@@ -566,10 +573,14 @@ def build_rda(priorities, n):
             return
         (o, menu), rest = queue[0], queue[1:]
         picks = [(x, frozenset(t for t in cur[o] if top(t, menu) == x)) for x in sorted(menu)]
-        expand(node, {o: picks}, lambda o: ("A", o, node), cur, exp,
+        # The asserting owner observes her own history, the stage's ownership,
+        # who trades in this stage and what the earlier leavers took; the
+        # designations of owners outside the trading cycle stay hidden.
+        public = (sig, tuple(a for a, _ in queue), tuple(leavers))
+        expand(node, {o: picks}, lambda o: ("A", o, public, exp[o]), cur, exp,
                lambda node2, cur2, exp2, labels: assert_phase(
                    node2, agents, items, standing, matched, cur2, exp2,
-                   rest, leavers + [(o, labels[o])]))
+                   sig, rest, leavers + [(o, labels[o])]))
 
     cur0 = {i: model.full_type_set(i) for i in range(n)}
     exp0 = {i: () for i in range(n)}
@@ -617,19 +628,16 @@ def random_transformed_mechanism(rng, steps=None):
     for _ in range(n_steps):
         order = kinds[:]
         rng.shuffle(order)
-        done = False
         for kind in order:
             # Every rewrite keeps the SCF the mechanism implements, f, and
             # an unsplit is ready only where each member has one outcome
             # below it, so forgetting a refinement keeps f too.
             ops = find_opportunities(mech, kind)
-            if not ops:
-                continue
-            t = ops[rng.randrange(len(ops))]
-            mech = apply_transformation(mech, t)
-            applied.append(t)
-            done = True
+            if ops:
+                break
+        else:
             break
-        if not done:
-            break
+        t = ops[rng.randrange(len(ops))]
+        mech = apply_transformation(mech, t)
+        applied.append(t)
     return mech, f, model, tag, applied

@@ -60,17 +60,12 @@ def play(mech, strategies):
             if k is None:
                 raise MechanismError(f"node {v}: agent {a} has no information set")
             parts[a] = strategies[a][k]
-        nxt = mech.children_by_step(v).get(make_step(parts))
+        step = make_step(parts)
+        nxt = next((c for c in mech.children[v] if mech.step[c] == step), None)
         if nxt is None:
             raise MechanismError(f"node {v}: strategy profile selects a missing child")
         v = nxt
     return v
-
-
-def truthful_profile(mech, profile):
-    """The profile of canonical unconditional strategies for a type profile."""
-    return {i: unconditional_strategy(mech, i, profile[i])
-            for i in range(mech.model.n_agents)}
 
 
 def truthful_terminal(mech, profile):
@@ -100,13 +95,3 @@ def consistent_profile_pairs(mech, i, j=None):
         for z2 in mech.terminals:
             if not (mech.conflict_agents(z1, z2) - excluded):
                 yield (z1, z2)
-
-
-def consistent_with_partial(mech, z, partial):
-    """True iff terminal z is reachable under the partial profile
-    ``{agent: {infoset: action}}`` for some completion."""
-    for agent, strat in partial.items():
-        for k, action in mech.experience[agent][z]:
-            if strat[k] != action:
-                return False
-    return True

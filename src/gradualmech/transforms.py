@@ -11,7 +11,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .checkers import Verdict, Witness, _coverage, _rank_table, _require_valid
+from .checkers import Verdict, Witness, _coverage, _require_valid
 from .gameform import (Mechanism, MechanismError, canonical_tree, is_static, make_step,
                        validate)  # noqa: F401  (perfbench's tracer rebinds it in every module)
 
@@ -551,9 +551,8 @@ def is_incentive_preserving(mech, t, f):
     Per first row, the second rows that may harm it are one mask over their
     terminals, built as in ``is_ic``: the terminals at which at most one
     other agent conflicts, ANDed per checked agent j with the terminals of
-    the rows whose value j's type ranks strictly above the first row's, read
-    off a rank table, or, where the second side has at most two values, ORed
-    directly.
+    the rows whose value j's type ranks strictly above the first row's, ORed
+    from the second side's per-value masks.
     Rows are keyed by the value ``f`` gives them, not by their terminal's
     outcome, because ``f`` need not be the SCF the mechanism implements; two
     rows may then share a terminal and differ in value, so the mask may be a
@@ -596,7 +595,6 @@ def is_incentive_preserving(mech, t, f):
         return out
 
     sides = (rows(acquired(p1)), rows(acquired(p2)))
-    ranked = {}  # (second side, ti2, j, type of j) -> rank table of by_x
 
     # The informed agent's types range over ordered pairs, and the two parts
     # swap roles, which together cover every switched-superscript variant of
@@ -608,18 +606,11 @@ def is_incentive_preserving(mech, t, f):
                 for prof1, z1, x1, masks, once, twice in sides[a][ti1][0]:
                     harmful = 0
                     for j in others:
-                        tj = prof1[j]
-                        levels = model.levels(j, tj)
-                        if len(by_x) <= 2:  # cheaper than a rank table
-                            above, level = 0, levels[x1]
-                            for x, mask in by_x.items():
-                                if levels[x] < level:
-                                    above |= mask
-                        else:
-                            rank = ranked.get((b, ti2, j, tj))
-                            if rank is None:
-                                rank = ranked[b, ti2, j, tj] = _rank_table(model, j, tj, by_x)
-                            above = rank[levels[x1]]
+                        levels = model.levels(j, prof1[j])
+                        above, level = 0, levels[x1]
+                        for x, mask in by_x.items():
+                            if levels[x] < level:
+                                above |= mask
                         harmful |= (masks[j] | ~once) & above
                     harmful &= ~twice
                     if not harmful:
@@ -655,14 +646,10 @@ class ReductionChain:
         return [s for s in self.steps if isinstance(s.transform, Merge)]
 
     def counts(self):
+        """Steps per kind, named as ``chain/1`` names them."""
         out = {"split": 0, "coalesce": 0, "merge": 0}
         for s in self.steps:
-            if isinstance(s.transform, Split):
-                out["split"] += 1
-            elif isinstance(s.transform, Coalesce):
-                out["coalesce"] += 1
-            elif isinstance(s.transform, Merge):
-                out["merge"] += 1
+            out[type(s.transform).__name__.lower()] += 1
         return out
 
 

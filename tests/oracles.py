@@ -48,7 +48,8 @@ def partition_walk_oracle(mech):
                 if len(match) != 1:
                     return False
                 want[a] = match[0]
-            nxt = mech.children_by_step(v).get(make_step(want))
+            step = make_step(want)
+            nxt = next((c for c in mech.children[v] if mech.step[c] == step), None)
             if nxt is None:
                 return False
             v = nxt

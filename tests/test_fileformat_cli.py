@@ -566,8 +566,14 @@ def test_recursive_walks_leave_no_cyclic_garbage():
             gc.enable()
 
 
-# Input checks whose whole error line is pinned; "{g3}" stands for the
-# voting g3 document on stdin.
+# The g3 document with its SCF table left out.
+G3_WITHOUT_SCF = json.dumps({k: v for k, v in json.loads(G3_TEXT).items() if k != "scf"})
+ONE_OUTCOME_TWICE = json.dumps({
+    "format": "gm/1", "agents": ["a"], "types": [["t"]], "outcomes": ["x", "x"],
+    "preferences": [[[["x"]]]], "tree": {"id": 0, "outcome": "x"}, "infosets": []})
+
+# Input checks whose whole error line is pinned; "{g3}" and "{g3 without scf}"
+# stand for those documents on stdin.
 PINNED_ERRORS = {
     "unknown-type-name": (["transform", "-", "--kind", "split", "--agent", "voter2",
                            "--infoset", "2", "--action", "L,X", "--part", "L"],
@@ -578,12 +584,26 @@ PINNED_ERRORS = {
     "voting-which": (["gen", "voting", "--which", "g9"],
                      "", "--which must be one of ['direct', 'g1', 'g2', 'g3', 'g4']"),
     "nested-too-deeply": (["check-ic", "-"], "[" * 100000, "document nested too deeply"),
+    "check-ic-without-scf": (["check-ic", "-"], "{g3 without scf}",
+                             "document carries no 'scf' table"),
+    "check-sp-without-scf": (["check-sp", "-"], "{g3 without scf}",
+                             "document carries no 'scf' table"),
+    "reduce-without-scf": (["reduce", "-"], "{g3 without scf}",
+                           "document carries no 'scf' table"),
+    "outcome-named-twice": (["check-ic", "-"], ONE_OUTCOME_TWICE, "duplicate outcome names"),
 }
+STDIN_TEXTS = {"{g3}": G3_TEXT, "{g3 without scf}": G3_WITHOUT_SCF}
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_ERRORS))
 def test_cli_input_checks_name_their_error(case, capsys):
     argv, text, message = PINNED_ERRORS[case]
-    code, out = run_cli(argv, G3_TEXT if text == "{g3}" else text)
+    code, out = run_cli(argv, STDIN_TEXTS.get(text, text))
     assert code == 2 and out == ""
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_export_dot_needs_no_scf(capsys):
+    code, out = run_cli(["export-dot", "-"], G3_WITHOUT_SCF)
+    assert code == 0 and out == run_cli(["export-dot", "-"], G3_TEXT)[1]
+    assert out.startswith("digraph") and capsys.readouterr().err == ""

@@ -77,7 +77,19 @@ def test_rda_tree_shapes_are_pinned():
     assert rda_digest(small) == "4f4c9029372c1940"
     four = gm.all_priority_structures(4)[::20011]
     assert len(four) == 17
-    assert rda_digest(four) == "811cc9722f813670"
+    assert rda_digest(four) == "6b95a5faf55c424a"
+
+
+def test_rda_four_agent_stride_verdicts():
+    """The four-agent stride of ``test_rda_tree_shapes_are_pinned``: every
+    tree is IC and RP, and 14 of the 17 are IRP."""
+    verdicts = []
+    for pr in gm.all_priority_structures(4)[::20011]:
+        rda = gm.build_rda(pr, 4)
+        f = gm.implemented_scf(rda)
+        verdicts.append(tuple(check(rda, f).holds for check in (gm.is_ic, gm.is_rp, gm.is_irp)))
+    assert all(ic and rp for ic, rp, _ in verdicts)
+    assert sum(irp for _, _, irp in verdicts) == 14
 
 
 def test_rda_two_agents_claim_and_trade_paths():
@@ -208,30 +220,51 @@ def test_rda_four_agents_pooling_bites_and_stays_ic():
 
 
 def test_rda_four_agents_first_ic_failure():
-    """The first four-agent structure, in the orbit sample, on which the
-    staged tree is not IC.  The checks run against the tree's own SCF, which
-    is the trading-cycles table (``implemented_scf(rda) == ttc_scf(pr, 4)``,
-    over 10 s to build).  Agent 2, of type abcd, reaches ``cabd`` truthfully
-    and ``cbad`` on the other path, with everyone else's choices fixed."""
+    """The first four-agent structure, in the orbit sample, on which a
+    staged tree that lets the asserting owner see every earlier move is not
+    IC.  ``build_rda`` keys an assertion by what is public at that point, so
+    its tree pools agent 1's assertion at nodes 17 and 18 and agent 2's at
+    nodes 21 and 23, and is IC, RP and IRP with 63 sets.  Illuminating those
+    two sets gives the leaky tree back (65 sets); merging the two sets that
+    its RP witness names, and then agent 2's two sets, undoes it.
+
+    The checks run against the tree's own SCF, which is the trading-cycles
+    table (``implemented_scf(rda) == ttc_scf(pr, 4)``, over 10 s to build).
+    On the leaky tree agent 2, of type abcd, reaches ``cabd`` truthfully and
+    ``cbad`` on the other path, with everyone else's choices fixed."""
     pr = ((0, 1, 2, 3), (0, 1, 2, 3), (1, 0, 3, 2), (2, 0, 3, 1))
     rda = gm.build_rda(pr, 4)
     model, f = rda.model, gm.implemented_scf(rda)
-    assert (rda.n_nodes(), len(rda.infosets)) == (135, 65)
-    assert rda.fingerprint()[:16] == "498e1b3dafdad465"
-    assert gm.validate(rda) == []
+    assert (rda.n_nodes(), len(rda.infosets)) == (135, 63)
+    assert rda.fingerprint()[:16] == "7402da7ce227947b"
+    assert gm.is_ic(rda, f).holds and gm.is_rp(rda, f).holds and gm.is_irp(rda, f).holds
+    assert [rda.infosets[k].nodes for k in (24, 47)] == [(17, 18), (21, 23)]
 
-    ic = gm.is_ic(rda, f).witness
+    leaky = gm.apply_illuminate(rda, gm.Illuminate(2, 47, (21,), (23,)))
+    leaky = gm.apply_illuminate(leaky, gm.Illuminate(1, 24, (17,), (18,)))
+    assert (leaky.n_nodes(), len(leaky.infosets)) == (135, 65)
+    assert leaky.fingerprint()[:16] == "498e1b3dafdad465"
+    assert gm.validate(leaky) == []
+
+    ic = gm.is_ic(leaky, f).witness
     assert (ic.agent, ic.z1, ic.z2) == (2, 99, 105)
-    assert [model.outcome_names[rda.outcome[z]] for z in (ic.z1, ic.z2)] == ["cabd", "cbad"]
-    rp = gm.is_rp(rda, f).witness
+    assert (ic.profile1, ic.profile2) == ((12, 0, 0, 0), (12, 6, 12, 0))
+    assert [model.outcome_names[leaky.outcome[z]] for z in (ic.z1, ic.z2)] == ["cabd", "cbad"]
+    rp = gm.is_rp(leaky, f).witness
     assert (rp.agent, rp.reactor, rp.z1, rp.z2, rp.infosets) == (2, 1, 99, 105, (24, 25))
-    irp = gm.is_irp(rda, f).witness
+    irp = gm.is_irp(leaky, f).witness
     assert (irp.agent, irp.reactor, irp.z1, irp.z2) == (2, 1, 17, 18)
 
-    assert replay_ic_witness(rda, ic) == (99, 105)
+    assert replay_ic_witness(leaky, ic) == (99, 105)
     own = ic.profile1[2]
     assert model.type_names[2][own] == "abcd"
-    assert model.strictly_prefers(2, own, rda.outcome[105], rda.outcome[99])
+    assert model.strictly_prefers(2, own, leaky.outcome[105], leaky.outcome[99])
+
+    # The repair that RP suggests: merge the reactor's two sets, then agent
+    # 2's two sets at nodes 21 and 23.
+    repaired, _ = gm.apply_merge(leaky, gm.Merge(1, 24, 25))
+    repaired, _ = gm.apply_merge(repaired, gm.Merge(2, 47, 48))
+    assert repaired.fingerprint() == rda.fingerprint()
 
 
 def check_gen_ttc(pr, n):

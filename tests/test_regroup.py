@@ -47,7 +47,6 @@ def build_tree_tables(mech):
     """Build every lazily built table of ``mech``: tree tables, the
     ``validate`` report and the per-node conflict masks."""
     gm.validate(mech)
-    mech.children_by_step(0)
     mech.outcome_masks()
     mech.truthful_table()
     for u in range(mech.n_nodes()):

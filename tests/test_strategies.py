@@ -40,7 +40,8 @@ def test_gstar_unconditional_stays_until_value(gstar_instances):
 def test_play_matches_truthful_terminal(full_corpus):
     for name, mech, model, f in full_corpus[:30]:
         for profile in itertools.islice(model.profiles(), 12):
-            strategies = gm.truthful_profile(mech, profile)
+            strategies = {i: gm.unconditional_strategy(mech, i, profile[i])
+                          for i in range(model.n_agents)}
             assert gm.play(mech, strategies) == gm.truthful_terminal(mech, profile), name
 
 
@@ -109,22 +110,6 @@ def test_frozen_pair_counts_for_g3(voting):
     # frozen from the strategy-enumeration oracle
     assert len(list(gm.consistent_profile_pairs(g3, 0))) == 51
     assert len(list(gm.consistent_profile_pairs(g3, 1))) == 27
-
-
-def test_consistent_with_partial_profiles(voting):
-    model, f, mechs = voting
-    g3 = mechs["g3"]
-    from gradualmech.strategies import consistent_with_partial
-    for profile in model.profiles():
-        z = gm.truthful_terminal(g3, profile)
-        partial = {1: gm.unconditional_strategy(g3, 1, profile[1])}
-        assert consistent_with_partial(g3, z, partial)
-    # voter 2 always reporting M is inconsistent with her truthful L terminal
-    full_m = {k: (frozenset({1}) if frozenset({1}) in g3.infosets[k].actions
-                  else g3.infosets[k].actions[0])
-              for k in g3.agent_infosets(1)}
-    z_l = gm.truthful_terminal(g3, (0, 0))
-    assert not consistent_with_partial(g3, z_l, {1: full_m})
 
 
 def test_pairwise_consistency_with_two_excluded(sd_pair):
