@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import itertools
 import random
 import sys
@@ -409,11 +410,20 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
+    # Reference counting frees everything a command builds (no verb leaves a
+    # cycle; tests/test_fileformat_cli.py pins it), so the cycle collector's
+    # passes would only re-walk the parsed document: pause it while the
+    # command runs, and leave it as it was found.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.run(args)
     except (ParseError, MechanismError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

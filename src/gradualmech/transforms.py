@@ -672,6 +672,8 @@ def reduce_to_direct(mech, f):
     the post-merge mechanism.
     """
     _require_valid(mech, f)
+    # Taken first, so the copies inherit the source's step-key texts.
+    source = mech.fingerprint()
 
     steps = []
     current = mech
@@ -704,4 +706,4 @@ def reduce_to_direct(mech, f):
     # of ``action`` at the source; each copy keeps its original's sets and
     # moves, and the members of every set have their chains fused alike.
     # A merge keeps only a result that is valid (``_merge_classes``).
-    return ReductionChain(mech.fingerprint(), steps, current)
+    return ReductionChain(source, steps, current)

@@ -1,3 +1,4 @@
+import functools
 import gc
 import json
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import gradualmech as gm
+from gradualmech import cli
 from gradualmech.cli import main
 from gradualmech.fileformat import (ParseError, parse_mechanism,
                                     serialize_mechanism)
@@ -564,6 +566,103 @@ def test_recursive_walks_leave_no_cyclic_garbage():
             assert gc.collect() == 0, name
         finally:
             gc.enable()
+
+
+@functools.cache
+def verb_documents():
+    """The documents the verb cases below read on stdin, by name."""
+    _, f, mechs = gm.voting_examples()
+    _, bad, _, sd_f = gm.serial_dictatorship_pair()
+    return {"g1": serialize_mechanism(mechs["g1"], f), "g3": G3_TEXT,
+            "sd-bad": serialize_mechanism(bad, sd_f),
+            "auction": serialize_mechanism(gm.build_gstar(2, 2),
+                                           gm.second_price_scf(2, 2)[1]),
+            "not-json": "{", "top-level-list": "[]"}
+
+
+# Every verb, as (argv, stdin document, exit code): exit 1 with a witness
+# and exit 2 on bad input included.
+VERB_CASES = {
+    "gen-auction": (["gen", "auction", "--n", "3", "--m", "3"], None, 0),
+    "gen-ttc": (["gen", "ttc", "--n", "3"], None, 0),
+    "gen-random": (["gen", "random", "--seed", "0"], None, 0),
+    "gen-voting": (["gen", "voting", "--which", "g3"], None, 0),
+    "gen-sd": (["gen", "sd", "--which", "bad"], None, 0),
+    "gen-direct": (["gen", "direct", "-"], "g3", 0),
+    "validate": (["validate", "-"], "g3", 0),
+    "check-ic": (["check-ic", "-"], "g3", 0),
+    "check-ic-sd-bad": (["check-ic", "-"], "sd-bad", 1),
+    "check-rp": (["check-rp", "-"], "g3", 0),
+    "check-rp-relaxed": (["check-rp", "-", "--relaxed"], "g3", 0),
+    "check-irp": (["check-irp", "-"], "g3", 0),
+    "check-sp": (["check-sp", "-"], "g3", 0),
+    "check-ill": (["check-ill", "-", "--agent", "voter2", "--infoset", "2",
+                   "--part", "1"], "g3", 0),
+    # The auction (2, 2)'s pooled set of bidder 2, as in test_cli_check_ill.
+    "check-ill-harmful": (["check-ill", "-", "--agent", "bidder2", "--infoset", "2",
+                           "--part", "1"], "auction", 1),
+    "transform-illuminate": (["transform", "-", "--kind", "illuminate", "--agent",
+                              "voter2", "--infoset", "2", "--part", "1"], "g3", 0),
+    "transform-coalesce": (["transform", "-", "--kind", "coalesce", "--agent", "voter1",
+                            "--infoset", "0", "--action", "L,R", "--target", "1"],
+                           "g1", 0),
+    "transform-unsplit-refused": (["transform", "-", "--kind", "unsplit", "--agent",
+                                   "voter2", "--infoset", "2"], "g3", 2),
+    "reduce": (["reduce", "-"], "g1", 0),
+    "reduce-json": (["reduce", "-", "--json"], "g1", 0),
+    "export-dot": (["export-dot", "-"], "g3", 0),
+    "not-json": (["check-ic", "-"], "not-json", 2),
+    "top-level-list": (["check-ic", "-"], "top-level-list", 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERB_CASES))
+def test_cli_verbs_leave_no_cyclic_garbage(case, capsys):
+    """``main`` runs each command with the cycle collector paused, which is
+    safe only while reference counting frees everything a verb builds: with
+    the collector off, a collection after the run finds nothing."""
+    argv, doc, want = VERB_CASES[case]
+    text = verb_documents()[doc] if doc else ""
+    # Building the shared parser, once per process and before the pause,
+    # leaves argparse's help formatters in cycles.
+    cli.make_parser()
+    gc.collect()
+    gc.disable()
+    try:
+        code, _ = run_cli(argv, text)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert code == want, capsys.readouterr().err
+
+
+def test_main_pauses_the_collector_and_puts_it_back(monkeypatch, capsys):
+    """The command runs with the collector off; afterwards ``main`` leaves
+    it as it found it, enabled or disabled, whatever the exit."""
+    seen = []
+
+    def raising(*args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("checker failed")
+
+    docs = verb_documents()
+    exits = [(["check-ic", "-"], docs["g3"], 0), (["check-ic", "-"], docs["sd-bad"], 1),
+             (["check-ic", "-"], docs["not-json"], 2), (["check-ic"], "", 2)]
+    try:
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            for argv, text, want in exits:
+                assert run_cli(argv, text)[0] == want
+                assert gc.isenabled() is enabled, (argv, want)
+            with monkeypatch.context() as m:
+                m.setattr(cli, "is_ic", raising)
+                with pytest.raises(RuntimeError, match="checker failed"):
+                    run_cli(["check-ic", "-"], docs["g3"])
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert seen == [False, False]
+    assert "required: file" in capsys.readouterr().err
 
 
 # The g3 document with its SCF table left out.

@@ -11,10 +11,10 @@ def tiny_model():
     return gm.voting_model_and_scf()[0]
 
 
-def root_fan(steps):
+def root_fan(steps, infoset_groups=((0, [0]), (1, [0]))):
     """A root whose children take the given steps, all ending in outcome 1."""
     nodes = [(None, None)] + [(0, make_step(step)) for step in steps]
-    return build_mechanism(tiny_model(), nodes, [(0, [0]), (1, [0])],
+    return build_mechanism(tiny_model(), nodes, infoset_groups,
                            {k: 1 for k in range(1, len(nodes))})
 
 

@@ -133,3 +133,17 @@ def test_auction_payoff_exact():
     both_leave = f[(0, 0)]
     assert gm.auction_payoff(model, both_stay, 0, 2) == 0
     assert gm.auction_payoff(model, both_leave, 0, 2) == Fraction(1, 2)
+
+
+def test_type_model_refuses_shapes_that_do_not_match():
+    """Each of ``TypeModel``'s shape checks, which the parser never reaches
+    because it checks the document's shapes first."""
+    orders = [WeakOrder([{0}, {1}]), WeakOrder([{1}, {0}])]
+    types, outcomes = [["a", "b"], ["c", "d"]], ["x", "y"]
+    assert TypeModel(types, outcomes, [orders, orders]).agent_names == ("agent0", "agent1")
+    with pytest.raises(ValueError, match="^agent_names length mismatch$"):
+        TypeModel(types, outcomes, [orders, orders], agent_names=["only"])
+    with pytest.raises(ValueError, match="^prefs must cover every agent$"):
+        TypeModel(types, outcomes, [orders])
+    with pytest.raises(ValueError, match="^agent 1: one weak order per type required$"):
+        TypeModel(types, outcomes, [orders, orders[:1]])

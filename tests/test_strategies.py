@@ -6,6 +6,7 @@ import gradualmech as gm
 from gradualmech import MechanismError
 
 from oracles import consistency_oracle, consistent_pair_table
+from test_gameform import ALL, missing_product_child, root_fan
 
 
 def test_unconditional_strategy_direct(voting):
@@ -118,3 +119,29 @@ def test_pairwise_consistency_with_two_excluded(sd_pair):
         for z2 in bad.terminals[:6]:
             fast = gm.common_strategy_exists(bad, z1, z2, {0, 1})
             assert fast == consistency_oracle(bad, z1, z2, {0, 1})
+
+
+def test_unconditional_strategy_needs_one_truthful_option():
+    # voter 1's actions overlap on M and leave out R
+    mech = root_fan([{0: {0, 1}, 1: ALL}, {0: {1}, 1: ALL}])
+    assert gm.unconditional_strategy(mech, 0, 0) == {0: frozenset({0, 1})}
+    for t in (1, 2):
+        with pytest.raises(MechanismError,
+                           match=f"^information set 0: no unique truthful option for type {t}$"):
+            gm.unconditional_strategy(mech, 0, t)
+
+
+def test_play_refuses_incomplete_profiles_and_missing_children():
+    mech = missing_product_child()
+    rest = frozenset({1, 2})
+    z = gm.play(mech, {0: {0: rest}, 1: {1: frozenset({0})}})
+    assert mech.step[z] == gm.make_step({0: rest, 1: {0}})
+    with pytest.raises(MechanismError, match="^play requires a strategy for every agent$"):
+        gm.play(mech, {0: {0: rest}})
+    with pytest.raises(MechanismError,
+                       match="^node 0: strategy profile selects a missing child$"):
+        gm.play(mech, {0: {0: rest}, 1: {1: rest}})
+    # both voters move at the root, but only voter 1 has a set there
+    mech = root_fan([{0: ALL, 1: ALL}], infoset_groups=[(0, [0])])
+    with pytest.raises(MechanismError, match="^node 0: agent 1 has no information set$"):
+        gm.play(mech, {0: {0: ALL}, 1: {}})
