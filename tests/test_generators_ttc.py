@@ -62,11 +62,15 @@ def test_rda_validates_and_matches_ttc_everywhere():
             assert gm.implemented_scf(rda) == f, (n, pr)
 
 
-def rda_digest(structures):
+def tree_digest(trees):
     """First 16 hex digits of the sha256 of the trees' fingerprints, one a
     line."""
-    text = "\n".join(gm.build_rda(pr, len(pr)).fingerprint() for pr in structures)
+    text = "\n".join(tree.fingerprint() for tree in trees)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def rda_digest(structures):
+    return tree_digest(gm.build_rda(pr, len(pr)) for pr in structures)
 
 
 def test_rda_tree_shapes_are_pinned():
@@ -78,6 +82,19 @@ def test_rda_tree_shapes_are_pinned():
     four = gm.all_priority_structures(4)[::20011]
     assert len(four) == 17
     assert rda_digest(four) == "6b95a5faf55c424a"
+
+
+def test_gstar_tree_shapes_are_pinned():
+    """The ascending auction trees themselves, node for node, from two to
+    five bidders."""
+    sizes = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3), (3, 4), (4, 4), (5, 3), (4, 5), (5, 4)]
+    assert tree_digest(gm.build_gstar(n, m) for n, m in sizes) == "d3de7fb5bce53af9"
+
+
+@pytest.mark.parametrize("n, m", [(1, 2), (2, 0)])
+def test_second_price_needs_two_bidders_and_a_value(n, m):
+    with pytest.raises(ValueError, match="^need at least two bidders and one value$"):
+        gm.second_price_scf(n, m)
 
 
 def test_rda_four_agent_stride_verdicts():
