@@ -308,6 +308,8 @@ def cmd_gen(args):
         out = build_rda(_priorities(args.priorities, args.n), args.n)
         f = implemented_scf(out)
     else:  # "random": the parser's choices admit no other kind
+        if args.steps is not None and args.steps < 0:
+            raise ParseError("--steps must be at least 0")
         rng = random.Random(args.seed)
         out, f, model, _tag, _applied = random_transformed_mechanism(
             rng, steps=args.steps)

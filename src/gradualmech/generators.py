@@ -147,33 +147,27 @@ def voting_examples():
 # Serial dictatorship over three items
 # --------------------------------------------------------------------------
 
-def _rankings(items):
-    return sorted(itertools.permutations(items))
-
-
 def matching_model(n):
     """Agents with strict rankings over n items; outcomes are the n!
-    matchings, compared by each agent's own assigned item only."""
+    matchings, compared by each agent's own assigned item only.  A matching
+    lists each agent's item, so the rankings double as the matchings."""
     items = list(range(n))
-    rankings = _rankings(items)
+    rankings = sorted(itertools.permutations(items))
     item_names = [chr(ord("a") + x) for x in items]
     type_names = ["".join(item_names[x] for x in r) for r in rankings]
-    matchings = _rankings(items)
-    outcome_names = ["".join(item_names[m[i]] for i in range(n)) for m in matchings]
     prefs = []
     for i in range(n):
         per_type = []
         for r in rankings:
             rank_of = {item: pos for pos, item in enumerate(r)}
             levels = [[] for _ in items]
-            for o_idx, m in enumerate(matchings):
+            for o_idx, m in enumerate(rankings):
                 levels[rank_of[m[i]]].append(o_idx)
             per_type.append(WeakOrder([lv for lv in levels if lv]))
         prefs.append(per_type)
-    model = TypeModel([type_names] * n, outcome_names, prefs)
+    model = TypeModel([type_names] * n, type_names, prefs)
     model.rankings = rankings
-    model.matchings = matchings
-    model.matching_index = {m: k for k, m in enumerate(matchings)}
+    model.matching_index = {m: k for k, m in enumerate(rankings)}
     return model
 
 
@@ -318,41 +312,30 @@ def build_gstar(n, m):
     def outcome(winners, price):
         return out_index[(tuple(sorted(winners)), price)]
 
-    def decide(node, price, remaining, k, stays, leaves, level_start):
-        b = remaining[k]
-        if len(stays) < 2:
-            sink.decision(("pool", b, price, level_start), b, node)
-        else:
-            sink.decision(("single", node), b, node)
-        stay = frozenset(range(price, m))
-        leave = frozenset({price - 1})
-        for act, stayed in ((leave, False), (stay, True)):
-            child = sink.child(node, {b: act})
-            ns = stays + [b] if stayed else stays
-            nl = leaves + [b] if not stayed else leaves
-            if k + 1 < len(remaining):
-                decide(child, price, remaining, k + 1, ns, nl, level_start)
+    # Pending nodes as (node, price, the level's bidders, stays, leaves, the
+    # level's first node); the next to act is the level's first bidder who
+    # has neither stayed nor left.
+    pending = [(0, 1, tuple(range(n)), (), (), 0)]
+    while pending:
+        node, price, bidders, stays, leaves, level_start = pending.pop()
+        if len(stays) + len(leaves) < len(bidders):
+            b = bidders[len(stays) + len(leaves)]
+            if len(stays) < 2:
+                sink.decision(("pool", b, price, level_start), b, node)
             else:
-                finish(child, price, ns, nl)
-
-    def finish(node, price, stays, leaves):
-        if len(stays) >= 2:
-            if price + 1 <= m - 1:
-                decide(node, price + 1, stays, 0, [], [], node)
-            else:
-                sink.terminal(node, outcome(stays, m))
+                sink.decision(("single", node), b, node)
+            leave = sink.child(node, {b: frozenset({price - 1})})
+            stay = sink.child(node, {b: frozenset(range(price, m))})
+            pending.append((leave, price, bidders, stays, leaves + (b,), level_start))
+            pending.append((stay, price, bidders, stays + (b,), leaves, level_start))
+        elif len(stays) >= 2 and price + 1 <= m - 1:
+            pending.append((node, price + 1, stays, (), (), node))
+        elif len(stays) >= 2:
+            sink.terminal(node, outcome(stays, m))
         elif len(stays) == 1:
             sink.terminal(node, outcome(stays, price))
         else:
             sink.terminal(node, outcome(leaves, price))
-
-    try:
-        decide(0, 1, list(range(n)), 0, [], [], 0)
-    finally:
-        # The walks refer to each other through their closure cells; emptying
-        # the cells breaks those cycles, so the sink is freed by reference
-        # counting rather than left to the cycle collector.
-        del decide, finish
     return sink.build()
 
 
@@ -475,26 +458,26 @@ def build_rda(priorities, n):
     rankings = model.rankings
     sink = _TreeSink(model)
 
-    def top(t, pool):
-        return _best(rankings[t], pool)
-
-    def expand(node, options, key_of, cur, exp, cont):
+    def moves(node, options, tag, public, cur, exp):
         """One simultaneous step; ``options`` maps each owner to her
         (label, action) pairs, of which those with an empty action are
         dropped.  An owner with one option left takes it silently and gets no
         node: claim/renounce, partner groups and asserted items each
         partition her current set, so that one action is the whole set.  The
-        others move at ``node``, and ``cont(node2, cur2, exp2, labels)``
-        receives a label for every owner."""
+        others move at ``node``, each in the set keyed by ``tag``, herself,
+        what ``public`` says and her own history.  Yields
+        ``(node2, cur2, exp2, labels)`` per branch, with a label for every
+        owner."""
         options = {o: [(label, act) for label, act in opts if act]
                    for o, opts in options.items()}
         labels = {o: opts[0][0] for o, opts in options.items() if len(opts) == 1}
         movers = [o for o, opts in options.items() if len(opts) > 1]
         if not movers:
-            cont(node, cur, exp, labels)
+            yield node, cur, exp, labels
             return
+        keys = {o: (tag, o, public, exp[o]) for o in movers}
         for o in movers:
-            sink.decision(key_of(o), o, node)
+            sink.decision(keys[o], o, node)
         for combo in itertools.product(*(options[o] for o in movers)):
             child = sink.child(node, {o: act for o, (_, act) in zip(movers, combo)})
             cur2 = dict(cur)
@@ -502,93 +485,80 @@ def build_rda(priorities, n):
             picked = dict(labels)
             for o, (label, act) in zip(movers, combo):
                 cur2[o] = act
-                exp2[o] = exp[o] + ((key_of(o), tuple(sorted(act))),)
+                exp2[o] = exp[o] + ((keys[o], tuple(sorted(act))),)
                 picked[o] = label
-            cont(child, cur2, exp2, picked)
+            yield child, cur2, exp2, picked
 
-    def stage(node, agents, items, standing, matched, cur, exp):
+    cur0 = {i: model.full_type_set(i) for i in range(n)}
+    exp0 = {i: () for i in range(n)}
+    stages = [(0, frozenset(range(n)), frozenset(range(n)), {}, {}, cur0, exp0)]
+    while stages:
+        node, agents, items, standing, matched, cur, exp = stages.pop()
         if not agents:
             sink.terminal(node, model.matching_index[tuple(matched[i] for i in range(n))])
-            return
+            continue
+        owner = {x: next(a for a in priorities[x] if a in agents) for x in items}
         owned = {}
         for x in items:
-            owned.setdefault(next(a for a in priorities[x] if a in agents), set()).add(x)
-        owned = {a: frozenset(xs) for a, xs in owned.items()}
+            owned.setdefault(owner[x], set()).add(x)
         sig = tuple(sorted((a, tuple(sorted(xs))) for a, xs in owned.items()))
+        # The owner of each type's favourite remaining item, by type.
+        top_owner = [owner[_best(r, items)] for r in rankings]
         actives = sorted(a for a in owned if a not in standing)
         if not actives:
             raise MechanismError("stage with no active owner")
         options = {}
         for o in actives:
-            claim = frozenset(t for t in cur[o] if top(t, items) in owned[o])
+            claim = frozenset(t for t in cur[o] if top_owner[t] == o)
             options[o] = (("claim", claim), ("renounce", cur[o] - claim))
-
-        def after_renounce(node2, cur2, exp2, labels):
+        # Each way the claims can go, as (node, cur, exp, standing, queue),
+        # the queue holding each trader with her menu in assertion order.
+        trades = []
+        for node2, cur2, exp2, labels in moves(node, options, "R", sig, cur, exp):
             claimers = [o for o in actives if labels[o] == "claim"]
             if claimers:
                 queue = [(o, owned[o]) for o in claimers]
-                assert_phase(node2, agents, items, standing, matched, cur2, exp2,
-                             sig, queue, [])
-            else:
-                designate(node2, agents, items, standing, matched, cur2, exp2,
-                          owned, sig)
-
-        expand(node, options, lambda o: ("R", o, sig, exp[o]), cur, exp, after_renounce)
-
-    def designate(node, agents, items, standing, matched, cur, exp, owned, sig):
-        # Designation runs only when every active owner renounced, so none of
-        # her types tops at her own items, and her current set is never empty:
-        # she has no action towards herself and at least one towards a partner.
-        options = {o: [(p, frozenset(t for t in cur[o] if top(t, items) in owned[p]))
-                       for p in sorted(owned)]
-                   for o in sorted(a for a in owned if a not in standing)}
-
-        def after_designate(node2, cur2, exp2, labels):
-            stand2 = dict(standing)
-            for o, p in labels.items():
-                stand2[o] = (p, owned[p])
-            cycle = _pointer_cycles({o: pm for o, (pm, _) in stand2.items()})
-            queue = [(o, stand2[o][1]) for o in sorted(cycle)]
-            assert_phase(node2, agents, items, stand2, matched, cur2, exp2,
-                         sig, queue, [])
-
-        expand(node, options, lambda o: ("D", o, sig, exp[o]), cur, exp, after_designate)
-
-    def assert_phase(node, agents, items, standing, matched, cur, exp, sig, queue, leavers):
-        if not queue:
+                trades.append((node2, cur2, exp2, standing, queue))
+                continue
+            # Designation runs only when every active owner renounced, so none
+            # of her types tops at her own items, and her current set is never
+            # empty: she has no action towards herself and at least one
+            # towards a partner.
+            designations = {o: [(p, frozenset(t for t in cur2[o] if top_owner[t] == p))
+                                for p in sorted(owned)]
+                            for o in actives}
+            for node3, cur3, exp3, partners in moves(node2, designations, "D", sig, cur2, exp2):
+                stand2 = dict(standing)
+                for o, p in partners.items():
+                    stand2[o] = (p, owned[p])
+                cycle = _pointer_cycles({o: pm for o, (pm, _) in stand2.items()})
+                queue = [(o, stand2[o][1]) for o in sorted(cycle)]
+                trades.append((node3, cur3, exp3, stand2, queue))
+        for node2, cur2, exp2, stand2, queue in trades:
+            branches = [(node2, cur2, exp2, ())]
+            for k, (o, menu) in enumerate(queue):
+                # The asserting owner observes her own history, the stage's
+                # ownership, who is still to trade in this stage and what
+                # the earlier leavers took; the designations of owners
+                # outside the trading cycle stay hidden.
+                later = tuple(a for a, _ in queue[k:])
+                asserted = []
+                for v, c, e, leavers in branches:
+                    picks = [(x, frozenset(t for t in c[o] if _best(rankings[t], menu) == x))
+                             for x in sorted(menu)]
+                    public = (sig, later, leavers)
+                    for v2, c2, e2, labels in moves(v, {o: picks}, "A", public, c, e):
+                        asserted.append((v2, c2, e2, leavers + ((o, labels[o]),)))
+                branches = asserted
             # End of the stage: the leavers go with their items, and standing
             # designations towards a leaver lapse.
-            agents2, items2 = set(agents), set(items)
-            matched2 = dict(matched)
-            stand2 = dict(standing)
-            for o, item in leavers:
-                matched2[o] = item
-                agents2.discard(o)
-                items2.discard(item)
-                stand2.pop(o, None)
-            for o in list(stand2):
-                if stand2[o][0] not in agents2:
-                    del stand2[o]
-            stage(node, frozenset(agents2), frozenset(items2), stand2, matched2, cur, exp)
-            return
-        (o, menu), rest = queue[0], queue[1:]
-        picks = [(x, frozenset(t for t in cur[o] if top(t, menu) == x)) for x in sorted(menu)]
-        # The asserting owner observes her own history, the stage's ownership,
-        # who trades in this stage and what the earlier leavers took; the
-        # designations of owners outside the trading cycle stay hidden.
-        public = (sig, tuple(a for a, _ in queue), tuple(leavers))
-        expand(node, {o: picks}, lambda o: ("A", o, public, exp[o]), cur, exp,
-               lambda node2, cur2, exp2, labels: assert_phase(
-                   node2, agents, items, standing, matched, cur2, exp2,
-                   sig, rest, leavers + [(o, labels[o])]))
-
-    cur0 = {i: model.full_type_set(i) for i in range(n)}
-    exp0 = {i: () for i in range(n)}
-    try:
-        stage(0, frozenset(range(n)), frozenset(range(n)), {}, {}, cur0, exp0)
-    finally:
-        # As in ``build_gstar``: break the cycles through the closure cells.
-        del stage, designate, assert_phase
+            for v, c, e, leavers in branches:
+                agents2 = agents - {o for o, _ in leavers}
+                items2 = items - {x for _, x in leavers}
+                lasting = {o: d for o, d in stand2.items() if o in agents2 and d[0] in agents2}
+                matched2 = dict(matched)
+                matched2.update(leavers)
+                stages.append((v, agents2, items2, lasting, matched2, c, e))
     return sink.build()
 
 

@@ -1009,11 +1009,12 @@ def apply_uncoalesce_oracle(mech, t):
     if iset is None:
         raise MechanismError("uncoalesce: no such information set for that agent")
     chosen = tuple(t.actions)
-    if len(chosen) < 2 or any(a not in iset.actions for a in chosen):
+    chosen_set = set(chosen)
+    if (len(chosen) < 2 or len(chosen_set) < len(chosen)
+            or any(a not in iset.actions for a in chosen)):
         raise MechanismError("uncoalesce: need two or more actions from the menu")
     i = t.agent
     union = frozenset().union(*chosen)
-    chosen_set = set(chosen)
 
     nodes = _raw_nodes(mech)
     new_infoset = []

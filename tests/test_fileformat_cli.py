@@ -545,10 +545,10 @@ def test_cli_bad_arguments_exit_two(case, tmp_path, capsys):
 
 
 def test_recursive_walks_leave_no_cyclic_garbage():
-    """Parsing (a breadth-first loop), serializing and the recursive
-    generators, which clear their nested walks on exit, leave nothing that
-    reference counting does not free: with the collector off, a collection
-    after each call, its result dropped, finds nothing."""
+    """Parsing (a breadth-first loop), serializing and the tree builders
+    (loops over a stack of pending states) leave nothing that reference
+    counting does not free: with the collector off, a collection after
+    each call, its result dropped, finds nothing."""
     text = serialize_mechanism(gm.build_gstar(4, 4), gm.second_price_scf(4, 4)[1])
     g33 = gm.build_gstar(3, 3)
     pr = gm.all_priority_structures(3)[0]
@@ -690,6 +690,11 @@ PINNED_ERRORS = {
     "reduce-without-scf": (["reduce", "-"], "{g3 without scf}",
                            "document carries no 'scf' table"),
     "outcome-named-twice": (["check-ic", "-"], ONE_OUTCOME_TWICE, "duplicate outcome names"),
+    "uncoalesce-action-repeated": (["transform", "-", "--kind", "uncoalesce", "--agent",
+                                    "voter1", "--infoset", "0", "--action", "M|M"],
+                                   "{g3}", "uncoalesce: need two or more actions from the menu"),
+    "random-steps-negative": (["gen", "random", "--steps", "-1"], "",
+                              "--steps must be at least 0"),
 }
 STDIN_TEXTS = {"{g3}": G3_TEXT, "{g3 without scf}": G3_WITHOUT_SCF}
 

@@ -74,6 +74,7 @@ REJECTED = {
     "unsplit-outcomes-differ": ("split-g1", Unsplit(1, 4), "outcomes differ"),
     "uncoalesce-one-action": ("split-g1", Uncoalesce(1, 4, (L,)), "two or more"),
     "uncoalesce-action-off-menu": ("split-g1", Uncoalesce(1, 4, (L, M | R)), "two or more"),
+    "uncoalesce-action-repeated": ("split-g1", Uncoalesce(1, 4, (L, M, L)), "two or more"),
 }
 
 APPLIED = {

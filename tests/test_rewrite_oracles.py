@@ -90,6 +90,20 @@ def test_rewrite_matches_the_raw_list_oracle(kind, mechanisms):
     assert compare_rewrites(kind, mechanisms) > 0
 
 
+@pytest.mark.parametrize("actions", [("M", "M"), ("LR", "M", "LR")])
+def test_uncoalesce_refuses_a_repeated_action(actions):
+    """A record naming an action twice defers fewer actions than it lists;
+    the library and its oracle refuse it alike.  On g1, voter1's root set
+    offers M and L,R."""
+    menu = {"M": frozenset({1}), "LR": frozenset({0, 2})}
+    t = gm.Uncoalesce(0, 0, tuple(menu[a] for a in actions))
+    g1 = gm.voting_examples()[2]["g1"]
+    for apply in REWRITES["uncoalesce"]:
+        with pytest.raises(MechanismError) as err:
+            apply(g1, t)
+        assert str(err.value) == "uncoalesce: need two or more actions from the menu"
+
+
 if __name__ == "__main__":
     from conftest import build_full_corpus
 
