@@ -45,6 +45,12 @@ def test_sd_scf_matches_direct_oracle():
     model, f = gm.serial_dictatorship_scf(3)
     for profile in model.profiles():
         assert f[profile] == model.matching_index[sd_assignment(model, [0, 1, 2], profile)]
+    for n in (2, 3):
+        for order in itertools.permutations(range(n)):
+            model, f = gm.serial_dictatorship_scf(n, order)
+            for profile in model.profiles():
+                assert f[profile] == model.matching_index[sd_assignment(model, order, profile)], \
+                    (n, order, profile)
 
 
 def test_sd_pair_truthful_tables_equal(sd_pair):
