@@ -64,18 +64,6 @@ def _coverage(masks):
     return seen, twice
 
 
-def _rank_table(model, j, t, by_outcome):
-    """Prefix ORs of ``by_outcome``'s masks in the level order of type t of
-    agent j, from one pass that groups them by level: entry k covers the
-    outcomes t ranks strictly above level k, and the last entry all of them,
-    so the last entry XOR entry k + 1 covers those ranked strictly below."""
-    levels = model.levels(j, t)
-    grouped = [0] * len(model.order(j, t).levels)
-    for x, mask in by_outcome.items():
-        grouped[levels[x]] |= mask
-    return list(itertools.accumulate(grouped, operator.or_, initial=0))
-
-
 class _Harm:
     """The partners that harm an agent's truthful comparison with a first
     terminal, as bitmasks over terminal ids.
@@ -84,7 +72,7 @@ class _Harm:
     types at z1 ranks x2 strictly above x1, or one of j's types at z2 ranks
     x2 strictly below x1.  Per agent j and type t, one rank table gives, for
     every level of t, the terminals whose outcome t ranks strictly above it
-    and those it ranks strictly below it (``_rank_table``).  The partners of
+    and those it ranks strictly below it (``_ranks``).  The partners of
     z1 are then an OR, at x1's level, of the first over j's types at z1 and
     of the second ANDed with the terminals holding t, over every type t;
     both ORs are memoized.  So a scan builds at most one rank table per
@@ -105,12 +93,20 @@ class _Harm:
         self._partners = {}
 
     def _ranks(self, j, t, x1):
-        """(terminals whose outcome t ranks above x1, those it ranks below)."""
+        """(terminals whose outcome t ranks above x1, those it ranks below).
+        The rank table of (j, t) holds the prefix ORs of the terminals'
+        masks grouped by t's levels: entry k covers the outcomes t ranks
+        strictly above level k, and the last entry all of them, so the last
+        entry XOR entry k + 1 covers those ranked strictly below."""
         table = self._tables.get((j, t))
         if table is None:
             model = self.mech.model
+            levels = model.levels(j, t)
+            grouped = [0] * len(model.order(j, t).levels)
+            for x, mask in self.by_outcome.items():
+                grouped[levels[x]] |= mask
             table = self._tables[j, t] = (
-                model.levels(j, t), _rank_table(model, j, t, self.by_outcome))
+                levels, list(itertools.accumulate(grouped, operator.or_, initial=0)))
         levels, ranked = table
         k = levels[x1]
         return ranked[k], ranked[-1] ^ ranked[k + 1]
@@ -146,9 +142,9 @@ class _Settled:
     indifferent over all the outcomes below it.  The outcomes below each
     node are one bitmask (``Mechanism.outcome_masks``).  Per agent and
     outcome x, ``_common`` holds the outcomes that every type of hers puts
-    on x's level, read off the types' rank tables over single outcomes; the
-    history settles her iff its mask lies inside that mask for its lowest
-    outcome."""
+    on x's level: the AND, over her types, of the outcomes on the type's
+    level of x, grouped by level from its level table.  The history settles
+    her iff its mask lies inside that mask for its lowest outcome."""
 
     def __init__(self, mech):
         self.model = mech.model
@@ -159,14 +155,15 @@ class _Settled:
         common = self._common.get(j)
         if common is None:
             model = self.model
-            each = {x: 1 << x for x in range(model.n_outcomes())}
-            common = self._common[j] = [~0] * len(each)
+            outcomes = range(model.n_outcomes())
+            common = self._common[j] = [~0] * len(outcomes)
             for t in model.all_types(j):
                 levels = model.levels(j, t)
-                ranked = _rank_table(model, j, t, each)
-                for x in each:
-                    k = levels[x]
-                    common[x] &= ranked[k + 1] ^ ranked[k]
+                same = [0] * len(model.order(j, t).levels)
+                for x in outcomes:
+                    same[levels[x]] |= 1 << x
+                for x in outcomes:
+                    common[x] &= same[levels[x]]
         mask = self.under[h]
         low = (mask & -mask).bit_length() - 1
         return not mask & ~common[low]
@@ -178,18 +175,14 @@ def _first_harmed(mech, kind, agents, reactor, z1, z2, infosets, detail):
     types go in ascending order.  The scans find the first harmful pair with
     masks and run this once, on that pair, to name the agent and type."""
     model = mech.model
-    x1, x2 = mech.outcome[z1], mech.outcome[z2]
     for agent in agents:
-        for t in sorted(mech.theta[z1][agent]):
-            if not model.weakly_prefers(agent, t, x1, x2):
-                return Witness(kind, agent, reactor, z1, z2,
-                               _first_profile(mech, z1, agent, t), _first_profile(mech, z2),
-                               x1, x2, infosets=infosets, detail=detail)
-        for t in sorted(mech.theta[z2][agent]):
-            if not model.weakly_prefers(agent, t, x2, x1):
-                return Witness(kind, agent, reactor, z2, z1,
-                               _first_profile(mech, z2, agent, t), _first_profile(mech, z1),
-                               x2, x1, infosets=infosets[::-1], detail=detail)
+        for za, zb, sets in ((z1, z2, infosets), (z2, z1, infosets[::-1])):
+            xa, xb = mech.outcome[za], mech.outcome[zb]
+            for t in sorted(mech.theta[za][agent]):
+                if not model.weakly_prefers(agent, t, xa, xb):
+                    return Witness(kind, agent, reactor, za, zb,
+                                   _first_profile(mech, za, agent, t), _first_profile(mech, zb),
+                                   xa, xb, infosets=sets, detail=detail)
     raise AssertionError("the pair harms none of the agents")
 
 
@@ -232,15 +225,13 @@ def is_ic(mech, f):
     return Verdict(True)
 
 
-def _divergence(mech, others, h1, s2, under2, seqs):
+def _divergence(mech, others, h1, s2, under2):
     """Relaxed RP, for a first history h1 and second set s2: per member h2,
     the agents of ``others`` whose information-set sequences up to h1 and h2
     differ; and per agent of ``others``, the terminals under the members
-    whose divergence is at most hers.  ``seqs`` memoizes the sequences per
-    node for one scan."""
-    for h in (h1, *s2.nodes):
-        if h not in seqs:
-            seqs[h] = [tuple(e[0] for e in exp[h]) for exp in mech.experience]
+    whose divergence is at most hers."""
+    seqs = {h: [tuple(e[0] for e in exp[h]) for exp in mech.experience]
+            for h in (h1, *s2.nodes)}
     divergent = {h2: {k for k in others if seqs[h1][k] != seqs[h2][k]} for h2 in s2.nodes}
     allowed = [0] * len(others)
     for h2, div in divergent.items():
@@ -267,10 +258,9 @@ def is_rp(mech, f, relaxed=False):
     comparison with z1, built as in ``is_ic`` over ``later``, the terminals
     under every k2.  A row depends on k2 only through a final AND, so a pair
     (k1, k2) costs one AND per row and agent, with k2's terminals or, in
-    ``relaxed`` mode, with those j may react on (``_divergence``), and none
-    at all when k2's terminals miss the OR of every row.  The pairs stay in
-    canonical order, k2 by k2 and then z1 by z1, so the first hit is the
-    pair scan's.  Its second terminals go in the tree order of
+    ``relaxed`` mode, with those j may react on (``_divergence``).  The
+    pairs stay in canonical order, k2 by k2 and then z1 by z1, so the first
+    hit is the pair scan's.  Its second terminals go in the tree order of
     ``terminals_under`` over k2's members, not in id order: the witness
     comes from the first member whose terminals meet the row and the first
     of its terminals in that order.
@@ -279,7 +269,6 @@ def is_rp(mech, f, relaxed=False):
     n = mech.model.n_agents
     harm = _Harm(mech)
     below = mech.subtree_masks()
-    seqs = {}
     for (i, k1), pairs in itertools.groupby(siblings_same_action(mech), lambda p: p[:2]):
         others = [j for j in range(n) if j != i]
         seconds, later = [], 0
@@ -290,7 +279,7 @@ def is_rp(mech, f, relaxed=False):
                 in_t2 |= mask
             seconds.append((k2, under2, in_t2))
             later |= in_t2
-        rows, hit = [], 0  # (h1, [(z1, one mask per others)]), and their OR
+        rows = []  # (h1, [(z1, one mask per others)])
         for h1 in mech.infosets[k1].nodes:
             row = []
             for z1 in mech.terminals_under(h1):
@@ -304,20 +293,17 @@ def is_rp(mech, f, relaxed=False):
                     checked = mask & qualify | free
                     if checked:
                         checked &= harm.partners(j, z1)
-                        hit |= checked
                     per_j.append(checked)
                 if any(per_j):
                     row.append((z1, per_j))
             if row:
                 rows.append((h1, row))
         for k2, under2, in_t2 in seconds:
-            if not hit & in_t2:
-                continue
             s2 = mech.infosets[k2]
             allowed = [in_t2] * len(others)
             for h1, row in rows:
                 if relaxed:
-                    divergent, allowed = _divergence(mech, others, h1, s2, under2, seqs)
+                    divergent, allowed = _divergence(mech, others, h1, s2, under2)
                 for z1, per_j in row:
                     harmful = 0
                     for mask, ok in zip(per_j, allowed):
@@ -355,7 +341,6 @@ def is_irp(mech, f):
     _require_valid(mech, f)
     n = mech.model.n_agents
     settled = _Settled(mech)
-    unsettled = {}  # (j, k) -> the members of set k at which j is unsettled
     for (i, k1), pairs in itertools.groupby(siblings_same_action(mech), lambda p: p[:2]):
         others = [j for j in range(n) if j != i]
         k2s = [k2 for _, _, k2 in pairs]
@@ -373,14 +358,11 @@ def is_irp(mech, f):
             if row:
                 rows.append((h1, row))
         for k2 in k2s:
+            members = mech.infosets[k2].nodes
             for h1, row in rows:
                 bad = 0
                 for j, mask in row:
-                    u = unsettled.get((j, k2))
-                    if u is None:
-                        u = unsettled[j, k2] = sum(1 << h for h in mech.infosets[k2].nodes
-                                                   if not settled(j, h))
-                    bad |= mask & u
+                    bad |= mask & sum(1 << h for h in members if not settled(j, h))
                 if bad:
                     h2 = (bad & -bad).bit_length() - 1
                     masks = mech.conflict_masks(h1)

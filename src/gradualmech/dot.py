@@ -21,7 +21,7 @@ def export_dot(mech):
             label = f"{v}\\n{model.outcome_names[mech.outcome[v]]}"
             lines.append(f'  n{v} [shape=box, label="{_esc(label)}"];')
         else:
-            acting = ",".join(model.agent_names[a] for a in mech.acting[v])
+            acting = ",".join(model.agent_names[a] for a in mech.menus[v])
             lines.append(f'  n{v} [label="{_esc(f"{v}")}", xlabel="{_esc(acting)}"];')
 
     for v in range(mech.n_nodes()):

@@ -56,14 +56,14 @@ class Mechanism:
 
     The tree tables depend on the history tree alone: ``parent``, ``step``,
     ``children`` (a ``range`` of ids per node), ``terminals``, ``theta``,
-    ``menus``, ``acting`` and in ``_tree`` each node's step number with the
-    step table (numbers, keys and the keys' texts), which ``canonical_tree``
-    fills in its one pass; a rewrite's copy starts from a copy of its
-    input's step table and shares with its input the rows, steps and menus
-    of the children it keeps.  Then
-    ``outcome``, which the caller of the pass reads off its input; then the
-    fingerprint's tree text and the lazily built tables, each built by
-    whichever mechanism on the tree asks first.  The partition tables depend
+    ``menus`` (whose keys are each node's acting agents) and in ``_tree``
+    each node's step number with the step table (numbers, keys and the
+    keys' texts), which ``canonical_tree`` fills in its one pass; a
+    rewrite's copy starts from a copy of its input's step table and shares
+    with its input the rows, steps and menus of the children it keeps.
+    Then ``outcome``, which the caller of the pass reads off its input;
+    then the fingerprint's tree text and the lazily built tables, each built
+    by whichever mechanism on the tree asks first.  The partition tables depend
     on the information sets too: ``infosets``, ``node_iset``,
     ``experience``, the conflict maps and the ``validate`` report.
     ``regroup`` shares the first and builds only the second.
@@ -83,7 +83,7 @@ class Mechanism:
         ``infoset_groups`` in its canonical ids."""
         self.model = model
         (self.parent, self.step, self.children, self.terminals, self.theta,
-         self.menus, self.acting, self._tree) = tree
+         self.menus, self._tree) = tree
         self.outcome = outcome
         self._partition(infoset_groups)
 
@@ -357,12 +357,12 @@ def canonical_tree(model, root, edges, origin=None):
     key, stably, so ties keep the caller's order, and numbers the children
     in that order; equal steps share the first one's tuple.  It fills the
     tables as it goes and returns them as (``parent``, ``step``,
-    ``children``, ``terminals``, ``theta``, ``menus``, ``acting``,
-    ``_tree``).  Each distinct step gets a number when first met.  ``_tree``
-    holds per node its step's number (``ids``) and the step table: per
-    number its step key (``keys``), the root's number 0 with the key None,
-    the keys' texts as far as a fingerprint has written them (``texts``) and
-    each step's entry (``numbers``).
+    ``children``, ``terminals``, ``theta``, ``menus``, ``_tree``).  Each
+    distinct step gets a number when first met.  ``_tree`` holds per node
+    its step's number (``ids``) and the step table: per number its step key
+    (``keys``), the root's number 0 with the key None, the keys' texts as
+    far as a fingerprint has written them (``texts``) and each step's entry
+    (``numbers``).
 
     ``origin``, a mechanism the tree is copied from (``transforms._copy``),
     lends the pass its work in two ways.  The copy starts from a copy of the
@@ -387,13 +387,13 @@ def canonical_tree(model, root, edges, origin=None):
     table = {"numbers": {}, "keys": (None,), "texts": ()} if origin is None else origin._tree
     keyed, keys, texts = dict(table["numbers"]), list(table["keys"]), table["texts"]
     parent, step, ids, theta = [None], [None], [0], [full]
-    children, terminals, menus, acting = [], [], [], []
+    children, terminals, menus = [], [], []
     # Each node's menu, {acting agent: her distinct actions}, with the
-    # actions in the order step_key sorts them: the children's own order
-    # wherever they form the full product.  The children's steps determine
-    # the menu, so nodes whose children carry the same steps share one menu
-    # and one ``acting`` tuple, keyed by the steps' numbers; terminals share
-    # an empty one.
+    # agents in ascending order and the actions in the order step_key sorts
+    # them: the children's own order wherever they form the full product.
+    # The children's steps determine the menu, so nodes whose children carry
+    # the same steps share one menu, keyed by the steps' numbers; terminals
+    # share an empty one.
     shared, no_menu = {}, {}
     handles = [root]
     for v, handle in enumerate(handles):  # ``handles`` grows as v advances
@@ -418,7 +418,6 @@ def canonical_tree(model, root, edges, origin=None):
                 theta += (origin.theta[lo:hi] if row == origin.theta[o]
                           else [_moved(row, s) for s in origin.step[lo:hi]])
                 menus.append(origin.menus[o])
-                acting.append(origin.acting[o])
                 continue
             out = []
         kids = []
@@ -433,7 +432,6 @@ def canonical_tree(model, root, edges, origin=None):
         if not kids:
             terminals.append(v)
             menus.append(no_menu)
-            acting.append(())
             continue
         kids.sort(key=itemgetter(0))
         row = theta[v]
@@ -447,17 +445,16 @@ def canonical_tree(model, root, edges, origin=None):
                 moved[agent] = action
             theta.append(tuple(moved))
         steps = tuple([e[2] for e, _ in kids])
-        entry = shared.get(steps)
-        if entry is None:
+        menu = shared.get(steps)
+        if menu is None:
             menu = {}
             for agent, action in frozenset([p for (_, s, _), _ in kids for p in s]):
                 menu.setdefault(agent, []).append(action)
-            menu = {a: tuple(sorted(acts, key=sorted)) for a, acts in sorted(menu.items())}
-            entry = shared[steps] = (menu, tuple(menu))
-        menus.append(entry[0])
-        acting.append(entry[1])
+            menu = shared[steps] = {a: tuple(sorted(acts, key=sorted))
+                                    for a, acts in sorted(menu.items())}
+        menus.append(menu)
     return (tuple(parent), tuple(step), tuple(children), tuple(terminals), tuple(theta),
-            tuple(menus), tuple(acting),
+            tuple(menus),
             {"ids": tuple(ids), "numbers": keyed, "keys": tuple(keys), "texts": texts})
 
 
@@ -614,7 +611,7 @@ def _tree_rules(mech):
                 report.append(
                     f"node {v}: agent {a} actions do not partition her current set")
 
-    if mech.children[0] and mech.acting[0] != tuple(range(mech.model.n_agents)):
+    if mech.children[0] and list(mech.menus[0]) != list(range(mech.model.n_agents)):
         report.append("root: every agent must be active at the initial history")
 
     # No separate check that the terminals partition the profile space: the
@@ -631,11 +628,11 @@ def _tree_rules(mech):
 def _partition_rules(mech):
     report = []
     # Information sets: exact partition of each agent's decision nodes, which
-    # are read off ``acting`` in one pass.
+    # are read off the menus' keys in one pass.
     n_agents = mech.model.n_agents
     decides = [set() for _ in range(n_agents)]
-    for v, agents in enumerate(mech.acting):
-        for a in agents:
+    for v, menu in enumerate(mech.menus):
+        for a in menu:
             decides[a].add(v)
     covered = [[] for _ in range(n_agents)]
     for s in mech.infosets:
@@ -689,12 +686,10 @@ def siblings_same_action(mech):
         if pred is None:
             continue
         groups.setdefault((iset.agent, pred, action), []).append(k)
+    # Each group lists its sets in ascending order, as they were met.
     out = []
     for (agent, _, _), ks in sorted(groups.items(), key=lambda kv: (kv[0][0], kv[0][1])):
-        ks.sort()
-        for a_idx in range(len(ks)):
-            for b_idx in range(a_idx + 1, len(ks)):
-                out.append((agent, ks[a_idx], ks[b_idx]))
+        out.extend((agent, k1, k2) for k1, k2 in itertools.combinations(ks, 2))
     return out
 
 

@@ -176,19 +176,12 @@ def _best(ranking, pool):
 
 
 def serial_dictatorship_scf(n=3, order=None):
-    """Agents pick their favorite remaining item in the given order."""
-    model = matching_model(n)
-    order = list(order) if order is not None else list(range(n))
-    outcomes = []
-    for profile in model.profiles():
-        remaining = set(range(n))
-        assignment = [None] * n
-        for i in order:
-            pick = _best(model.rankings[profile[i]], remaining)
-            assignment[i] = pick
-            remaining.discard(pick)
-        outcomes.append(model.matching_index[tuple(assignment)])
-    return model, ScfTable(model, outcomes)
+    """Agents pick their favorite remaining item in the given order: the
+    trading-cycles SCF when every item ranks the agents in that order.  The
+    first remaining agent then owns every remaining item, so she points at
+    her own favorite and trades alone."""
+    order = tuple(order) if order is not None else tuple(range(n))
+    return ttc_scf((order,) * n, n)
 
 
 def serial_dictatorship_pair():

@@ -61,6 +61,11 @@ class TypeModel:
             f"agent{i}" for i in range(self.n_agents))
         if len(self.agent_names) != self.n_agents:
             raise ValueError("agent_names length mismatch")
+        # Documents refer to agents, types and outcomes by name, so names
+        # must not repeat: agent names, each agent's type names (below) and
+        # outcome names.
+        if len(set(self.agent_names)) != self.n_agents:
+            raise ValueError("duplicate agent names")
         if len(set(self.outcome_names)) != len(self.outcome_names):
             raise ValueError("duplicate outcome names")
         self.prefs = tuple(tuple(p) for p in prefs)
@@ -70,6 +75,8 @@ class TypeModel:
         for i, per_type in enumerate(self.prefs):
             if len(per_type) != len(self.type_names[i]):
                 raise ValueError(f"agent {i}: one weak order per type required")
+            if len(set(self.type_names[i])) != len(per_type):
+                raise ValueError(f"agent {i}: duplicate type names")
             for order in per_type:
                 if order.outcomes() != full:
                     raise ValueError(f"agent {i}: weak order does not cover all outcomes")

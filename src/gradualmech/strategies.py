@@ -55,7 +55,7 @@ def play(mech, strategies):
     v = 0
     while not mech.is_terminal(v):
         parts = {}
-        for a in mech.acting[v]:
+        for a in mech.menus[v]:
             k = mech.node_iset.get((a, v))
             if k is None:
                 raise MechanismError(f"node {v}: agent {a} has no information set")

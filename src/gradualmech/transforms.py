@@ -86,12 +86,12 @@ def _copy(mech, root, edges):
         return out
 
     tree = canonical_tree(mech.model, root, visit, mech)
-    terminals, acting = tree[3], tree[6]
+    terminals, menus = tree[3], tree[5]
     outcome = {z: mech.outcome[origins[z]] for z in terminals}
     members = [[] for _ in mech.infosets]
     fresh = {}  # agent -> her new decisions
-    for v, agents in enumerate(acting):
-        for a in agents:
+    for v, menu in enumerate(menus):
+        for a in menu:
             k = mech.node_iset.get((a, origins[v]))
             if k is None:
                 fresh.setdefault(a, []).append(v)
@@ -222,7 +222,7 @@ def apply_coalesce(mech, t):
         v, branch = handle
         if branch is not None and v in target_nodes:
             kept = [c for c in children[v] if (i, branch) in step[c]]
-            if mech.acting[v] != (i,):
+            if len(mech.menus[v]) > 1:
                 return v, [(tuple(p for p in step[c] if p[0] != i), (c, None))
                            for c in kept]
             # The agent moved alone there: splice her step out entirely.

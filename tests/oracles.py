@@ -41,7 +41,7 @@ def partition_walk_oracle(mech):
         v = 0
         while not mech.is_terminal(v):
             want = {}
-            for a in mech.acting[v]:
+            for a in mech.menus[v]:
                 opts = [dict(mech.step[c])[a] for c in mech.children[v]
                         if a in dict(mech.step[c])]
                 match = [o for o in set(opts) if profile[a] in o]
@@ -120,7 +120,7 @@ def validate_oracle(mech):
     # Information sets: exact partition of each agent's decision nodes.
     for i in range(model.n_agents):
         decision_nodes = {v for v in range(n)
-                          if not mech.is_terminal(v) and i in mech.acting[v]}
+                          if not mech.is_terminal(v) and i in mech.menus[v]}
         covered = []
         for k in mech.agent_infosets(i):
             covered.extend(mech.infosets[k].nodes)
@@ -189,7 +189,7 @@ def tree_rules_oracle(mech):
                 report.append(
                     f"node {v}: agent {a} actions do not partition her current set")
 
-    if mech.children[0] and mech.acting[0] != tuple(range(mech.model.n_agents)):
+    if mech.children[0] and list(mech.menus[0]) != list(range(mech.model.n_agents)):
         report.append("root: every agent must be active at the initial history")
 
     # No separate check that the terminals partition the profile space: the
@@ -205,7 +205,7 @@ def tree_rules_oracle(mech):
 
 def partition_rules_oracle(mech):
     """``validate``'s partition rules as they were before each agent's
-    decision nodes were read off ``acting`` in one pass and each member
+    decision nodes were read off the menus in one pass and each member
     compared with the first: one pass over the menus per agent, and a set
     of the members' menus and of their experience chains per information
     set."""
@@ -940,15 +940,15 @@ def apply_coalesce_walk_oracle(mech, t):
         None, and a target node is met only with a branch pending."""
         if branch is not None and old in target_nodes:
             kept = [c for c in mech.children[old] if (i, branch) in mech.step[c]]
-            if mech.acting[old] == (i,):
+            if mech.menus[old].keys() == {i}:
                 # The agent moved alone there: splice her step out entirely.
                 copy(kept[0], parent_new, step, None)
                 return
-            new = add(parent_new, step, old, [a for a in mech.acting[old] if a != i])
+            new = add(parent_new, step, old, [a for a in mech.menus[old] if a != i])
             for c in kept:
                 copy(c, new, tuple(p for p in mech.step[c] if p[0] != i), None)
             return
-        new = add(parent_new, step, old, mech.acting[old])
+        new = add(parent_new, step, old, mech.menus[old])
         if old in mech.outcome:
             outcomes[new] = mech.outcome[old]
         in_source = branch is None and old in source_nodes
@@ -1305,20 +1305,19 @@ def build_mechanism_oracle(model, nodes, infoset_groups, outcomes):
         for agent, action in step[v]:
             row[agent] = action
         theta.append(tuple(row))
-    rows, shared = [], {None: ({}, ())}
+    menus, shared = [], {None: {}}
     for c in kids:
         pairs = frozenset([p for k in c for p in step[k]]) if c else None
-        row = shared.get(pairs)
-        if row is None:
+        menu = shared.get(pairs)
+        if menu is None:
             menu = {}
             for agent, action in pairs:
                 menu.setdefault(agent, []).append(action)
-            menu = {a: tuple(sorted(acts, key=sorted)) for a, acts in sorted(menu.items())}
-            row = shared[pairs] = (menu, tuple(menu))
-        rows.append(row)
+            menu = shared[pairs] = {a: tuple(sorted(acts, key=sorted))
+                                    for a, acts in sorted(menu.items())}
+        menus.append(menu)
     tree = (parent, step, tuple(map(tuple, kids)),
-            tuple(v for v in range(n) if not kids[v]), tuple(theta),
-            tuple(menu for menu, _ in rows), tuple(agents for _, agents in rows),
+            tuple(v for v in range(n) if not kids[v]), tuple(theta), tuple(menus),
             _step_tables((node_step[old], node_key[old]) for old in order))
     return Mechanism(model, tree, outcome, groups)
 

@@ -34,7 +34,7 @@ PROBE_STRIDE = 16
 
 def tables(mech):
     return (mech.parent, mech.step, mech.children, mech.terminals, mech.theta,
-            mech.menus, mech.acting, mech.canonical_form(), mech.outcome,
+            mech.menus, mech.canonical_form(), mech.outcome,
             [(s.agent, s.nodes) for s in mech.infosets], mech.experience,
             mech.fingerprint())
 

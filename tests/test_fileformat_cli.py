@@ -670,6 +670,13 @@ G3_WITHOUT_SCF = json.dumps({k: v for k, v in json.loads(G3_TEXT).items() if k !
 ONE_OUTCOME_TWICE = json.dumps({
     "format": "gm/1", "agents": ["a"], "types": [["t"]], "outcomes": ["x", "x"],
     "preferences": [[[["x"]]]], "tree": {"id": 0, "outcome": "x"}, "infosets": []})
+G3_DOC = json.loads(G3_TEXT)
+
+
+def g3_with(**entries):
+    """The g3 document with some of its top-level entries replaced."""
+    return json.dumps({**G3_DOC, **entries})
+
 
 # Input checks whose whole error line is pinned; "{g3}" and "{g3 without scf}"
 # stand for those documents on stdin.
@@ -695,6 +702,15 @@ PINNED_ERRORS = {
                                    "{g3}", "uncoalesce: need two or more actions from the menu"),
     "random-steps-negative": (["gen", "random", "--steps", "-1"], "",
                               "--steps must be at least 0"),
+    "agent-named-twice": (["check-ic", "-"], g3_with(agents=["voter1", "voter1"]),
+                          "duplicate agent names"),
+    "type-named-twice": (["check-ic", "-"],
+                         g3_with(types=[G3_DOC["types"][0], ["L", "L", "R"]]),
+                         "agent 1: duplicate type names"),
+    "preferences-short": (["check-ic", "-"],
+                          g3_with(preferences=[G3_DOC["preferences"][0],
+                                               G3_DOC["preferences"][1][:2]]),
+                          "agent voter2: one weak order per type required"),
 }
 STDIN_TEXTS = {"{g3}": G3_TEXT, "{g3 without scf}": G3_WITHOUT_SCF}
 

@@ -33,7 +33,6 @@ def loaded(mech, f):
         "set_menus": set_menus,
         "children": tuple(map(tuple, mech.children)),
         "terminals": mech.terminals,
-        "acting": mech.acting,
         "menus": mech.menus,
         "validate": list(validate(mech)),
         "scf": None if f is None else f.outcomes,

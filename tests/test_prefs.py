@@ -147,3 +147,14 @@ def test_type_model_refuses_shapes_that_do_not_match():
         TypeModel(types, outcomes, [orders])
     with pytest.raises(ValueError, match="^agent 1: one weak order per type required$"):
         TypeModel(types, outcomes, [orders, orders[:1]])
+
+
+def test_type_model_refuses_duplicate_names():
+    """A document keys each step by agent name and each action by type name,
+    so a model whose names repeat could not be written and read back."""
+    orders = [WeakOrder([{0}, {1}]), WeakOrder([{1}, {0}])]
+    types, outcomes = [["a", "b"], ["c", "d"]], ["x", "y"]
+    with pytest.raises(ValueError, match="^duplicate agent names$"):
+        TypeModel(types, outcomes, [orders, orders], agent_names=["v", "v"])
+    with pytest.raises(ValueError, match="^agent 1: duplicate type names$"):
+        TypeModel([["a", "b"], ["c", "c"]], outcomes, [orders, orders])

@@ -60,7 +60,6 @@ def check_tables(name, mech, max_pair_nodes):
     assert mech.experience == experience, name
     assert [frozenset(s.actions) for s in mech.infosets] == menus, name
     assert list(mech.menus) == node_menus_oracle(mech), name
-    assert mech.acting == tuple(tuple(m) for m in node_menus_oracle(mech)), name
     n = mech.n_nodes()
     if n <= max_pair_nodes:
         for u, v in itertools.product(range(n), repeat=2):

@@ -5,8 +5,8 @@
 overlapping actions once per distinct tuple of children's steps, and keeps
 per node only the outcome placement and the test that the actions cover the
 node's current set.  ``_partition_rules`` reads each agent's decision nodes
-off ``acting`` in one pass and compares each member of an information set
-with the first.  The reports are compared on the acceptance corpus, on the
+off the menus' keys in one pass and compares each member of an information
+set with the first.  The reports are compared on the acceptance corpus, on the
 malformed documents that parse, on hand-broken mechanisms that reach every
 message, and on each one's ``build_mechanism_oracle`` twin, whose builder
 shares one menu among nodes whose children's steps differ.  Two of the
@@ -151,14 +151,14 @@ def test_repeated_children_steps_are_decided_per_node():
     message at one of two nodes, and two nodes that the twin's builder
     gives one menu but that break different rules."""
     mech = same_steps_same_rule()
-    nodes = [v for v in range(mech.n_nodes()) if mech.acting[v] == (1,)]
+    nodes = [v for v in range(mech.n_nodes()) if list(mech.menus[v]) == [1]]
     assert len(nodes) == 2
     assert len({tuple(mech.step[c] for c in mech.children[v]) for v in nodes}) == 1
     assert same_reports(mech, "same rule") == [
         f"node {v}: agent 1 has overlapping actions" for v in nodes]
 
     mech = same_steps_other_current_set()
-    nodes = [v for v in range(mech.n_nodes()) if mech.acting[v] == (1,)]
+    nodes = [v for v in range(mech.n_nodes()) if list(mech.menus[v]) == [1]]
     assert same_reports(mech, "other set") == [
         f"node {nodes[0]}: agent 1 actions do not partition her current set"]
 
