@@ -59,6 +59,14 @@ def test_sd_pair_truthful_tables_equal(sd_pair):
     assert gm.implemented_scf(bad) == f
 
 
+def test_sd_good_tree_is_the_common_priority_trading_tree(sd_pair):
+    """The good serial dictatorship is the staged trading tree when every
+    item ranks the agents 0, 1, 2, node for node."""
+    good = sd_pair[0]
+    assert gm.mechanisms_equal(good, gm.build_rda(((0, 1, 2),) * 3, 3))
+    assert good.fingerprint()[:16] == "4880b401ddba6545"
+
+
 def test_rda_validates_and_matches_ttc_everywhere():
     for n in (2, 3):
         for pr in gm.all_priority_structures(n):
