@@ -23,7 +23,7 @@ from .dot import export_dot
 from .fileformat import (ParseError, dumps, load_mechanism, parse_mechanism,
                          serialize_mechanism)
 from .gameform import MechanismError, implemented_scf, validate
-from .generators import (build_gstar, build_rda, direct_mechanism,
+from .generators import (build_gstar, build_rda, check_priorities, direct_mechanism,
                          random_transformed_mechanism, serial_dictatorship_pair,
                          voting_examples)
 from .prefs import is_strategy_proof
@@ -79,16 +79,15 @@ def _verdict_exit(model, verdict, label):
 
 
 def _parse_action(spec, model, agent):
-    index = {name: k for k, name in enumerate(model.type_names[agent])}
     try:
-        return frozenset(index[name] for name in spec.split(","))
+        return frozenset(map(model.type_index[agent].__getitem__, spec.split(",")))
     except KeyError as e:
         raise ParseError(f"unknown type name {e} for agent {model.agent_names[agent]}")
 
 
 def _agent_index(spec, model):
-    if spec in model.agent_names:
-        return model.agent_names.index(spec)
+    if spec in model.agent_index:
+        return model.agent_index[spec]
     try:
         k = int(spec)
     except ValueError:
@@ -239,18 +238,17 @@ def _priorities(spec, n):
     permutation of the agents 0..n-1; every item ranks 0..n-1 by default."""
     if n < 1:
         raise ParseError("--n must be at least 1")
-    agents = list(range(n))
+    agents = tuple(range(n))
     if spec is None:
-        return (tuple(agents),) * n
+        return (agents,) * n
     try:
         priorities = tuple(tuple(int(x) for x in item.split(","))
                            for item in spec.split(";"))
+        check_priorities(priorities, n)
     except ValueError:
-        priorities = ()
-    if len(priorities) != n or any(sorted(order) != agents for order in priorities):
         raise ParseError(f"--priorities wants {n} item orders separated by ';', "
                          f"each a permutation of 0..{n - 1} like "
-                         f"'{','.join(map(str, agents))}'")
+                         f"'{','.join(map(str, agents))}'") from None
     return priorities
 
 

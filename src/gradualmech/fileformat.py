@@ -206,16 +206,17 @@ def parse_model(doc):
         _fail(str(e))
 
 
-def parse_scf(doc, model, type_index, out_index):
-    """The document's SCF table, or None; ``type_index`` maps each agent's
-    type names to ids and ``out_index`` the outcome names.  Rows may come in
-    any order but must list each profile exactly once."""
+def parse_scf(doc, model):
+    """The document's SCF table, or None, read through the model's name
+    maps.  Rows may come in any order but must list each profile exactly
+    once."""
     rows = doc.get("scf")
     if rows is None:
         return None
+    out_index = model.outcome_index
     # Per agent, each type name's share of a profile's rank.
     offset = [{name: t * stride for name, t in names.items()}
-              for names, stride in zip(type_index, model.strides)]
+              for names, stride in zip(model.type_index, model.strides)]
     slots = [None] * model.n_profiles()
     for row in _need(rows, list, "'scf'"):
         if not isinstance(row, list) or len(row) != 2:
@@ -260,13 +261,9 @@ def parse_mechanism(text):
     if doc.get("format") != FORMAT:
         _fail(f"unsupported format {doc.get('format')!r}, want {FORMAT!r}")
     model = parse_model(doc)
-    agent_index = {name: i for i, name in enumerate(model.agent_names)}
-    type_index = [
-        {name: k for k, name in enumerate(model.type_names[i])}
-        for i in range(model.n_agents)
-    ]
-    out_index = {name: k for k, name in enumerate(model.outcome_names)}
-    f = parse_scf(doc, model, type_index, out_index)
+    f = parse_scf(doc, model)
+    agent_index, type_index = model.agent_index, model.type_index
+    out_index = model.outcome_index
 
     ids = {}  # document id -> canonical id
     outcome = {}

@@ -187,8 +187,9 @@ def serial_dictatorship_scf(n=3, order=None):
 def serial_dictatorship_pair():
     """Two mechanisms for the same three-agent serial dictatorship.
 
-    ``good``: agent 1 names her favorite item, agent 2 sees it and names her
-    favorite remaining item.  ``bad``: agent 2 reports her whole ranking
+    ``good``: the staged trading tree when every item ranks the agents 0,
+    1, 2: agent 1 claims her favorite item, then agent 2, who has seen it,
+    her favorite remaining one.  ``bad``: agent 2 reports her whole ranking
     first, and agent 1 learns only whether item a tops it before picking.
     Returns (good, bad, model, f).
     """
@@ -202,18 +203,6 @@ def serial_dictatorship_pair():
     def leftover(x, y):
         return next(i for i in range(n_items) if i not in (x, y))
 
-    good = _TreeSink(model)
-    good.decision("a1-root", 0, 0)
-    for x in range(n_items):
-        nx = good.child(0, {0: tops(x)})
-        good.decision(("a2-sees", x), 1, nx)
-        rest = [y for y in range(n_items) if y != x]
-        for y in rest:
-            act = frozenset(t for t, r in enumerate(rankings) if _best(r, rest) == y)
-            t_node = good.child(nx, {1: act})
-            good.terminal(t_node, model.matching_index[(x, y, leftover(x, y))])
-    good_mech = good.build()
-
     bad = _TreeSink(model)
     bad.decision("a2-root", 1, 0)
     for t2, r2 in enumerate(rankings):
@@ -223,8 +212,7 @@ def serial_dictatorship_pair():
             t_node = bad.child(nt, {0: tops(x)})
             y = _best(r2, [z for z in range(n_items) if z != x])
             bad.terminal(t_node, model.matching_index[(x, y, leftover(x, y))])
-    bad_mech = bad.build()
-    return good_mech, bad_mech, model, f
+    return build_rda(((0, 1, 2),) * 3, 3), bad.build(), model, f
 
 
 # --------------------------------------------------------------------------
@@ -377,53 +365,57 @@ def all_priority_structures(n):
     return [tuple(combo) for combo in itertools.product(orders, repeat=n)]
 
 
+def check_priorities(priorities, n):
+    """Refuse a priority structure that is not n item orders, each a
+    permutation of the agents 0..n-1."""
+    agents = list(range(n))
+    if len(priorities) != n or any(sorted(order) != agents for order in priorities):
+        raise ValueError(f"priorities must be {n} item orders, each a permutation "
+                         f"of the agents 0..{n - 1}")
+
+
 def ttc_scf(priorities, n):
-    """The trading-cycles SCF for one priority structure: owners point at
-    their favorite remaining item's owner; one cycle trades per round."""
+    """The trading-cycles SCF for one priority structure: each item is owned
+    by its first remaining agent, owners point at their favorite remaining
+    item's owner, and the cycle reached from the smallest owner trades in
+    each round.  Each profile keeps one table of owners and re-owns only
+    the items whose owner has left."""
+    check_priorities(priorities, n)
     model = matching_model(n)
     rankings = model.rankings
 
     def outcome(profile):
-        remaining_agents = set(range(n))
-        remaining_items = set(range(n))
+        owner = {x: order[0] for x, order in enumerate(priorities)}
         assignment = [None] * n
-        while remaining_agents:
-            owner_of = {x: next(a for a in priorities[x] if a in remaining_agents)
-                        for x in remaining_items}
-            owners = sorted(set(owner_of.values()))
-            points_to = {o: owner_of[_best(rankings[profile[o]], remaining_items)]
-                         for o in owners}
-            seen = []
-            cur = owners[0]
-            while cur not in seen:
-                seen.append(cur)
-                cur = points_to[cur]
-            cycle = seen[seen.index(cur):]
-            for o in cycle:
-                assignment[o] = _best(rankings[profile[o]], remaining_items)
-            for o in cycle:
-                remaining_agents.discard(o)
-                remaining_items.discard(assignment[o])
+        while owner:
+            # Each owner's favorite remaining item.
+            wants = {o: _best(rankings[profile[o]], owner) for o in set(owner.values())}
+            path = [min(wants)]
+            while (cur := owner[wants[path[-1]]]) not in path:
+                path.append(cur)
+            for o in path[path.index(cur):]:
+                assignment[o] = wants[o]
+                del owner[wants[o]]
+            for x, o in owner.items():
+                if assignment[o] is not None:
+                    owner[x] = next(a for a in priorities[x] if assignment[a] is None)
         return model.matching_index[tuple(assignment)]
 
     return model, ScfTable(model, map(outcome, model.profiles()))
 
 
 def _pointer_cycles(graph):
-    """Agents lying on a cycle of the pointer graph {agent: agent}."""
+    """Agents lying on a cycle of the pointer graph {agent: agent}: those
+    from whom the pointers lead back to themselves."""
     in_cycle = set()
     for start in graph:
-        if start in in_cycle:
-            continue
-        pos = {}
         path = []
         cur = start
-        while cur in graph and cur not in pos and cur not in in_cycle:
-            pos[cur] = len(path)
+        while cur in graph and cur not in path:
             path.append(cur)
             cur = graph[cur]
-        if cur in pos:
-            in_cycle.update(path[pos[cur]:])
+        if cur in path:
+            in_cycle.update(path[path.index(cur):])
     return in_cycle
 
 
@@ -447,6 +439,7 @@ def build_rda(priorities, n):
     earlier move fails IC), and IRP on 14 of the stride's 17; a sweep of all
     four-agent structures has not been run on this tree.
     """
+    check_priorities(priorities, n)
     model = matching_model(n)
     rankings = model.rankings
     sink = _TreeSink(model)

@@ -62,11 +62,15 @@ class TypeModel:
         if len(self.agent_names) != self.n_agents:
             raise ValueError("agent_names length mismatch")
         # Documents refer to agents, types and outcomes by name, so names
-        # must not repeat: agent names, each agent's type names (below) and
-        # outcome names.
-        if len(set(self.agent_names)) != self.n_agents:
+        # must not repeat: each name map must be as long as its list.  The
+        # maps are shared and not to be mutated.
+        self.agent_index = {name: i for i, name in enumerate(self.agent_names)}
+        self.type_index = tuple({name: t for t, name in enumerate(names)}
+                                for names in self.type_names)
+        self.outcome_index = {name: x for x, name in enumerate(self.outcome_names)}
+        if len(self.agent_index) != self.n_agents:
             raise ValueError("duplicate agent names")
-        if len(set(self.outcome_names)) != len(self.outcome_names):
+        if len(self.outcome_index) != len(self.outcome_names):
             raise ValueError("duplicate outcome names")
         self.prefs = tuple(tuple(p) for p in prefs)
         if len(self.prefs) != self.n_agents:
@@ -75,7 +79,7 @@ class TypeModel:
         for i, per_type in enumerate(self.prefs):
             if len(per_type) != len(self.type_names[i]):
                 raise ValueError(f"agent {i}: one weak order per type required")
-            if len(set(self.type_names[i])) != len(per_type):
+            if len(self.type_index[i]) != len(per_type):
                 raise ValueError(f"agent {i}: duplicate type names")
             for order in per_type:
                 if order.outcomes() != full:

@@ -1388,7 +1388,7 @@ def parse_mechanism_oracle(text):
     agent_index = {name: i for i, name in enumerate(model.agent_names)}
     type_index = [{name: k for k, name in enumerate(names)} for names in model.type_names]
     out_index = {name: k for k, name in enumerate(model.outcome_names)}
-    f = parse_scf(doc, model, type_index, out_index)
+    f = parse_scf(doc, model)
 
     nodes = {}
     outcomes = {}

@@ -1,12 +1,14 @@
 import hashlib
 import io
 import itertools
+import time
 from contextlib import redirect_stdout
 
 import pytest
 
 import gradualmech as gm
 from gradualmech.cli import main
+from gradualmech.generators import _pointer_cycles
 
 from conftest import rda3_subset
 from oracles import gen_ttc_oracle, replay_ic_witness, sd_assignment, ttc_all_cycles
@@ -51,6 +53,39 @@ def test_sd_scf_matches_direct_oracle():
             for profile in model.profiles():
                 assert f[profile] == model.matching_index[sd_assignment(model, order, profile)], \
                     (n, order, profile)
+
+
+BAD_PRIORITIES = {
+    "ttc-repeated-agent": lambda: gm.ttc_scf(((0, 1), (0, 0)), 2),
+    "ttc-too-few-orders": lambda: gm.ttc_scf(((0, 1),), 2),
+    "rda-repeated-agent": lambda: gm.build_rda(((0, 1), (0, 0)), 2),
+    "rda-agent-out-of-range": lambda: gm.build_rda(((0, 5), (1, 0)), 2),
+    "sd-repeated-agent": lambda: gm.serial_dictatorship_scf(2, [0, 0]),
+}
+
+
+@pytest.mark.parametrize("build", BAD_PRIORITIES.values(), ids=BAD_PRIORITIES)
+def test_trading_refuses_priorities_that_are_not_permutations(build):
+    with pytest.raises(ValueError, match=r"^priorities must be 2 item orders, each a "
+                                         r"permutation of the agents 0\.\.1$"):
+        build()
+
+
+def test_pointer_cycles_match_their_definition():
+    """Every partial pointer graph over at most four agents: an agent is on
+    a cycle iff following the pointers from her leads back to her."""
+    for n in range(1, 5):
+        for targets in itertools.product([None, *range(n)], repeat=n):
+            graph = {a: p for a, p in enumerate(targets) if p is not None}
+            expected = set()
+            for a in graph:
+                cur = graph[a]
+                for _ in range(n):
+                    if cur == a:
+                        expected.add(a)
+                        break
+                    cur = graph.get(cur)
+            assert _pointer_cycles(graph) == expected, graph
 
 
 def test_sd_pair_truthful_tables_equal(sd_pair):
@@ -242,6 +277,8 @@ def test_rda_four_agents_pooling_bites_and_stays_ic():
     truth-telling dominant."""
     pr = ((0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2))
     model, f = gm.ttc_scf(pr, 4)
+    for profile in itertools.islice(model.profiles(), 0, None, 97):
+        assert f[profile] == model.matching_index[ttc_all_cycles(pr, 4, model, profile)], profile
     rda = gm.build_rda(pr, 4)
     multi = [s for s in rda.infosets if len(s.nodes) >= 2]
     assert multi
@@ -324,3 +361,13 @@ if __name__ == "__main__":
     for pr in structures:
         check_gen_ttc(pr, len(pr))
     print(f"{len(structures)} gen ttc documents agree")
+    # The four-agent stride: ttc_scf against the all-cycles oracle on every
+    # profile and against the staged tree's table.
+    for pr in gm.all_priority_structures(4)[::20011]:
+        start = time.perf_counter()
+        model, f = gm.ttc_scf(pr, 4)
+        took = time.perf_counter() - start
+        for profile, x in f.items():
+            assert x == model.matching_index[ttc_all_cycles(pr, 4, model, profile)], (pr, profile)
+        assert gm.implemented_scf(gm.build_rda(pr, 4)) == f, pr
+        print(f"{pr}: ttc_scf agrees, built in {took:.1f} s")
