@@ -50,7 +50,8 @@ class TypeModel:
 
     All weak orders range over the shared outcome list.  Outcome identity is
     positional; any outcome semantics (payoffs, matchings) live with the
-    code that constructed the model.
+    code that constructed the model.  ``agent_index``, ``type_index`` (one
+    map per agent) and ``outcome_index`` map names to ids.
     """
 
     def __init__(self, type_names, outcome_names, prefs, agent_names=None):
