@@ -79,6 +79,16 @@ def test_voting_fingerprints_are_pinned(voting):
         "direct": "55bfa55986342298"}
 
 
+def test_worked_example_fingerprints_are_pinned(sd_pair):
+    """The bad serial dictatorship and Example 2's base, with the record of
+    Example 2's illumination."""
+    good, bad, model, f = sd_pair
+    assert bad.fingerprint()[:16] == "32b3d6b97be45e63"
+    base, illumination = gm.example2_base_and_illumination()
+    assert base.fingerprint()[:16] == "eafa3a20a52c67bc"
+    assert illumination == gm.Illuminate(2, 3, (4,), (1, 2, 3))
+
+
 def test_fingerprint_joins_step_texts_at_the_edges(voting):
     """The tree's text writes each distinct step key once and joins it per
     node; the join must reproduce ``repr`` of the per-node keys for a lone

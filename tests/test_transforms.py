@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import gradualmech as gm
 from gradualmech import Coalesce, Illuminate, MechanismError, Merge, Split
+from gradualmech.generators import L, M, R
 
 
 def first_ops(mech, kind):
@@ -18,29 +19,37 @@ def first_ops(mech, kind):
 # ---------------------------------------------------------------------------
 
 def test_voting_chain_relations(voting):
-    """g1 --split--> . --coalesce--> g2 --coalesce--> g3, the illumination
-    g4 -> g3, the merge g3 -> g4, and the final coalesce g4 -> direct."""
+    """The forward links, each the canonical record of its step: g1
+    --split--> . --coalesce--> g2 --coalesce--> g3 --merge--> g4
+    --coalesce--> direct, and the merge's forward illumination g4 -> g3.
+    Each step is the only opportunity of its kind, except the coalesce
+    after the split, which has voter 1's coalesce beside it.  The
+    generators build the family by the inverse rewrites, so these forward
+    rewrites check it independently."""
     model, f, mechs = voting
     g1, g2, g3, g4, direct = (mechs[k] for k in ("g1", "g2", "g3", "g4", "direct"))
+    lr, lmr = frozenset({L, R}), frozenset({L, M, R})
 
-    (spl,) = first_ops(g1, "split")
-    assert spl.agent == 1 and spl.action == frozenset({0, 2})
+    spl = Split(1, 3, lr, frozenset({L}), frozenset({R}))
+    assert first_ops(g1, "split") == [spl]
     mid = gm.apply_split(g1, spl)
-    coa_v2 = next(c for c in first_ops(mid, "coalesce") if c.agent == 1)
+    coa_v2 = Coalesce(1, 3, lr, 5)
+    assert coa_v2 in first_ops(mid, "coalesce")
     assert gm.mechanisms_equal(gm.apply_coalesce(mid, coa_v2), g2)
 
-    coa_v1 = next(c for c in first_ops(g2, "coalesce") if c.agent == 0)
+    coa_v1 = Coalesce(0, 0, lr, 1)
+    assert first_ops(g2, "coalesce") == [coa_v1]
     assert gm.mechanisms_equal(gm.apply_coalesce(g2, coa_v1), g3)
 
-    ill = next(t for t in first_ops(g4, "illuminate")
-               if gm.mechanisms_equal(gm.apply_illuminate(g4, t), g3))
-    assert ill.agent == 1
-
-    (merge,) = first_ops(g3, "merge")
+    merge = Merge(1, 2, 3)
+    assert first_ops(g3, "merge") == [merge]
     merged, forward = gm.apply_merge(g3, merge)
     assert gm.mechanisms_equal(merged, g4)
+    assert forward in first_ops(g4, "illuminate")
+    assert gm.mechanisms_equal(gm.apply_illuminate(g4, forward), g3)
 
-    (coa_fin,) = first_ops(g4, "coalesce")
+    coa_fin = Coalesce(1, 1, lmr, 2)
+    assert first_ops(g4, "coalesce") == [coa_fin]
     assert gm.mechanisms_equal(gm.apply_coalesce(g4, coa_fin), direct)
 
 
@@ -54,6 +63,10 @@ def test_voting_reduction_chain(voting):
     (step,) = chain.merges()
     assert step.preserving is True
     assert step.transform.agent == 1
+    # the chain passes through g3, g4 and direct
+    passed = [s.fingerprint for s in chain.steps]
+    for name in ("g3", "g4", "direct"):
+        assert mechs[name].fingerprint() in passed, name
 
 
 def test_direct_mechanism_reduces_trivially(voting):
