@@ -30,13 +30,19 @@ from .prefs import is_strategy_proof
 
 
 def _read(path):
+    """The text of ``path``, or of stdin for ``-``.  Stdin may decode
+    undecodable bytes to lone surrogates (``surrogateescape``), so its text
+    must also encode as UTF-8."""
     try:
         if path == "-":
-            return sys.stdin.read()
+            text = sys.stdin.read()
+            text.encode()
+            return text
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except UnicodeDecodeError as e:
-        raise ParseError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})")
+    except UnicodeError as e:
+        unit = "byte" if isinstance(e, UnicodeDecodeError) else "character"
+        raise ParseError(f"{path}: not UTF-8 text ({e.reason} at {unit} {e.start})")
 
 
 def _emit(text, out):

@@ -611,7 +611,7 @@ def _tree_rules(mech):
                 report.append(
                     f"node {v}: agent {a} actions do not partition her current set")
 
-    if mech.children[0] and list(mech.menus[0]) != list(range(mech.model.n_agents)):
+    if list(mech.menus[0]) != list(range(mech.model.n_agents)):
         report.append("root: every agent must be active at the initial history")
 
     # No separate check that the terminals partition the profile space: the

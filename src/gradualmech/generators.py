@@ -11,7 +11,8 @@ from fractions import Fraction
 
 from .gameform import MechanismError, build_mechanism, make_step
 from .prefs import ScfTable, TypeModel, WeakOrder
-from .transforms import (Illuminate, apply_illuminate, apply_transformation,
+from .transforms import (Illuminate, Uncoalesce, Unsplit, apply_illuminate,
+                         apply_transformation, apply_uncoalesce, apply_unsplit,
                          find_opportunities)
 
 
@@ -93,54 +94,52 @@ def voting_model_and_scf(n_voters=2, phantoms=(M,)):
     return model, ScfTable(model, outcomes)
 
 
-def voting_examples():
-    """The five linked voting mechanisms.
+def _defer(mech, k, actions=None):
+    """Uncoalesce ``actions`` of information set ``k``, by default its whole
+    menu: the agent takes their union at ``k`` and picks among them at a
+    new set right after.  Returns the result and the new set's index.
 
-    Voter 1 moves first throughout.  g1 reports coarse menus refined in later
-    steps; g2 refines voter 2's menu after the M report; g3 advances voter
-    1's refinement to the root, leaving voter 2 told only whether the report
-    was M; g4 pools voter 2's nodes entirely; direct is one-shot.
+    Ids are breadth-first and only the children of ``k``'s members change,
+    so no node up to ``k``'s first member is renumbered and ``k``, like
+    every set that starts before it, keeps its index."""
+    actions = actions or mech.infosets[k].actions
+    out = apply_uncoalesce(mech, Uncoalesce(mech.infosets[k].agent, k, actions))
+    union = frozenset().union(*actions)
+    return out, next(j for j in range(len(out.infosets))
+                     if out.infoset_predecessor(j) == (k, union))
+
+
+def _illuminate_by(mech, k, test):
+    """Illuminate set ``k`` into the members that pass ``test`` and the rest."""
+    members = mech.infosets[k].nodes
+    part1 = tuple(v for v in members if test(mech.theta[v]))
+    t = Illuminate(mech.infosets[k].agent, k, part1,
+                   tuple(v for v in members if v not in part1))
+    return apply_illuminate(mech, t), t
+
+
+def voting_examples():
+    """The five linked voting mechanisms, each built from the next by one
+    or two inverse rewrites.
+
+    Voter 1 moves first throughout.  g4 uncoalesces voter 2's root menu of
+    direct: she reports after voter 1 and learns nothing.  g3 illuminates
+    her deferred set into the member after M and the rest, so she learns
+    whether voter 1 reported M.  g2 uncoalesces voter 1's L and R at the
+    root: she first says whether her ideal is M and refines L+R later.  g1
+    uncoalesces voter 2's L and R after M in g2 and unsplits that new set,
+    so her menu there is {M, L+R}.
     """
     model, f = voting_model_and_scf()
-    lr = frozenset({L, R})
-    singles = [frozenset({c}) for c in (L, M, R)]
-    mechs = {}
-
-    def v2_subtree(sink, parent, own, pool_key, menu=singles):
-        # Every action of a menu keeps the outcome constant, so its least
-        # candidate stands for it.
-        sink.decision(pool_key, 1, parent)
-        for act in menu:
-            t = sink.child(parent, {1: act})
-            sink.terminal(t, f[(own, min(act))])
-
-    # g1: voter 2's menu after M is {M, L+R}; after L+R voter 1 refines and
-    # voter 2 reports exactly without seeing the refinement.  g2: like g1
-    # with voter 2's menu after M fully refined.
-    for name, after_m in (("g1", (frozenset({M}), lr)), ("g2", singles)):
-        sink = _TreeSink(model)
-        sink.decision("v1-root", 0, 0)
-        n_m = sink.child(0, {0: frozenset({M})})
-        n_lr = sink.child(0, {0: lr})
-        v2_subtree(sink, n_m, M, "v2-after-m", after_m)
-        sink.decision("v1-refine", 0, n_lr)
-        for own in (L, R):
-            v2_subtree(sink, sink.child(n_lr, {0: frozenset({own})}), own, "v2-pooled")
-        mechs[name] = sink.build()
-
-    # g3: voter 1 reports exactly at the root; voter 2 learns only whether
-    # the report was M.  g4: same tree, voter 2 learns nothing.
-    for name, key_of in (("g3", lambda own: "v2-after-m" if own == M else "v2-pooled"),
-                         ("g4", lambda own: "v2-pooled")):
-        sink = _TreeSink(model)
-        sink.decision("v1-root", 0, 0)
-        for own in (L, M, R):
-            n_own = sink.child(0, {0: frozenset({own})})
-            v2_subtree(sink, n_own, own, key_of(own))
-        mechs[name] = sink.build()
-
-    mechs["direct"] = direct_mechanism(model, f)
-    return model, f, mechs
+    l, m, r = (frozenset({c}) for c in (L, M, R))
+    direct = direct_mechanism(model, f)
+    g4, k = _defer(direct, direct.node_iset[(1, 0)])
+    g3 = _illuminate_by(g4, k, lambda theta: theta[0] == m)[0]
+    g2 = _defer(g3, g3.node_iset[(0, 0)], (l, r))[0]
+    after_m = next(v for v in g2.children[0] if g2.theta[v][0] == m)
+    g1, k = _defer(g2, g2.node_iset[(1, after_m)], (l, r))
+    g1 = apply_unsplit(g1, Unsplit(1, k))
+    return model, f, {"g1": g1, "g2": g2, "g3": g3, "g4": g4, "direct": direct}
 
 
 # --------------------------------------------------------------------------
@@ -195,24 +194,19 @@ def serial_dictatorship_pair():
     """
     model, f = serial_dictatorship_scf(3)
     rankings = model.rankings
-    n_items = 3
-
-    def tops(item):
-        return frozenset(t for t, r in enumerate(rankings) if r[0] == item)
-
-    def leftover(x, y):
-        return next(i for i in range(n_items) if i not in (x, y))
-
-    bad = _TreeSink(model)
-    bad.decision("a2-root", 1, 0)
-    for t2, r2 in enumerate(rankings):
-        nt = bad.child(0, {1: frozenset({t2})})
-        bad.decision("a1-told-a-top" if r2[0] == 0 else "a1-told-other", 0, nt)
-        for x in range(n_items):
-            t_node = bad.child(nt, {0: tops(x)})
-            y = _best(r2, [z for z in range(n_items) if z != x])
-            bad.terminal(t_node, model.matching_index[(x, y, leftover(x, y))])
-    return build_rda(((0, 1, 2),) * 3, 3), bad.build(), model, f
+    bad = direct_mechanism(model, f)
+    # The rule never reads agent 3's report: defer it and forget it.
+    bad, k = _defer(bad, bad.node_iset[(2, 0)])
+    bad = apply_unsplit(bad, Unsplit(2, k))
+    bad, k = _defer(bad, bad.node_iset[(0, 0)])
+    # Agent 1 gets the item that her ranking puts first, whichever of the
+    # two rankings that do so she reports.
+    for x in range(3):
+        tops = tuple(a for a in bad.infosets[k].actions if rankings[min(a)][0] == x)
+        bad, j = _defer(bad, k, tops)
+        bad = apply_unsplit(bad, Unsplit(0, j))
+    bad = _illuminate_by(bad, k, lambda theta: rankings[min(theta[1])][0] == 0)[0]
+    return build_rda(((0, 1, 2),) * 3, 3), bad, model, f
 
 
 # --------------------------------------------------------------------------
@@ -334,25 +328,10 @@ def example2_base_and_illumination():
     """Three bidders, two values: bidders 1 and 2 move together, bidder 3
     initially learns nothing.  The illumination tells bidder 3 whether both
     stayed; it preserves incentives."""
-    model, f = second_price_scf(3, 2)
-    stay, leave = frozenset({1}), frozenset({0})
-    sink = _TreeSink(model)
-    sink.decision("b1-root", 0, 0)
-    sink.decision("b2-root", 1, 0)
-    for a1 in (leave, stay):
-        for a2 in (leave, stay):
-            node = sink.child(0, {0: a1, 1: a2})
-            sink.decision("b3-pooled", 2, node)
-            for a3 in (leave, stay):
-                t = sink.child(node, {2: a3})
-                sink.terminal(t, f[(min(a1), min(a2), min(a3))])
-    base = sink.build()
-    k = next(k for k, s in enumerate(base.infosets)
-             if s.agent == 2 and len(s.nodes) == 4)
-    both_stayed = tuple(v for v in base.infosets[k].nodes
-                        if base.theta[v][0] == stay and base.theta[v][1] == stay)
-    rest = tuple(v for v in base.infosets[k].nodes if v not in both_stayed)
-    return base, Illuminate(2, k, both_stayed, rest)
+    direct = direct_mechanism(*second_price_scf(3, 2))
+    base, k = _defer(direct, direct.node_iset[(2, 0)])
+    stay = frozenset({1})
+    return base, _illuminate_by(base, k, lambda theta: theta[0] == theta[1] == stay)[1]
 
 
 # --------------------------------------------------------------------------

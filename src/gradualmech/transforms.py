@@ -394,6 +394,13 @@ class Uncoalesce:
 
 
 def unsplit_ready(mech, t):
+    """Check the unsplitting opportunity; return an error string or None.
+
+    Each member of the set must be the agent's last decision, taken alone,
+    with only terminal children that share one outcome.  Such a set holds
+    the root only where one agent acts alone there, and unsplitting it
+    would leave a lone terminal root, at which nobody acts: ``validate``
+    refuses that, so the root is refused too."""
     iset = _own_set(mech, t.agent, t.infoset)
     if iset is None:
         return "unsplit: no such information set for that agent"
@@ -405,10 +412,16 @@ def unsplit_ready(mech, t):
                 return "unsplit: refinement is not final"
         if len({mech.outcome[c] for c in mech.children[v]}) != 1:
             return "unsplit: outcomes differ across the refinement"
+    if 0 in iset.nodes:
+        return "unsplit: the root must stay a decision of every agent"
     return None
 
 
 def apply_unsplit(mech, t):
+    """Unsplitting, the inverse of splitting: each member of the set
+    becomes a terminal with its children's one outcome, and the set is
+    dropped.  The generators build Example 2's base, the voting g1 and the
+    bad serial dictatorship with it."""
     problem = unsplit_ready(mech, t)
     if problem:
         raise MechanismError(problem)
@@ -423,6 +436,12 @@ def apply_unsplit(mech, t):
 
 
 def apply_uncoalesce(mech, t):
+    """Uncoalescing, the inverse of coalescing: at each member of the set,
+    the listed actions give way to their union, and a new node below it,
+    where the agent moves alone, offers them again.  The new nodes form one
+    new set that follows the union, so the agent learns nothing in between.
+    The generators build the voting family, the bad serial dictatorship and
+    Example 2's base with it.  ``mech`` must be valid."""
     iset = _own_set(mech, t.agent, t.infoset)
     if iset is None:
         raise MechanismError("uncoalesce: no such information set for that agent")

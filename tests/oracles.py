@@ -112,10 +112,9 @@ def validate_oracle(mech):
                 report.append(
                     f"node {v}: agent {a} actions do not partition her current set")
 
-    if not mech.is_terminal(0):
-        root_acting = {a for c in mech.children[0] for a, _ in mech.step[c]}
-        if root_acting != set(range(model.n_agents)):
-            report.append("root: every agent must be active at the initial history")
+    root_acting = {a for c in mech.children[0] for a, _ in mech.step[c]}
+    if root_acting != set(range(model.n_agents)):
+        report.append("root: every agent must be active at the initial history")
 
     # Information sets: exact partition of each agent's decision nodes.
     for i in range(model.n_agents):
@@ -189,7 +188,7 @@ def tree_rules_oracle(mech):
                 report.append(
                     f"node {v}: agent {a} actions do not partition her current set")
 
-    if mech.children[0] and list(mech.menus[0]) != list(range(mech.model.n_agents)):
+    if list(mech.menus[0]) != list(range(mech.model.n_agents)):
         report.append("root: every agent must be active at the initial history")
 
     # No separate check that the terminals partition the profile space: the

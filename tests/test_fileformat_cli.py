@@ -495,7 +495,8 @@ def test_parser_is_built_once_and_reused(capsys):
 
 
 # Bad arguments and unreadable inputs: each exits 2 with an error line.
-# "{dir}" and "{binary}" stand for a directory and a non-UTF-8 file.
+# "{dir}" and "{binary}" stand for a directory and a non-UTF-8 file.  Stdin
+# holds the g3 document, or the case's text in BAD_STDIN.
 BAD_ARGS = {
     "ttc-too-few-orders": ["gen", "ttc", "--n", "3", "--priorities", "0,1;1,0"],
     "ttc-agent-out-of-range": ["gen", "ttc", "--n", "2", "--priorities", "0,5;1,0"],
@@ -530,7 +531,11 @@ BAD_ARGS = {
                                   "--agent", "voter2", "--infoset", "2"],
     "read-directory": ["check-ic", "{dir}"],
     "read-non-utf8": ["check-ic", "{binary}"],
+    "read-non-utf8-stdin": ["check-ic", "-"],
 }
+# A byte that is not UTF-8, inside an agent's name, as stdin's
+# ``surrogateescape`` decoding hands it on: a lone surrogate.
+BAD_STDIN = {"read-non-utf8-stdin": G3_TEXT.replace('"voter1"', '"voter\udcff1"', 1)}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_ARGS))
@@ -538,10 +543,12 @@ def test_cli_bad_arguments_exit_two(case, tmp_path, capsys):
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\xff\xfe{}")
     argv = [a.format(dir=tmp_path, binary=binary) for a in BAD_ARGS[case]]
-    code, out = run_cli(argv, G3_TEXT)
+    code, out = run_cli(argv, BAD_STDIN.get(case, G3_TEXT))
     err = capsys.readouterr().err
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+    if case in BAD_STDIN:
+        assert err.startswith("error: -: not UTF-8 text (")
 
 
 def test_recursive_walks_leave_no_cyclic_garbage():

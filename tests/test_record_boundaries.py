@@ -32,7 +32,9 @@ def bases():
     voter1's 0 and 1, and voter2's 2 to 5, where set 5 follows set 3 through
     L,R and offers L and R.  ``ill-g1`` illuminates g1's set 4, so it has a
     merge; the two random mechanisms each have a pair of sets with equal
-    menus whose merge fails."""
+    menus whose merge fails.  ``constant`` is the direct mechanism of a
+    constant rule of one agent, whose root set has only terminal children
+    with one outcome."""
     model, f, mechs = gm.voting_examples()
     g1 = mechs["g1"]
     out = {"split-g1": (gm.apply_split(g1, Split(1, 3, LR, L, R)), f),
@@ -40,6 +42,10 @@ def bases():
     for seed in (5, 366):
         mech, f_r, *_ = gm.random_transformed_mechanism(random.Random(seed))
         out[f"random-{seed}"] = mech, f_r
+    model = gm.TypeModel([("x", "y")], ("o",), [[gm.WeakOrder([{0}])] * 2],
+                         agent_names=("a",))
+    f_c = gm.ScfTable(model, [0, 0])
+    out["constant"] = gm.direct_mechanism(model, f_c), f_c
     return out
 
 
@@ -72,6 +78,7 @@ REJECTED = {
     "unsplit-not-alone": ("split-g1", Unsplit(0, 0), "alone"),
     "unsplit-not-final": ("split-g1", Unsplit(1, 3), "not final"),
     "unsplit-outcomes-differ": ("split-g1", Unsplit(1, 4), "outcomes differ"),
+    "unsplit-root": ("constant", Unsplit(0, 0), "root must stay"),
     "uncoalesce-one-action": ("split-g1", Uncoalesce(1, 4, (L,)), "two or more"),
     "uncoalesce-action-off-menu": ("split-g1", Uncoalesce(1, 4, (L, M | R)), "two or more"),
     "uncoalesce-action-repeated": ("split-g1", Uncoalesce(1, 4, (L, M, L)), "two or more"),
@@ -154,6 +161,19 @@ def test_transform_writes_the_library_result(kind):
     mech, f = BASES[base]
     want = serialize_mechanism(gm.apply_transformation(mech, t), f) + "\n"
     assert run_argv(transform_argv(mech.model, t), document(base)) == (0, want, "")
+
+
+def test_a_lone_root_is_invalid():
+    """The lone terminal root that unsplitting ``constant``'s root would
+    give: nobody acts at the initial history, so ``validate`` refuses it
+    and ``reduce`` exits 2 at its gate, before looking for a rewrite."""
+    mech, f = BASES["constant"]
+    lone = gm.build_mechanism(mech.model, [(None, None)], [], {0: 0})
+    message = "root: every agent must be active at the initial history"
+    assert gm.validate(lone) == [message]
+    text = serialize_mechanism(lone, f)
+    assert run_argv(["validate", "-"], text) == (1, message + "\n", "")
+    assert run_argv(["reduce", "-"], text) == (2, "", f"error: invalid mechanism: {message}\n")
 
 
 def test_agent_given_by_index():

@@ -292,7 +292,7 @@ def test_example_illuminations():
 
 
 # ---------------------------------------------------------------------------
-# Corpus-generation inverses
+# The inverse rewrites
 # ---------------------------------------------------------------------------
 
 def test_uncoalesce_then_coalesce_roundtrip(voting):

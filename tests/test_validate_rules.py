@@ -64,6 +64,11 @@ def root_inactive():
     return voting_tree([(0, {0: {t}}) for t in ALL], [(0, [0])])
 
 
+def lone_root():
+    # a terminal root: nobody acts at the initial history
+    return voting_tree([], [])
+
+
 def sets_overlap():
     # voter 1's root decision lies in two of her sets
     return voting_tree([(0, {0: ALL, 1: ALL})], [(0, [0]), (0, [0]), (1, [0])])
@@ -125,7 +130,7 @@ def one_menu_two_verdicts():
 BROKEN = [
     misplaced_outcomes, disagreeing_acting_agents, duplicate_action_profiles,
     missing_product_child, unsorted_partial_product, overlapping_actions,
-    non_partition_actions, root_inactive, sets_overlap, decision_left_out,
+    non_partition_actions, root_inactive, lone_root, sets_overlap, decision_left_out,
     menus_differ, recall_broken, same_steps_same_rule,
     same_steps_other_current_set, one_menu_two_verdicts,
 ]
