@@ -20,7 +20,8 @@ class _TreeSink:
     """Collects raw nodes, information-set groups, and outcomes while a
     generator walks its process tree.  The first step out of the root is
     padded with degenerate full-set actions so every agent is active there;
-    agents who never truly decide keep only that degenerate root set.
+    agents who never truly decide keep only that degenerate root set, and a
+    process with no step at all takes one degenerate step.
     """
 
     def __init__(self, model):
@@ -46,12 +47,13 @@ class _TreeSink:
         self.outcomes[node] = outcome_id
 
     def build(self):
+        if len(self.nodes) == 1:
+            self.outcomes = {self.child(0, {}): self.outcomes.pop(0)}
         groups = list(self.groups.values())
-        if len(self.nodes) > 1:
-            rooted = {a for a, vs in groups if 0 in vs}
-            for a in range(self.model.n_agents):
-                if a not in rooted:
-                    groups.append((a, [0]))
+        rooted = {a for a, vs in groups if 0 in vs}
+        for a in range(self.model.n_agents):
+            if a not in rooted:
+                groups.append((a, [0]))
         return build_mechanism(self.model, self.nodes, groups, self.outcomes)
 
 

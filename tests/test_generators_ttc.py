@@ -10,7 +10,7 @@ import gradualmech as gm
 from gradualmech.cli import main
 from gradualmech.generators import _pointer_cycles
 
-from conftest import rda3_subset
+from conftest import rda3_subset, run_argv
 from oracles import gen_ttc_oracle, replay_ic_witness, sd_assignment, ttc_all_cycles
 
 
@@ -86,6 +86,18 @@ def test_pointer_cycles_match_their_definition():
                         break
                     cur = graph.get(cur)
             assert _pointer_cycles(graph) == expected, graph
+
+
+def test_one_agent_trading_tree_takes_one_degenerate_step():
+    """With one agent and one item nobody decides anything, but every agent
+    must act at the root, so the tree is the static one-step mechanism and
+    ``gen ttc --n 1`` passes every check."""
+    mech = gm.build_rda(((0,),), 1)
+    assert mech.n_nodes() == 2 and gm.validate(mech) == [] and gm.is_static(mech)
+    code, doc, err = run_argv(["gen", "ttc", "--n", "1"], "")
+    assert (code, err) == (0, "")
+    for verb in ("validate", "check-ic", "check-rp", "check-irp", "reduce"):
+        assert run_argv([verb, "-"], doc)[0] == 0, verb
 
 
 def test_sd_pair_truthful_tables_equal(sd_pair):
