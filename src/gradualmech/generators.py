@@ -122,7 +122,7 @@ def _illuminate_by(mech, k, test):
 
 def voting_examples():
     """The five linked voting mechanisms, each built from the next by one
-    or two inverse rewrites.
+    or two rewrites.
 
     Voter 1 moves first throughout.  g4 uncoalesces voter 2's root menu of
     direct: she reports after voter 1 and learns nothing.  g3 illuminates
@@ -193,6 +193,11 @@ def serial_dictatorship_pair():
     her favorite remaining one.  ``bad``: agent 2 reports her whole ranking
     first, and agent 1 learns only whether item a tops it before picking.
     Returns (good, bad, model, f).
+
+    ``bad`` rewrites the direct mechanism: agent 3's report is uncoalesced
+    and unsplit away, agent 1's is uncoalesced, then for each item her two
+    rankings that put it first are uncoalesced and unsplit into one pick,
+    and her deferred set is illuminated by whether a tops agent 2's ranking.
     """
     model, f = serial_dictatorship_scf(3)
     rankings = model.rankings
@@ -329,7 +334,8 @@ def example1_mechanism():
 def example2_base_and_illumination():
     """Three bidders, two values: bidders 1 and 2 move together, bidder 3
     initially learns nothing.  The illumination tells bidder 3 whether both
-    stayed; it preserves incentives."""
+    stayed; it preserves incentives.  The base uncoalesces bidder 3's root
+    menu of the direct mechanism."""
     direct = direct_mechanism(*second_price_scf(3, 2))
     base, k = _defer(direct, direct.node_iset[(2, 0)])
     stay = frozenset({1})

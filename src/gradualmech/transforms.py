@@ -420,8 +420,8 @@ def unsplit_ready(mech, t):
 def apply_unsplit(mech, t):
     """Unsplitting, the inverse of splitting: each member of the set
     becomes a terminal with its children's one outcome, and the set is
-    dropped.  The generators build Example 2's base, the voting g1 and the
-    bad serial dictatorship with it."""
+    dropped.  The generators build the voting g1 and the bad serial
+    dictatorship with it."""
     problem = unsplit_ready(mech, t)
     if problem:
         raise MechanismError(problem)
