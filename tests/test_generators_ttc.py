@@ -145,11 +145,34 @@ def test_rda_tree_shapes_are_pinned():
     assert rda_digest(four) == "6b95a5faf55c424a"
 
 
+GSTAR_SIZES = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3), (3, 4), (4, 4), (5, 3), (4, 5), (5, 4)]
+
+
 def test_gstar_tree_shapes_are_pinned():
     """The ascending auction trees themselves, node for node, from two to
     five bidders."""
-    sizes = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3), (3, 4), (4, 4), (5, 3), (4, 5), (5, 4)]
-    assert tree_digest(gm.build_gstar(n, m) for n, m in sizes) == "d3de7fb5bce53af9"
+    assert tree_digest(gm.build_gstar(n, m) for n, m in GSTAR_SIZES) == "d3de7fb5bce53af9"
+
+
+def levels(model):
+    """Every weak order of the model as lists of sorted outcome ids."""
+    return [[sorted(lv) for lv in order.levels] for per_type in model.prefs for order in per_type]
+
+
+def digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def test_auction_and_matching_models_are_pinned():
+    """What the fingerprints, which hold names, do not pin: the lotteries,
+    preferences and SCF tables of the pinned auctions' models, and the
+    preferences of the matching models for one to four agents."""
+    auctions = []
+    for n, m in GSTAR_SIZES:
+        model, f = gm.second_price_scf(n, m)
+        auctions.append((model.lotteries, levels(model), f.outcomes))
+    assert digest(auctions) == "10d7811a7df68362"
+    assert digest([levels(gm.matching_model(n)) for n in range(1, 5)]) == "46a9f1d555527b39"
 
 
 @pytest.mark.parametrize("n, m", [(1, 2), (2, 0)])
@@ -373,6 +396,10 @@ if __name__ == "__main__":
     for pr in structures:
         check_gen_ttc(pr, len(pr))
     print(f"{len(structures)} gen ttc documents agree")
+    # A wider four-agent stride of the staged trees, node for node.
+    wide = gm.all_priority_structures(4)[::997]
+    assert len(wide) == 333 and rda_digest(wide) == "cd5a4837fc347038"
+    print(f"{len(wide)} four-agent trees keep their digest")
     # The four-agent stride: ttc_scf against the all-cycles oracle on every
     # profile and against the staged tree's table.
     for pr in gm.all_priority_structures(4)[::20011]:
