@@ -63,8 +63,6 @@ def direct_mechanism(model, f):
     for profile, x in f.items():
         v = sink.child(0, {i: frozenset({profile[i]}) for i in range(model.n_agents)})
         sink.terminal(v, x)
-    for i in range(model.n_agents):
-        sink.decision(("root", i), i, 0)
     return sink.build()
 
 
@@ -223,27 +221,23 @@ def serial_dictatorship_pair():
 def second_price_scf(n, m):
     """Values 1..m per bidder; the highest-value bidders win with equal
     probability at the second-highest value.  Preferences rank lotteries by
-    exact expected payoff, so indifference is exact."""
+    exact expected payoff, so indifference is exact.
+
+    Outcome ids number the lotteries ``(winners, price)`` in the order the
+    profiles first meet them; ``model.lotteries`` lists them by id, each
+    with its winners in bidder order."""
     if n < 2 or m < 1:
         raise ValueError("need at least two bidders and one value")
-    lotteries = []
-    lottery_index = {}
-
-    def outcome_id(winners, price):
-        key = (tuple(sorted(winners)), price)
-        if key not in lottery_index:
-            lottery_index[key] = len(lotteries)
-            lotteries.append(key)
-        return lottery_index[key]
-
     # ``product`` lists the profiles in ``TypeModel.profiles()`` order.
+    ids = {}
     outcomes = []
     for profile in itertools.product(range(m), repeat=n):
         values = [v + 1 for v in profile]
         top = max(values)
-        winners = [i for i, v in enumerate(values) if v == top]
+        winners = tuple(i for i, v in enumerate(values) if v == top)
         price = sorted(values, reverse=True)[1]
-        outcomes.append(outcome_id(winners, price))
+        outcomes.append(ids.setdefault((winners, price), len(ids)))
+    lotteries = list(ids)
 
     prefs = []
     for i in range(n):
@@ -259,7 +253,7 @@ def second_price_scf(n, m):
     names = ["w" + "&".join(str(b + 1) for b in ws) + f"@p{p}" for ws, p in lotteries]
     model = TypeModel([[str(v + 1) for v in range(m)]] * n, names, prefs,
                       agent_names=[f"bidder{i + 1}" for i in range(n)])
-    model.lotteries = list(lotteries)
+    model.lotteries = lotteries
     return model, ScfTable(model, outcomes)
 
 
@@ -287,16 +281,13 @@ def build_gstar(n, m):
     """
     if n < 2 or m < 2:
         raise ValueError("need n >= 2 bidders and m >= 2 price levels")
-    model, f = second_price_scf(n, m)
+    model = second_price_scf(n, m)[0]
     sink = _TreeSink(model)
-    out_index = {model.lotteries[o]: o for o in set(f.outcomes)}
-
-    def outcome(winners, price):
-        return out_index[(tuple(sorted(winners)), price)]
-
+    ids = {lottery: o for o, lottery in enumerate(model.lotteries)}
     # Pending nodes as (node, price, the level's bidders, stays, leaves, the
     # level's first node); the next to act is the level's first bidder who
-    # has neither stayed nor left.
+    # has neither stayed nor left, so stays and leaves are in bidder order,
+    # as the lotteries' winners are.
     pending = [(0, 1, tuple(range(n)), (), (), 0)]
     while pending:
         node, price, bidders, stays, leaves, level_start = pending.pop()
@@ -313,11 +304,9 @@ def build_gstar(n, m):
         elif len(stays) >= 2 and price + 1 <= m - 1:
             pending.append((node, price + 1, stays, (), (), node))
         elif len(stays) >= 2:
-            sink.terminal(node, outcome(stays, m))
-        elif len(stays) == 1:
-            sink.terminal(node, outcome(stays, price))
+            sink.terminal(node, ids[(stays, m)])
         else:
-            sink.terminal(node, outcome(leaves, price))
+            sink.terminal(node, ids[(stays or leaves, price)])
     return sink.build()
 
 
@@ -420,6 +409,12 @@ def build_rda(priorities, n):
     too.  Moves with a single feasible option are resolved silently rather
     than materialized as degenerate nodes.
 
+    Each stage finds every type's favourite remaining item once, and its
+    claims, designations and assertions all read that one table.  A
+    designation stands across stages as the partner alone: the owner's
+    types still rank first an item the partner owns, so her assertion
+    groups them by their favourite, as a fresh designation's does.
+
     For n <= 3 the tree is IC, RP and IRP on every priority structure.  At
     n = 4 it is IC and RP on every structure of the tests' samples (a stride
     of 17, and the structure on which a tree whose assertions see every
@@ -471,54 +466,57 @@ def build_rda(priorities, n):
             sink.terminal(node, model.matching_index[tuple(matched[i] for i in range(n))])
             continue
         owner = {x: next(a for a in priorities[x] if a in agents) for x in items}
-        owned = {}
-        for x in items:
-            owned.setdefault(owner[x], set()).add(x)
-        sig = tuple(sorted((a, tuple(sorted(xs))) for a, xs in owned.items()))
-        # The owner of each type's favourite remaining item, by type.
-        top_owner = [owner[_best(r, items)] for r in rankings]
-        actives = sorted(a for a in owned if a not in standing)
+        # The stage's ownership, item by item; keys only compare it for
+        # equality.
+        sig = tuple(sorted(owner.items()))
+        owners = sorted(set(owner.values()))
+        # Each type's favourite remaining item: the one table that every
+        # claim, designation and assertion of the stage reads.  A trader's
+        # types all rank first an item her partner owns (her own, for a
+        # claimer), so their favourite among the partner's items is ``top``.
+        # For a designation made in this stage that holds by construction.
+        # For a standing one it still holds: a standing owner makes no move;
+        # agents only leave, so her partner still owns every item she owned
+        # then; and only a trader on the partner's cycle takes such an item,
+        # and the partner leaves with her.
+        top = [_best(r, items) for r in rankings]
+        actives = [a for a in owners if a not in standing]
         if not actives:
             raise MechanismError("stage with no active owner")
         options = {}
         for o in actives:
-            claim = frozenset(t for t in cur[o] if top_owner[t] == o)
+            claim = frozenset(t for t in cur[o] if owner[top[t]] == o)
             options[o] = (("claim", claim), ("renounce", cur[o] - claim))
         # Each way the claims can go, as (node, cur, exp, standing, queue),
-        # the queue holding each trader with her menu in assertion order.
+        # the queue holding the traders in assertion order.
         trades = []
         for node2, cur2, exp2, labels in moves(node, options, "R", sig, cur, exp):
             claimers = [o for o in actives if labels[o] == "claim"]
             if claimers:
-                queue = [(o, owned[o]) for o in claimers]
-                trades.append((node2, cur2, exp2, standing, queue))
+                trades.append((node2, cur2, exp2, standing, claimers))
                 continue
             # Designation runs only when every active owner renounced, so none
             # of her types tops at her own items, and her current set is never
             # empty: she has no action towards herself and at least one
             # towards a partner.
-            designations = {o: [(p, frozenset(t for t in cur2[o] if top_owner[t] == p))
-                                for p in sorted(owned)]
+            designations = {o: [(p, frozenset(t for t in cur2[o] if owner[top[t]] == p))
+                                for p in owners]
                             for o in actives}
             for node3, cur3, exp3, partners in moves(node2, designations, "D", sig, cur2, exp2):
-                stand2 = dict(standing)
-                for o, p in partners.items():
-                    stand2[o] = (p, owned[p])
-                cycle = _pointer_cycles({o: pm for o, (pm, _) in stand2.items()})
-                queue = [(o, stand2[o][1]) for o in sorted(cycle)]
-                trades.append((node3, cur3, exp3, stand2, queue))
+                stand2 = {**standing, **partners}
+                trades.append((node3, cur3, exp3, stand2, sorted(_pointer_cycles(stand2))))
         for node2, cur2, exp2, stand2, queue in trades:
             branches = [(node2, cur2, exp2, ())]
-            for k, (o, menu) in enumerate(queue):
+            for k, o in enumerate(queue):
                 # The asserting owner observes her own history, the stage's
                 # ownership, who is still to trade in this stage and what
                 # the earlier leavers took; the designations of owners
                 # outside the trading cycle stay hidden.
-                later = tuple(a for a, _ in queue[k:])
+                later = tuple(queue[k:])
                 asserted = []
                 for v, c, e, leavers in branches:
-                    picks = [(x, frozenset(t for t in c[o] if _best(rankings[t], menu) == x))
-                             for x in sorted(menu)]
+                    picks = [(x, frozenset(t for t in c[o] if top[t] == x))
+                             for x in sorted({top[t] for t in c[o]})]
                     public = (sig, later, leavers)
                     for v2, c2, e2, labels in moves(v, {o: picks}, "A", public, c, e):
                         asserted.append((v2, c2, e2, leavers + ((o, labels[o]),)))
@@ -528,7 +526,7 @@ def build_rda(priorities, n):
             for v, c, e, leavers in branches:
                 agents2 = agents - {o for o, _ in leavers}
                 items2 = items - {x for _, x in leavers}
-                lasting = {o: d for o, d in stand2.items() if o in agents2 and d[0] in agents2}
+                lasting = {o: p for o, p in stand2.items() if o in agents2 and p in agents2}
                 matched2 = dict(matched)
                 matched2.update(leavers)
                 stages.append((v, agents2, items2, lasting, matched2, c, e))
