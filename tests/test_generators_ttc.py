@@ -160,6 +160,7 @@ def levels(model):
 
 
 def digest(value):
+    """First 16 hex digits of the sha256 of ``repr(value)``."""
     return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
 
 
@@ -383,7 +384,8 @@ def check_gen_ttc(pr, n):
 
 def test_gen_ttc_document_matches_the_oracle():
     """Every two-agent structure and the documented three-agent subset; run
-    as a script to cover all 216 three-agent structures:
+    as a script to cover all 216 three-agent structures and to pin the
+    trees of a 333-structure four-agent stride:
     ``PYTHONPATH=src python tests/test_generators_ttc.py``."""
     for pr in gm.all_priority_structures(2):
         check_gen_ttc(pr, 2)
