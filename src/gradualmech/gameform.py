@@ -12,7 +12,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from operator import itemgetter
+from bisect import bisect_left, bisect_right
+from operator import attrgetter, itemgetter
 
 from .prefs import ScfTable
 
@@ -66,7 +67,8 @@ class Mechanism:
     by whichever mechanism on the tree asks first.  The partition tables depend
     on the information sets too: ``infosets``, ``node_iset``,
     ``experience``, the conflict maps and the ``validate`` report.
-    ``regroup`` shares the first and builds only the second.
+    ``regroup`` shares the first and builds only the second; ``unite``, a
+    merge's regrouping, reads its conflict maps off its input's.
 
     A node's menu lists the distinct actions in its children's steps, so
     nodes whose children carry equal steps have equal menus, and
@@ -94,6 +96,41 @@ class Mechanism:
         other = object.__new__(Mechanism)
         other.__dict__.update(self.__dict__)
         other._partition(infoset_groups)
+        return other
+
+    def unite(self, agent, classes):
+        """The regrouping in which each class, a list of ``agent``'s set
+        indices, becomes one set; every other set stays.  The result must
+        be valid, as a merge that ``_merge_classes`` accepts is.
+
+        Where this mechanism has built its conflict tables, the result's
+        are read off them.  The tree is the same and every other agent
+        keeps her sets, so her entries of ``_other_action_masks`` are
+        unchanged, and so is her entry of every conflict mask, an OR over
+        her chain of those entries.  The agent's entries are ORed per class:
+        by perfect recall in the result no member of a class lies below
+        another, so the members' subtrees are disjoint, and the nodes that
+        pass the class with another action than ``a`` are the nodes that
+        pass one of its sets so.  Only her entry of each built conflict mask
+        is then computed again, from her new chain."""
+        united = {k for ks in classes for k in ks}
+        groups = [(s.agent, s.nodes) for k, s in enumerate(self.infosets) if k not in united]
+        for ks in classes:
+            groups.append((agent, [v for k in ks for v in self.infosets[k].nodes]))
+        other = self.regroup(groups)
+        if self._other_action is not None:
+            new_index = [other.node_iset[s.agent, s.nodes[0]] for s in self.infosets]
+            table = other._other_action = {}
+            for (k, a), mask in self._other_action.items():
+                key = new_index[k], a
+                table[key] = table.get(key, 0) | mask
+            exp, built = other.experience[agent], other._conflict_masks
+            for u, masks in enumerate(self._conflict_masks):
+                if masks is not None:
+                    mask = 0
+                    for entry in exp[u]:
+                        mask |= table[entry]
+                    built[u] = masks[:agent] + (mask,) + masks[agent + 1:]
         return other
 
     def _partition(self, infoset_groups):
@@ -192,7 +229,9 @@ class Mechanism:
     # -- information-set structure ----------------------------------------
 
     def agent_infosets(self, agent):
-        return [k for k, s in enumerate(self.infosets) if s.agent == agent]
+        """The agent's set indices, a range: ``infosets`` is sorted by agent."""
+        sets, key = self.infosets, attrgetter("agent")
+        return range(bisect_left(sets, agent, key=key), bisect_right(sets, agent, key=key))
 
     def infoset_predecessor(self, k):
         """Index of the agent's previous information set, with the action

@@ -57,11 +57,13 @@ class Merge:
 
 
 def _copy(mech, root, edges):
-    """The mechanism ``canonical_tree`` builds from ``root`` with ``mech`` as
-    its origin, where ``edges(handle)`` returns the handle's origin, a node
-    of ``mech`` or None, and its edges as the pass takes them: a list of
-    (step, child handle) pairs, steps in normal form, or, where the children
-    are the origin's own with their steps, the pair (origin, child handles).
+    """``(copy, origin)``: the mechanism ``canonical_tree`` builds from
+    ``root`` with ``mech`` as its origin, and per set of the copy the index
+    of the set of ``mech`` it stems from, None for a new set.  Here
+    ``edges(handle)`` returns the handle's origin, a node of ``mech`` or
+    None, and its edges as the pass takes them: a list of (step, child
+    handle) pairs, steps in normal form, or, where the children are the
+    origin's own with their steps, the pair (origin, child handles).
     The pass takes those children's tables from ``mech`` whole, and numbers
     the copy's steps on from ``mech``'s step table, so the fingerprint
     writes only the texts of step keys that the chain meets for the first
@@ -97,8 +99,13 @@ def _copy(mech, root, edges):
                 fresh.setdefault(a, []).append(v)
             else:
                 members[k].append(v)
-    groups = [(s.agent, ms) for s, ms in zip(mech.infosets, members) if ms]
-    return Mechanism(mech.model, tree, outcome, groups + list(fresh.items()))
+    kept = [k for k, ms in enumerate(members) if ms]
+    groups = [(mech.infosets[k].agent, members[k]) for k in kept]
+    copy = Mechanism(mech.model, tree, outcome, groups + list(fresh.items()))
+    origin = [None] * len(copy.infosets)
+    for k, (agent, ms) in zip(kept, groups):
+        origin[copy.node_iset[agent, ms[0]]] = k
+    return copy, origin
 
 
 def _own_set(mech, agent, k):
@@ -134,10 +141,16 @@ def apply_split(mech, t):
     if (not t.part1 or not t.part2 or t.part1 & t.part2
             or (t.part1 | t.part2) != t.action):
         raise MechanismError("split: parts must be a two-way partition of the action")
-    below = set(_split_terminals(mech, t.infoset, t.action))
+    below = _split_terminals(mech, t.infoset, t.action)
     if not below:
         raise MechanismError(
             "split: the agent decides again after that action (no terminal keeps it)")
+    return _split(mech, t, below)[0]
+
+
+def _split(mech, t, below):
+    """``_copy`` for split ``t``, whose terminals ``below`` are known."""
+    below = set(below)
     finals = [make_step({t.agent: part}) for part in (t.part1, t.part2)]
 
     def edges(v):
@@ -148,6 +161,16 @@ def apply_split(mech, t):
         return v, (v, mech.children[v])
 
     return _copy(mech, 0, edges)
+
+
+def _split_actions(mech, k):
+    """The actions of set k that a split can refine, in menu order, each
+    with its terminals (``_split_terminals``)."""
+    for action in mech.infosets[k].actions:
+        if len(action) > 1:
+            below = _split_terminals(mech, k, action)
+            if below:
+                yield action, below
 
 
 def coalesce_ready(mech, t):
@@ -206,6 +229,11 @@ def apply_coalesce(mech, t):
     problem = coalesce_ready(mech, t)
     if problem:
         raise MechanismError(problem)
+    return _coalesce(mech, t)[0]
+
+
+def _coalesce(mech, t):
+    """``_copy`` for coalesce ``t``, which ``coalesce_ready`` accepted."""
     i = t.agent
     source_nodes = set(mech.infosets[t.infoset].nodes)
     target_nodes = set(mech.infosets[t.target].nodes)
@@ -241,6 +269,17 @@ def apply_coalesce(mech, t):
         return v, out
 
     return _copy(mech, (0, None), edges)
+
+
+def _coalesce_at(mech, k):
+    """The one coalesce that can take set k, from its predecessor set
+    through the action taken there, where ``coalesce_ready`` accepts it;
+    else None."""
+    pred, action = mech.infoset_predecessor(k)
+    if pred is None:
+        return None
+    t = Coalesce(mech.infosets[k].agent, pred, action, k)
+    return t if coalesce_ready(mech, t) is None else None
 
 
 def _illumination_parts(mech, t, what):
@@ -312,7 +351,8 @@ def _merge_classes(mech, t):
 
     Canonical ids are breadth-first, so a set's predecessor, whose members
     are ancestors of its members, has a smaller first member and comes
-    before it in ``mech.infosets``."""
+    before it in ``mech.infosets``; so do the two before every set below
+    them."""
     a, b = _own_set(mech, t.agent, t.first), _own_set(mech, t.agent, t.second)
     if a is None or b is None or t.first == t.second:
         return "merge: no such pair of distinct information sets for that agent", None
@@ -328,7 +368,7 @@ def _merge_classes(mech, t):
     keys = {}  # (predecessor's class, action, menu) -> class
     classes = [list(pair)]
     sides = set()  # (class, which of the two its members pass)
-    for k in mech.agent_infosets(t.agent):
+    for k in range(min(pair) + 1, mech.agent_infosets(t.agent).stop):
         iset = mech.infosets[k]
         past = exp[iset.nodes[0]]
         if len(past) <= depth or past[depth][0] not in pair:
@@ -364,14 +404,28 @@ def apply_merge(mech, t):
     problem, classes = _merge_classes(mech, t)
     if problem:
         raise MechanismError(problem)
-    united = {k for ks in classes for k in ks}
-    groups = [(s.agent, s.nodes) for k, s in enumerate(mech.infosets) if k not in united]
-    for ks in classes:
-        groups.append((t.agent, [v for k in ks for v in mech.infosets[k].nodes]))
-    merged = mech.regroup(groups)
+    return _merge(mech, t, classes)
+
+
+def _merge(mech, t, classes):
+    """``apply_merge`` for merge ``t``, whose ``classes`` are known."""
+    merged = mech.unite(t.agent, classes)
     a, b = mech.infosets[t.first], mech.infosets[t.second]
     forward = Illuminate(t.agent, merged.node_iset[(t.agent, a.nodes[0])], a.nodes, b.nodes)
     return merged, forward
+
+
+def _merge_candidates(mech, i):
+    """Merges of two of agent i's sets with the same menu and the same
+    chain at their first members, in canonical pair order:
+    ``_merge_classes`` refuses every other pair before any other work."""
+    exp, peers = mech.experience[i], {}
+    for k in mech.agent_infosets(i):
+        iset = mech.infosets[k]
+        peers.setdefault((iset.actions, exp[iset.nodes[0]]), []).append(k)
+    for first, second in sorted(
+            pair for ks in peers.values() for pair in itertools.combinations(ks, 2)):
+        yield Merge(i, first, second)
 
 
 @dataclass(frozen=True)
@@ -432,7 +486,7 @@ def apply_unsplit(mech, t):
             return mech.children[v][0], []
         return v, (v, mech.children[v])
 
-    return _copy(mech, 0, edges)
+    return _copy(mech, 0, edges)[0]
 
 
 def apply_uncoalesce(mech, t):
@@ -469,7 +523,7 @@ def apply_uncoalesce(mech, t):
         out.extend((make_step({**dict(rest), i: union}), kids) for rest, kids in by_rest.items())
         return h, out
 
-    return _copy(mech, 0, edges)
+    return _copy(mech, 0, edges)[0]
 
 
 def _binary_partitions(items):
@@ -486,43 +540,26 @@ def _binary_partitions(items):
 
 def iter_opportunities(mech, kind):
     """Lazily enumerate applicable transformations of one kind, canonical
-    (agent, node id) order.
-
-    Merges are probed only between two of an agent's sets with the same
-    menu and the same chain at their first members, in canonical pair
-    order: ``_merge_classes`` refuses every other pair before any other
-    work."""
+    (agent, node id) order.  Merges are probed only between the pairs
+    ``_merge_candidates`` lists."""
     if kind == "split":
         for k, iset in enumerate(mech.infosets):
-            for action in iset.actions:
-                if len(action) < 2:
-                    continue
-                if not _split_terminals(mech, k, action):
-                    continue
+            for action, _ in _split_actions(mech, k):
                 for part1, part2 in _binary_partitions(sorted(action)):
                     yield Split(iset.agent, k, action,
                                 frozenset(part1), frozenset(part2))
     elif kind == "coalesce":
         for k in range(len(mech.infosets)):
-            pred, action = mech.infoset_predecessor(k)
-            if pred is None:
-                continue
-            cand = Coalesce(mech.infosets[k].agent, pred, action, k)
-            if coalesce_ready(mech, cand) is None:
-                yield cand
+            t = _coalesce_at(mech, k)
+            if t is not None:
+                yield t
     elif kind == "illuminate":
         for k, iset in enumerate(mech.infosets):
             for part1, part2 in _binary_partitions(iset.nodes):
                 yield Illuminate(iset.agent, k, part1, part2)
     elif kind == "merge":
         for i in range(mech.model.n_agents):
-            exp, peers = mech.experience[i], {}
-            for k in mech.agent_infosets(i):
-                iset = mech.infosets[k]
-                peers.setdefault((iset.actions, exp[iset.nodes[0]]), []).append(k)
-            for first, second in sorted(
-                    pair for ks in peers.values() for pair in itertools.combinations(ks, 2)):
-                cand = Merge(i, first, second)
+            for cand in _merge_candidates(mech, i):
                 if merge_ready(mech, cand) is None:
                     yield cand
     elif kind == "unsplit":
@@ -593,20 +630,21 @@ def is_incentive_preserving(mech, t, f):
             seen.update(itertools.product(*(sorted(mech.theta[v][j]) for j in others)))
         return sorted(seen)
 
-    table = mech.truthful_table()
+    table, strides = mech.truthful_table(), model.strides
 
     def rows(minus):
         """Per type of the informed agent: one row per acquired tuple (the
         profile, its truthful terminal z, the value f gives it, z's conflict
         masks, and the terminals at which at least one and at least two of
         the other agents conflict with z), and per value x the terminals of
-        the rows of value x."""
+        the rows of value x.  Each profile is built from ``theta`` rows, so
+        its rank is read without ``TypeModel.rank``'s checks."""
         out = {}
         for ti in theta_i:
             side, by_x = [], {}
             for rest in minus:
                 prof = rest[:i] + (ti,) + rest[i:]
-                r = model.rank(prof)
+                r = sum(map(operator.mul, prof, strides))
                 z, x = table[r], f.outcomes[r]
                 masks = mech.conflict_masks(z)
                 side.append((prof, z, x, masks, *_coverage(masks[j] for j in others)))
@@ -682,6 +720,108 @@ def theorem1_verdict(chain):
     return all(s.preserving for s in merges)
 
 
+def _first(settled, probe):
+    """The first step ``probe(k)`` finds, over the indices k not settled in
+    ascending order; each index probed without a step is settled on the
+    way, and the indices after the step are left unprobed."""
+    for k, done in enumerate(settled):
+        if not done:
+            found = probe(k)
+            if found is not None:
+                return found
+            settled[k] = True
+    return None
+
+
+def _split_at(mech, k):
+    """``(split, its terminals)`` for the first split ``iter_opportunities``
+    yields at set k, or None."""
+    for action, below in _split_actions(mech, k):
+        part1, part2 = next(_binary_partitions(sorted(action)))
+        return Split(mech.infosets[k].agent, k, action,
+                     frozenset(part1), frozenset(part2)), below
+    return None
+
+
+def _first_merge(mech, refused):
+    """``(merge, its classes)`` for the first ready merge, or None.  The
+    pairs of set indices in ``refused`` are skipped, and each pair probed
+    and refused is added."""
+    for i in range(mech.model.n_agents):
+        for t in _merge_candidates(mech, i):
+            pair = t.first, t.second
+            if pair not in refused:
+                problem, classes = _merge_classes(mech, t)
+                if problem is None:
+                    return t, classes
+                refused.add(pair)
+    return None
+
+
+def _after_coalesce(mech, t, origin, settled, refused):
+    """The tables of ``reduce_to_direct`` for the result of coalesce ``t``
+    on ``mech``, whose sets stem from those of ``mech`` as ``origin`` says.
+
+    Every set keeps its coalesce verdict.  ``coalesce_ready`` compares a
+    set's volume with its predecessor's, and the copy keeps every volume:
+
+    - Outside the source members' subtrees through ``t.action`` each node
+      is copied once, with its ``theta`` row.  So is each node below a
+      target member, on the one branch the agent took there.
+    - A node between a source member and the target members, where the
+      agent's types are ``t.action``, is copied once per target action,
+      with that action as her types; so is a target member where others
+      act too, and one where she acts alone, a member of the target only,
+      is dropped.  The target actions partition ``t.action``, so the
+      copies' box sizes add up to the node's.  She makes no other decision
+      there, so none of her sets, whose volumes leave her types out, has a
+      member there.
+
+    Every chain keeps its entries, except that below the target the
+    agent's chain passes the source with the action she took at the target
+    and no longer passes the target.  So a set that followed the target now
+    follows the source, whose volume equals the target's, as
+    ``coalesce_ready`` found, and every other set keeps its predecessor.
+
+    Every other agent keeps her sets, their menus and the entries of her
+    chains, at copies as at their origins, so ``_merge_classes`` refuses
+    her pairs again: it reads no more, and whether two of her sets meet in
+    one class does not depend on the order in which the sets are
+    numbered."""
+    index = {o: k for k, o in enumerate(origin) if o is not None}
+    return ([o is not None and settled[o] for o in origin],
+            {tuple(sorted((index[a], index[b]))) for a, b in refused
+             if mech.infosets[a].agent != t.agent})
+
+
+def _after_merge(mech, t, classes, merged, settled, refused):
+    """The tables of ``reduce_to_direct`` for ``merged``, the result of
+    merge ``t`` with ``classes`` on ``mech``.
+
+    The merge keeps the tree, and so ``theta`` and the menus, and renames
+    the sets in the chains, one to one but for the united sets.  So a set
+    that is not united keeps its members, and where its predecessor is not
+    united either, both keep their volumes and ``coalesce_ready`` its
+    verdict.
+
+    Every other agent keeps her sets and chains, so her pairs keep their
+    merge verdicts.  So does a pair (a, b) of the agent where neither a nor
+    b is united or passed by the chain of a united set: a and b keep their
+    menus and equal chains, and the sets whose chains pass a or b are the
+    images of the same sets, none united, with the same predecessors, so
+    ``_merge_classes`` meets the same classes again."""
+    exp = mech.experience[t.agent]
+    united = {k for ks in classes for k in ks}
+    reached = united | {k for u in united for k, _ in exp[mech.infosets[u].nodes[0]]}
+    index = [merged.node_iset[s.agent, s.nodes[0]] for s in mech.infosets]
+    out = [False] * len(merged.infosets)
+    for k, done in enumerate(settled):
+        if done and k not in united and mech.infoset_predecessor(k)[0] not in united:
+            out[index[k]] = True
+    return out, {(index[a], index[b]) for a, b in refused
+                 if a not in reached and b not in reached}
+
+
 def reduce_to_direct(mech, f):
     """Transform a mechanism into the one-shot direct form of its SCF.
 
@@ -690,6 +830,31 @@ def reduce_to_direct(mech, f):
     first merge, until the mechanism is static.  Each merge records the
     forward illumination and its incentive-preservation verdict evaluated on
     the post-merge mechanism.
+
+    The chain is the one that ``iter_opportunities`` would find by probing
+    every set after every step (``reduce_chain_oracle`` in the tests).  Here
+    three tables carry what is settled from step to step: the sets that
+    offer no split, the sets that no coalesce takes, and the pairs of sets
+    whose merge is refused.  A probe skips what is settled and stops at its
+    first find, in the canonical order, and each step keeps the entries it
+    cannot change:
+
+    - A split at (k, action) by agent i keeps every set's split verdict but
+      k's.  The new terminals sit below terminals whose chain for i ended
+      in (k, action), so no other set of i had them among its final
+      terminals, and the other agents' chains there are unchanged.  The new
+      final-choice set is probed as new.
+    - A merge of agent i's sets keeps the coalesce verdict of every set
+      where neither the set nor its predecessor is united, and the merge
+      verdict of every pair where neither set is united or passed by a
+      united set's chain; every other agent keeps all of hers
+      (``_after_merge``).
+    - A coalesce keeps every set's coalesce verdict, the target's gone, and
+      every other agent's merge verdicts (``_after_coalesce``).
+
+    Set indices are carried through the copy's ``origin`` or the merge's
+    classes, and each find is applied as it is, without the checks the
+    public ``apply_*`` functions repeat.
     """
     _require_valid(mech, f)
     # Taken first, so the copies inherit the source's step-key texts.
@@ -697,25 +862,31 @@ def reduce_to_direct(mech, f):
 
     steps = []
     current = mech
-    while True:
-        t = next(iter_opportunities(current, "split"), None)
-        if t is None:
-            break
-        current = apply_split(current, t)
+    settled = [False] * len(current.infosets)  # per set: it offers no split
+    while (found := _first(settled, functools.partial(_split_at, current))) is not None:
+        t, below = found
+        current, origin = _split(current, t, below)
+        settled = [o is not None and o != t.infoset and settled[o] for o in origin]
         steps.append(ChainStep(t, current.fingerprint()))
 
+    settled = [False] * len(current.infosets)  # per set: no coalesce takes it
+    refused = set()  # pairs of sets: a merge of the two is refused
     while not is_static(current):
-        t = next(iter_opportunities(current, "coalesce"), None)
+        t = _first(settled, functools.partial(_coalesce_at, current))
         if t is not None:
-            current = apply_coalesce(current, t)
+            result, origin = _coalesce(current, t)
+            settled, refused = _after_coalesce(current, t, origin, settled, refused)
+            current = result
             steps.append(ChainStep(t, current.fingerprint()))
             continue
-        t = next(iter_opportunities(current, "merge"), None)
-        if t is None:
+        found = _first_merge(current, refused)
+        if found is None:
             raise MechanismError(
                 "reduce: non-static mechanism with no coalesce or merge opportunity")
-        merged, forward = apply_merge(current, t)
+        t, classes = found
+        merged, forward = _merge(current, t, classes)
         preserving = bool(is_incentive_preserving(merged, forward, f))
+        settled, refused = _after_merge(current, t, classes, merged, settled, refused)
         current = merged
         steps.append(ChainStep(t, current.fingerprint(), preserving=preserving))
 

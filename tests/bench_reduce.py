@@ -12,15 +12,20 @@ measurement runs in a fresh ``python -B`` process that imports
 times one reduction.  Per auction the runs alternate between the trees, the
 parent first on even runs.  One more process per tree reduces the auction
 once with counting wrappers, for the counts that do not depend on the
-machine: copies (``transforms._copy``), ``coalesce_ready``, ``merge_ready``
-and ``is_incentive_preserving`` calls, regroupings (``Mechanism.regroup``),
+machine: copies (``transforms._copy``), the calls that decide a step
+(``_split_terminals``, ``coalesce_ready``, ``merge_ready`` and
+``_merge_classes``, whether a probe makes them or an ``apply_*`` function
+checking its step again), ``is_incentive_preserving`` calls, regroupings
+(``Mechanism.regroup``),
 the tree texts ``fingerprint`` writes, and the step-key ``repr`` texts it
 writes for them: the growth of the step table's ``texts``, which a copy
 inherits from its input, or, in a checkout whose trees keep no texts,
 ``len(_tree["keys"])`` per tree text.  The child nodes of the trees
 ``canonical_tree`` builds are counted as taken from the origin, where the
 pass takes a kept node's children from the input's tables, or as keyed
-afresh.  The script checks that
+afresh.  Per step kind the record divides those calls by the steps of that
+kind: ``_split_terminals`` per split, ``coalesce_ready`` per coalesce (the
+headline count) and ``_merge_classes`` per merge.  The script checks that
 both trees give the same chain: the same steps, fingerprints and
 preservation verdicts.
 """
@@ -38,7 +43,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 AUCTIONS = ((3, 3), (4, 4), (5, 3), (4, 5), (5, 4))
-COUNTED = ("_copy", "coalesce_ready", "merge_ready", "is_incentive_preserving")
+COUNTED = ("_copy", "_split_terminals", "coalesce_ready", "merge_ready", "_merge_classes",
+           "is_incentive_preserving")
+# Per step kind, the call that decides a step of that kind.
+PROBES = {"split": "_split_terminals", "coalesce": "coalesce_ready", "merge": "_merge_classes"}
 
 
 def reduce_once(n, m, count):
@@ -96,7 +104,13 @@ def reduce_once(n, m, count):
     record = repr([(s.transform, s.fingerprint, s.preserving) for s in chain.steps])
     out = {"steps": len(chain.steps),
            "digest": hashlib.sha256(record.encode()).hexdigest()[:16]}
-    out.update({"counts": counts} if count else {"seconds": seconds})
+    if count:
+        kinds = chain.counts()
+        out["counts"] = counts
+        out["calls_per_step"] = {kind: counts[name] / kinds[kind] if kinds[kind] else None
+                                 for kind, name in PROBES.items()}
+    else:
+        out["seconds"] = seconds
     return out
 
 
@@ -145,7 +159,9 @@ def main(argv=None):
             got = measure(tree, n, m, count=True)
             chains.add((got["steps"], got["digest"]))
             row[label] = {"seconds_median": statistics.median(seconds[label]),
-                          "seconds": seconds[label], "counts": got["counts"]}
+                          "seconds": seconds[label],
+                          "coalesce_ready_per_coalesce": got["calls_per_step"]["coalesce"],
+                          "calls_per_step": got["calls_per_step"], "counts": got["counts"]}
         assert len(chains) == 1, (n, m, chains)
         (steps, digest), = chains
         entry = {"steps": steps, "chain_digest": digest, **row}
@@ -154,7 +170,9 @@ def main(argv=None):
                                                   / row["change"]["seconds_median"])
         result["auctions"][f"{n}x{m}"] = entry
         print(f"({n},{m}) {steps} steps: " + "; ".join(
-            f"{label} {r['seconds_median']:.2f} s, {r['counts']}" for label, r in row.items()))
+            f"{label} {r['seconds_median']:.2f} s, "
+            f"{r['coalesce_ready_per_coalesce']:.1f} coalesce_ready per coalesce, {r['counts']}"
+            for label, r in row.items()))
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
 
 

@@ -9,7 +9,6 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import gradualmech as gm
-from gradualmech import transforms
 from gradualmech.cli import main
 
 CORPUS_SEED = 418043
@@ -103,26 +102,41 @@ def reduction_probes(corpus, rda3_stride=1):
     """(name, mechanism, kinds) for every mechanism at which a reduction of
     a corpus entry looks for a rewrite, with the kinds it looks for there,
     in chain order.  Of the ``rda3-*`` entries only every ``rda3_stride``-th
-    is reduced.  The mechanisms are recorded by wrapping
-    ``transforms.iter_opportunities`` for the length of each reduction."""
+    is reduced.  A reduction takes the fingerprint of its input and of each
+    step's result once, in chain order, so the mechanisms are recorded by
+    wrapping ``Mechanism.fingerprint`` for the length of each reduction.
+    The kinds follow from the chain: a reduction looks for a split until it
+    finds none, then, while the mechanism is not static, for a coalesce,
+    and for a merge where it finds no coalesce."""
     out = []
-    real = transforms.iter_opportunities
-
-    def recorded(mech, kind):
-        if not out or out[-1][1] is not mech:
-            out.append((name, mech, []))
-        out[-1][2].append(kind)
-        return real(mech, kind)
-
+    real = gm.Mechanism.fingerprint
     rda3 = [entry for entry in corpus if entry[0].startswith("rda3-")]
     picked = [entry for entry in corpus if not entry[0].startswith("rda3-")]
     picked += rda3[::rda3_stride]
-    try:
-        transforms.iter_opportunities = recorded
-        for name, mech, model, f in picked:
-            gm.reduce_to_direct(mech, f)
-    finally:
-        transforms.iter_opportunities = real
+    for name, mech, model, f in picked:
+        seen = []
+
+        def recorded(m):
+            seen.append(m)
+            return real(m)
+
+        try:
+            gm.Mechanism.fingerprint = recorded
+            chain = gm.reduce_to_direct(mech, f)
+        finally:
+            gm.Mechanism.fingerprint = real
+        assert len(seen) == len(chain.steps) + 1, name
+        splitting = True
+        for current, step in zip(seen, chain.steps + [None]):
+            kinds = ["split"] if splitting else []
+            if step is None or not isinstance(step.transform, gm.Split):
+                splitting = False
+                if not gm.is_static(current):
+                    kinds.append("coalesce")
+                    if step is not None and isinstance(step.transform, gm.Merge):
+                        kinds.append("merge")
+            if kinds:
+                out.append((name, current, kinds))
     return out
 
 

@@ -718,6 +718,12 @@ PINNED_ERRORS = {
                           g3_with(preferences=[G3_DOC["preferences"][0],
                                                G3_DOC["preferences"][1][:2]]),
                           "agent voter2: one weak order per type required"),
+    # voter1's first type ranks L over M and leaves R out.
+    "weak-order-short": (["check-ic", "-"],
+                         g3_with(preferences=[[G3_DOC["preferences"][0][0][:2],
+                                               *G3_DOC["preferences"][0][1:]],
+                                              G3_DOC["preferences"][1]]),
+                         "agent 0: weak order does not cover all outcomes"),
 }
 STDIN_TEXTS = {"{g3}": G3_TEXT, "{g3 without scf}": G3_WITHOUT_SCF}
 
