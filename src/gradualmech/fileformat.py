@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from itertools import islice, product
 from json.encoder import encode_basestring_ascii as _quote
-from operator import getitem
+from operator import eq, getitem, itemgetter
 
 from .gameform import Mechanism, canonical_tree, validate
 from .prefs import ScfTable, TypeModel, WeakOrder
@@ -209,10 +209,34 @@ def parse_model(doc):
 def parse_scf(doc, model):
     """The document's SCF table, or None, read through the model's name
     maps.  Rows may come in any order but must list each profile exactly
-    once."""
+    once.
+
+    Rows in ``model.profiles()`` order, the order ``serialize_mechanism``
+    writes, are read in C-level passes: every row is a list of two, there
+    is one row per profile (``map`` stops at the shorter input, so the count
+    test stays), each row's profile list as written equals the profile's
+    list of type names (a list never equals a string, and a name never
+    equals a non-string), and the outcome names map to ids.  A table in any
+    other order, or one these passes refuse, is read row by row by
+    ``_scf_rows_in_any_order``, which alone words the diagnostics.
+    """
     rows = doc.get("scf")
     if rows is None:
         return None
+    if (type(rows) is list and len(rows) == model.n_profiles()
+            and {list}.issuperset(map(type, rows)) and {2}.issuperset(map(len, rows))
+            and all(map(eq, map(itemgetter(0), rows), map(list, product(*model.type_names))))):
+        try:
+            outcomes = tuple(map(model.outcome_index.__getitem__, map(itemgetter(1), rows)))
+        except (KeyError, TypeError):
+            pass
+        else:
+            return ScfTable(model, outcomes)
+    return _scf_rows_in_any_order(rows, model)
+
+
+def _scf_rows_in_any_order(rows, model):
+    """The SCF table of rows in any order, read one row at a time."""
     out_index = model.outcome_index
     # Per agent, each type name's share of a profile's rank.
     offset = [{name: t * stride for name, t in names.items()}

@@ -184,20 +184,30 @@ def is_strategy_proof(model, f):
     others))`` with the first violation in (agent, type, misreport, others)
     enumeration order.  For agent i the profiles that differ only in i's
     type lie ``strides[i]`` apart; the ranks with i's type 0, ascending,
-    list the others' types in their order.
+    list the others' types in their order.  So each outside profile's
+    strided slice of the table is the menu of outcomes i's reports reach,
+    and a true type holds there iff its level of the truthful outcome, the
+    menu's entry at that type, is its best level on the menu.  Outside
+    profiles with equal menus are decided once, and only the first type
+    found failing is scanned again, pair by pair, for the first witness.
     """
     out = f.outcomes
     for i in range(model.n_agents):
         stride, n_i = model.strides[i], model.n_types(i)
         bases = [hi + lo for hi in range(0, len(out), stride * n_i) for lo in range(stride)]
+        menus = set(map(out.__getitem__, map(
+            slice, bases, map(operator.add, bases, itertools.repeat(stride * n_i)),
+            itertools.repeat(stride))))
         for ti in range(n_i):
-            levels = model.levels(i, ti)
+            level = model.levels(i, ti).__getitem__
+            best = map(min, map(map, itertools.repeat(level), menus))
+            if all(map(operator.eq, map(level, map(operator.itemgetter(ti), menus)), best)):
+                continue
+            truth = ti * stride
             for mis in range(n_i):
-                if mis == ti:
-                    continue
-                truth, lie = ti * stride, mis * stride
+                lie = mis * stride
                 for base in bases:
-                    if levels[out[base + truth]] > levels[out[base + lie]]:
+                    if level(out[base + truth]) > level(out[base + lie]):
                         rest = next(itertools.islice(model.profiles(), base, None))
                         return False, (i, ti, mis, rest[:i] + rest[i + 1:])
     return True, None

@@ -9,13 +9,13 @@ import itertools
 import json
 import math
 from collections import deque
+from operator import getitem
 
-from gradualmech import (all_strategies, build_rda, make_step, play, transforms,
+from gradualmech import (ScfTable, all_strategies, build_rda, make_step, play, transforms,
                          ttc_scf, unconditional_strategy)
 from gradualmech.checkers import (Verdict, Witness, _coverage, _first_harmed,
                                   _first_profile, _Harm, _require_valid, _Settled)
-from gradualmech.fileformat import (ParseError, _need, parse_model, parse_scf,
-                                    serialize_mechanism)
+from gradualmech.fileformat import ParseError, _fail, _need, parse_model, serialize_mechanism
 from gradualmech.gameform import (Mechanism, MechanismError, build_mechanism,
                                   implements, is_static, siblings_same_action,
                                   validate)
@@ -1367,13 +1367,49 @@ def plain_copy_oracle(mech, t):
         transforms.canonical_tree = real
 
 
+def parse_scf_oracle(doc, model):
+    """``parse_scf`` as it was before rows in writer order were read in one
+    pass: every table is read one row at a time, each row's profile summed
+    to its rank through per-agent maps of type name to rank share."""
+    rows = doc.get("scf")
+    if rows is None:
+        return None
+    out_index = model.outcome_index
+    # Per agent, each type name's share of a profile's rank.
+    offset = [{name: t * stride for name, t in names.items()}
+              for names, stride in zip(model.type_index, model.strides)]
+    slots = [None] * model.n_profiles()
+    for row in _need(rows, list, "'scf'"):
+        if not isinstance(row, list) or len(row) != 2:
+            _fail(f"scf row {row!r}: want [profile, outcome]")
+        profile_names, out_name = row
+        # ``map`` stops at the shorter input, so the length test stays.
+        if not isinstance(profile_names, list) or len(profile_names) != model.n_agents:
+            _fail(f"scf profile {profile_names!r}: one type per agent required")
+        try:
+            r = sum(map(getitem, offset, profile_names))
+            x = out_index[out_name]
+        except KeyError as e:
+            _fail(f"scf row {row!r}: unknown name {e}")
+        except TypeError:
+            _fail(f"scf row {row!r}: names must be strings")
+        if slots[r] is not None:
+            _fail(f"scf row {row!r}: profile listed twice")
+        slots[r] = x
+    if None in slots:
+        missing = next(itertools.islice(model.profiles(), slots.index(None), None))
+        _fail(f"SCF not total: missing profile {missing}")
+    return ScfTable(model, slots)
+
+
 def parse_mechanism_oracle(text):
     """``parse_mechanism`` as it was before the tree was read breadth-first:
     a recursive walk records each document node's parent and step, the
     document ids are sorted and remapped to a raw node list, and
-    ``build_mechanism_oracle`` sorts and remaps it again.  It refuses an
-    empty action as the parser now does, so on a document with one fault
-    the two give the same diagnostic."""
+    ``build_mechanism_oracle`` sorts and remaps it again, and the SCF is
+    read row by row by ``parse_scf_oracle``.  It refuses an empty action as
+    the parser now does, so on a document with one fault the two give the
+    same diagnostic."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -1387,7 +1423,7 @@ def parse_mechanism_oracle(text):
     agent_index = {name: i for i, name in enumerate(model.agent_names)}
     type_index = [{name: k for k, name in enumerate(names)} for names in model.type_names]
     out_index = {name: k for k, name in enumerate(model.outcome_names)}
-    f = parse_scf(doc, model)
+    f = parse_scf_oracle(doc, model)
 
     nodes = {}
     outcomes = {}
